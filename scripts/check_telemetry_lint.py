@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """AST lint: enforce the telemetry conventions inside ``src/repro/``.
 
-Seven rules (see docs/observability.md and docs/robustness.md):
+Eight rules (see docs/observability.md and docs/robustness.md):
 
 1. No ``time.time()`` — wall-clock arithmetic must use
    ``telemetry.monotonic()`` (an alias of ``time.perf_counter``) so spans
@@ -53,6 +53,15 @@ Seven rules (see docs/observability.md and docs/robustness.md):
    of an atomic discipline (the helper's own tmp write, an in-memory
    ``BytesIO`` serialization, an ``O_EXCL``-created lock file) carries a
    ``lint-allow-raw-write`` comment explaining why.
+8. No elementwise powers in the layer kernels — inside ``repro/nn/`` and
+   ``repro/quant/``, ``base ** c`` with a numeric constant ``c`` other
+   than 2 (and a non-constant base), and calls to ``np.power`` /
+   ``np.float_power``, are rejected.  NumPy squares ``** 2`` with a
+   multiply but sends exponents such as 3 through libm ``pow`` per
+   element, which made ``x**3`` in GELU the largest cost of a ViT sweep;
+   write the power as a product (``x * x * x``).  Constant bases
+   (``2 ** (bits - 1)``) and non-constant exponents (``b1**self._t``)
+   are fine.
 
 Exit status 0 when clean, 1 with a ``path:line: message`` listing per
 violation.  Run via ``make lint`` (part of the default ``make`` target).
@@ -103,6 +112,12 @@ ALLOWED_RAW_WRITE = {TARGET / "atomicio.py"}
 
 #: ``np.*`` savers rule 7 rejects outside the atomic writer.
 NP_SAVE_NAMES = {"save", "savez", "savez_compressed"}
+
+#: Rule 8: the packages whose elementwise kernels may not call libm pow.
+POWER_DIRS = (TARGET / "nn", TARGET / "quant")
+
+#: ``np.*`` functions rule 8 rejects there.
+NP_POWER_NAMES = {"power", "float_power"}
 
 
 def _is_hot_path(func: ast.AST) -> bool:
@@ -299,8 +314,52 @@ def _raw_write_violations(path: Path, tree: ast.AST, source_lines):
             )
 
 
+def _is_number(node: ast.AST) -> bool:
+    """True for a numeric literal, optionally signed (``3``, ``-0.5``)."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _power_violations(path: Path, tree: ast.AST):
+    """Rule 8: elementwise libm ``pow`` inside the layer kernels."""
+    if not any(d in path.parents for d in POWER_DIRS):
+        return
+    hint = "write the power as a product (x * x * x)"
+    for node in ast.walk(tree):
+        fn = getattr(node, "func", None)
+        if (
+            isinstance(fn, ast.Attribute)
+            and fn.attr in NP_POWER_NAMES
+            and isinstance(fn.value, ast.Name)
+            and fn.value.id in ("np", "numpy")
+        ):
+            yield node.lineno, f"np.{fn.attr}() runs libm pow per element; {hint}"
+            continue
+        if isinstance(node, ast.BinOp):
+            base, exponent = node.left, node.right
+        elif isinstance(node, ast.AugAssign):
+            base, exponent = node.target, node.value
+        else:
+            continue
+        squared = isinstance(exponent, ast.Constant) and exponent.value == 2
+        if (
+            isinstance(node.op, ast.Pow)
+            and _is_number(exponent)
+            and not squared
+            and not _is_number(base)
+        ):
+            yield (
+                node.lineno,
+                f"'** {ast.unparse(exponent)}' in a layer kernel: NumPy turns "
+                "'** 2' into a multiply but sends exponents such as 3 through "
+                f"libm pow per element; {hint}",
+            )
+
+
 def _violations(path: Path, tree: ast.AST, source_lines):
     yield from _swallow_violations(path, tree, source_lines)
+    yield from _power_violations(path, tree)
     yield from _blocking_violations(tree, source_lines)
     yield from _raw_write_violations(path, tree, source_lines)
     for node in ast.walk(tree):

@@ -10,6 +10,7 @@ variant used for MobileNetV3 and ViT (Table 1, "+" footnote).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,8 +38,13 @@ def quantize_symmetric(w: np.ndarray, bits: int, scale: float) -> np.ndarray:
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     lo, hi = _qrange(bits, signed=True)
-    q = np.clip(np.round(w / scale), lo, hi)
-    return q * scale
+    # One buffer for the whole chain; bitwise equal to
+    # np.clip(np.round(w / scale), lo, hi) * scale.
+    out = np.divide(w, scale)
+    np.round(out, out=out)
+    np.clip(out, lo, hi, out=out)
+    out *= scale
+    return out
 
 
 def quantize_affine(
@@ -111,7 +117,12 @@ class ActivationQuantizer:
         self._max_abs = 0.0
 
     def observe(self, x: np.ndarray) -> None:
-        self._max_abs = max(self._max_abs, float(np.abs(x).max(initial=0.0)))
+        max_abs = float(np.abs(x).max(initial=0.0))
+        # Python's max() would drop a NaN range silently, and an inf range
+        # gives an inf scale that turns every output into NaN.
+        if not math.isfinite(max_abs):
+            raise ValueError(f"non-finite activation range observed: {max_abs}")
+        self._max_abs = max(self._max_abs, max_abs)
 
     def finalize(self) -> None:
         lo, hi = _qrange(self.bits, signed=True)
@@ -128,4 +139,9 @@ class ActivationQuantizer:
             return x
         if self.scale is None:
             raise RuntimeError("activation quantizer used before calibration")
+        # Checked here, not in quantize_symmetric: diverged (inf) weights
+        # calibrate to an inf scale and must surface as the sweep's
+        # non-finite loss error, not fail the weight table build.
+        if not math.isfinite(self.scale):
+            raise ValueError(f"non-finite activation scale: {self.scale}")
         return quantize_symmetric(x, self.bits, self.scale)

@@ -1,0 +1,56 @@
+"""Rules of scripts/check_telemetry_lint.py, checked on small sources."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_telemetry_lint.py"
+_spec = importlib.util.spec_from_file_location("check_telemetry_lint", SCRIPT)
+lint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(lint)
+
+
+def _power_lines(source: str, package: str = "nn"):
+    path = lint.TARGET / package / "probe.py"
+    return sorted(line for line, _ in lint._power_violations(path, ast.parse(source)))
+
+
+class TestPowerRule:
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "x**3",
+            "0.044715 * x**3",
+            "x ** -1",
+            "x ** 0.5",
+            "np.power(x, 2)",
+            "numpy.float_power(x, 3)",
+        ],
+    )
+    def test_rejects_elementwise_pow(self, expr):
+        assert _power_lines(f"y = {expr}\n") == [1]
+
+    def test_rejects_in_place_pow(self):
+        assert _power_lines("x **= 3\n") == [1]
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "2 ** (bits - 1)",
+            "2**bits - 1",
+            "b1**self._t",
+            "(flat[None, :] - q) ** 2",
+            "x ** 2.0",
+            "2 ** 20",
+            "(-2) ** 3",
+            "x * x * x",
+        ],
+    )
+    def test_allows_squares_constant_bases_and_variable_exponents(self, expr):
+        assert _power_lines(f"y = {expr}\n") == []
+
+    def test_only_layer_kernel_packages(self):
+        assert _power_lines("y = x**3\n", package="quant") == [1]
+        assert _power_lines("y = x**3\n", package="core") == []

@@ -20,6 +20,7 @@ from repro.nn import (
     ReLU,
     Sigmoid,
     SiLU,
+    fold_candidates,
 )
 
 from helpers import numeric_input_grad
@@ -43,6 +44,13 @@ def _check_input_grad(layer, x, rtol=2e-2, atol=2e-3, train=False):
     np.testing.assert_allclose(dx.ravel()[idx], numeric, rtol=rtol, atol=atol)
 
 
+def _kernel_inputs(dtype):
+    """A (N, T, D) activation and its candidate-folded (K*N, T, D) batch."""
+    rng = np.random.default_rng(7)
+    x = (rng.normal(size=(3, 5, 16)) * 2.0 + 0.5).astype(dtype)
+    return [x, fold_candidates(x, 4)]
+
+
 class TestActivations:
     @pytest.mark.parametrize(
         "layer_cls", [ReLU, GELU, SiLU, Sigmoid]
@@ -50,7 +58,37 @@ class TestActivations:
     def test_smooth_activation_grads(self, layer_cls):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 6)).astype(np.float64)
-        _check_input_grad(layer_cls(), x)
+        for train in (False, True):
+            _check_input_grad(layer_cls(), x, train=train)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_matches_out_of_place_reference(self, dtype):
+        c = GELU._C
+        for x in _kernel_inputs(dtype):
+            before = x.copy()
+            layer = GELU()
+            out = layer.forward(x)
+            tanh = np.tanh(c * (x + 0.044715 * (x * x * x)))
+            expected = 0.5 * x * (1.0 + tanh)
+            assert out.dtype == dtype
+            assert np.array_equal(out, expected)
+            assert np.array_equal(layer._cache[1], tanh)
+            assert np.array_equal(x, before)
+
+    def test_gelu_float32_precision(self):
+        # Tolerance fixed before the cube became a product: within
+        # 2 * eps32 * max(1, |x|) of the same tanh formula in float64.
+        rng = np.random.default_rng(3)
+        x = np.concatenate(
+            [np.linspace(-12.0, 12.0, 20001), rng.normal(size=20000) * 3.0]
+        ).astype(np.float32)
+        out = GELU().forward(x)
+        assert out.dtype == np.float32
+        x64 = x.astype(np.float64)
+        inner = np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * (x64 * x64 * x64))
+        gelu64 = 0.5 * x64 * (1.0 + np.tanh(inner))
+        bound = 2 * np.finfo(np.float32).eps * np.maximum(1.0, np.abs(x64))
+        assert np.all(np.abs(out - gelu64) <= bound)
 
     @pytest.mark.parametrize("layer_cls", [Hardswish, Hardsigmoid])
     def test_piecewise_activation_grads_away_from_kinks(self, layer_cls):
@@ -176,7 +214,27 @@ class TestLayerNorm:
         rng = np.random.default_rng(12)
         ln = LayerNorm(6)
         x = rng.normal(size=(3, 6)).astype(np.float64)
-        _check_input_grad(ln, x)
+        for train in (False, True):
+            _check_input_grad(ln, x, train=train)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_np_var_reference(self, dtype):
+        rng = np.random.default_rng(13)
+        ln = LayerNorm(16)
+        ln.weight.data[:] = rng.normal(size=16)
+        ln.bias.data[:] = rng.normal(size=16)
+        for x in _kernel_inputs(dtype):
+            before = x.copy()
+            out = ln.forward(x)
+            mean = x.mean(axis=-1, keepdims=True)
+            var = x.var(axis=-1, keepdims=True)
+            inv_std = 1.0 / np.sqrt(var + ln.eps)
+            x_hat = (x - mean) * inv_std
+            assert out.dtype == dtype
+            assert np.array_equal(out, ln.weight.data * x_hat + ln.bias.data)
+            assert np.array_equal(ln._cache[0], x_hat)
+            assert np.array_equal(ln._cache[1], inv_std)
+            assert np.array_equal(x, before)
 
 
 class TestPooling:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.nn import fold_candidates
 from repro.quant import (
     ActivationQuantizer,
     PerChannelAffineQuantizer,
@@ -71,6 +72,24 @@ class TestSymmetricQuantizer:
     def test_invalid_scale_raises(self):
         with pytest.raises(ValueError):
             quantize_symmetric(np.ones(3), 4, 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_matches_out_of_place_reference(self, dtype, bits):
+        rng = np.random.default_rng(bits)
+        x = (rng.normal(size=(3, 5, 16)) * 2.0).astype(dtype)
+        lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        # A python float (activation scales) and a np.float64 scalar
+        # (mse_optimal_scale, weight tables) promote differently.
+        for scale in (float(np.abs(x).max()) / hi, mse_optimal_scale(x, bits)):
+            ties = ((np.arange(lo, hi + 1) + 0.5) * scale).astype(dtype)
+            for w in (x, fold_candidates(x, 4), ties):
+                before = w.copy()
+                out = quantize_symmetric(w, bits, scale)
+                expected = np.clip(np.round(w / scale), lo, hi) * scale
+                assert out.dtype == expected.dtype
+                assert np.array_equal(out, expected)
+                assert np.array_equal(w, before)
 
     def test_invalid_bits_raises(self):
         with pytest.raises(ValueError):
@@ -152,6 +171,21 @@ class TestActivationQuantizer:
     def test_unfinalized_raises(self):
         with pytest.raises(RuntimeError):
             ActivationQuantizer(8)(np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_range_raises(self, bad):
+        aq = ActivationQuantizer(8)
+        aq.recording = True
+        aq(np.array([0.5]))
+        with pytest.raises(ValueError, match="non-finite"):
+            aq(np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scale_raises(self, bad):
+        aq = ActivationQuantizer(8)
+        aq.scale = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            aq(np.ones(3))
 
 
 class TestQuantConfig:
