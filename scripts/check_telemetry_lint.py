@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """AST lint: enforce the telemetry conventions inside ``src/repro/``.
 
-Eight rules (see docs/observability.md and docs/robustness.md):
+Nine rules (see docs/observability.md and docs/robustness.md):
 
 1. No ``time.time()`` — wall-clock arithmetic must use
    ``telemetry.monotonic()`` (an alias of ``time.perf_counter``) so spans
@@ -62,6 +62,13 @@ Eight rules (see docs/observability.md and docs/robustness.md):
    write the power as a product (``x * x * x``).  Constant bases
    (``2 ** (bits - 1)``) and non-constant exponents (``b1**self._t``)
    are fine.
+9. No full-batch patch matrices in forward passes — ``im2col(...)`` may
+   be called only from ``conv2d_backward``.  A 3x3 patch matrix is 9x
+   its input; built for a whole folded batch it is written to DRAM and
+   read back by the GEMMs, which made it most of a CNN sweep's conv time
+   and its peak memory.  Every forward path goes through the blocked
+   gather in ``repro.nn.functional._conv_into`` instead; backward, which
+   needs the whole matrix for ``dW``, rebuilds it from the cached input.
 
 Exit status 0 when clean, 1 with a ``path:line: message`` listing per
 violation.  Run via ``make lint`` (part of the default ``make`` target).
@@ -118,6 +125,9 @@ POWER_DIRS = (TARGET / "nn", TARGET / "quant")
 
 #: ``np.*`` functions rule 8 rejects there.
 NP_POWER_NAMES = {"power", "float_power"}
+
+#: Rule 9: the one function allowed to build a whole patch matrix.
+ALLOWED_IM2COL = "conv2d_backward"
 
 
 def _is_hot_path(func: ast.AST) -> bool:
@@ -357,9 +367,33 @@ def _power_violations(path: Path, tree: ast.AST):
             )
 
 
+def _im2col_violations(tree: ast.AST):
+    """Rule 9: ``im2col(...)`` called anywhere but ``conv2d_backward``."""
+
+    def visit(node: ast.AST, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and func != ALLOWED_IM2COL:
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name == "im2col":
+                yield (
+                    node.lineno,
+                    f"im2col() outside {ALLOWED_IM2COL}() builds a full-batch "
+                    "patch matrix (9x the input for a 3x3 conv); forward "
+                    "passes gather patches per block through "
+                    "nn.functional._conv_into",
+                )
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    yield from visit(tree, None)
+
+
 def _violations(path: Path, tree: ast.AST, source_lines):
     yield from _swallow_violations(path, tree, source_lines)
     yield from _power_violations(path, tree)
+    yield from _im2col_violations(tree)
     yield from _blocking_violations(tree, source_lines)
     yield from _raw_write_violations(path, tree, source_lines)
     for node in ast.walk(tree):

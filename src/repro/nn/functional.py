@@ -1,9 +1,16 @@
 """Stateless numerical kernels shared by the layer classes.
 
-The convolution kernels use an im2col formulation: patches are gathered with
-``numpy.lib.stride_tricks.as_strided`` (zero-copy view) and the convolution
-itself becomes a single matmul, which is the only way to get acceptable CPU
-throughput for the ``O((|B|I)^2)`` forward sweeps CLADO performs.
+The convolution kernels use an im2col formulation: sliding windows are a
+zero-copy ``numpy.lib.stride_tricks.as_strided`` view, and the convolution
+becomes one BLAS GEMM per ``(sample, group)`` over the gathered patches,
+which is the only way to get acceptable CPU throughput for the
+``O((|B|I)^2)`` forward sweeps CLADO performs.  A 3x3 patch matrix is 9x
+its input, so every forward path (:func:`conv2d_forward`, the stacked
+:func:`conv2d_forward_batched` and the sparse :func:`conv2d_forward_overlay`)
+goes through :func:`_conv_into`, which gathers the patches of one
+cache-sized block of samples at a time instead of the whole batch.
+Backward rebuilds the full patch matrix with :func:`im2col` from the cached
+input.
 """
 
 from __future__ import annotations
@@ -27,8 +34,31 @@ __all__ = [
 ]
 
 
-def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - kernel) // stride + 1
+def _out_hw(
+    h: int, w: int, kh: int, kw: int, stride: int, pad: int
+) -> Tuple[int, int]:
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    if oh <= 0 or ow <= 0:
+        raise ValueError(
+            f"convolution output would be empty: input {h}x{w}, "
+            f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
+        )
+    return oh, ow
+
+
+def _windows(
+    x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int
+) -> np.ndarray:
+    """Read-only ``(N, C, kh, kw, OH, OW)`` view of the sliding windows of
+    ``x``, which is already padded."""
+    s_n, s_c, s_h, s_w = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(*x.shape[:2], kh, kw, oh, ow),
+        strides=(s_n, s_c, s_h, s_w, s_h * stride, s_w * stride),
+        writeable=False,
+    )
 
 
 def im2col(
@@ -49,24 +79,10 @@ def im2col(
     (OH, OW):
         Spatial output size.
     """
-    n, c, h, w = x.shape
-    oh = _out_size(h, kh, stride, pad)
-    ow = _out_size(w, kw, stride, pad)
-    if oh <= 0 or ow <= 0:
-        raise ValueError(
-            f"convolution output would be empty: input {h}x{w}, "
-            f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
-        )
+    oh, ow = _out_hw(*x.shape[2:], kh, kw, stride, pad)
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    s_n, s_c, s_h, s_w = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(s_n, s_c, s_h, s_w, s_h * stride, s_w * stride),
-        writeable=False,
-    )
-    return np.ascontiguousarray(windows), (oh, ow)
+    return np.ascontiguousarray(_windows(x, kh, kw, stride, oh, ow)), (oh, ow)
 
 
 def col2im(
@@ -93,6 +109,78 @@ def col2im(
     return dx_pad
 
 
+#: Patch bytes :func:`_conv_into` gathers per block of samples: small enough
+#: that the block is still in L2 when its GEMMs read it.  On resnet_s34's
+#: conv shapes, blocks of 2 MiB and more were slower, and smaller blocks
+#: were no faster while paying more per-block dispatch.
+_BLOCK_BYTES = 1 << 20
+
+
+def _empty_conv_out(
+    x: np.ndarray, weight: np.ndarray, stride: int, pad: int, groups: int
+) -> np.ndarray:
+    """Validate a grouped convolution and allocate its ``(N, C_out, OH, OW)``
+    output.  ``weight`` may carry a leading candidate axis."""
+    c_in, h, w = x.shape[1:]
+    c_out, c_in_g, kh, kw = weight.shape[-4:]
+    if c_in != c_in_g * groups:
+        raise ValueError(
+            f"input channels {c_in} incompatible with weight "
+            f"{weight.shape} and groups={groups}"
+        )
+    oh, ow = _out_hw(h, w, kh, kw, stride, pad)
+    return np.empty(
+        (x.shape[0], c_out, oh, ow), dtype=np.result_type(x.dtype, weight.dtype)
+    )
+
+
+def _conv_into(
+    out: np.ndarray,
+    x: np.ndarray,
+    weight: np.ndarray,
+    stride: int,
+    pad: int,
+    groups: int,
+) -> None:
+    """Write the bias-free grouped convolution of ``x`` into ``out``.
+
+    ``out`` is a C-contiguous ``(N, C_out, OH, OW)`` array.  The patches
+    of one block of samples at a time are copied into a single reused
+    buffer of about ``_BLOCK_BYTES`` (at least one sample), and the block's
+    GEMMs run from it: ``(G,O,P) @ (b,G,P,L) -> (b,G,O,L)``, one BLAS GEMM
+    per ``(sample, group)``.  These are the GEMMs a single ``np.matmul``
+    over the full :func:`im2col` patch matrix runs, with the same shapes,
+    strides and operand values, so ``out`` is bitwise equal to that
+    full-batch product, while the patches never make a round trip through
+    DRAM.
+    """
+    n, c_in, h, w = x.shape
+    c_out, c_in_g, kh, kw = weight.shape
+    oh, ow = out.shape[2:]
+    p = c_in_g * kh * kw
+    w_g = weight.reshape(groups, c_out // groups, p)
+    out_g = out.reshape(n, groups, c_out // groups, oh * ow)
+    sample_bytes = c_in * kh * kw * oh * ow * x.itemsize
+    block = max(1, min(n, _BLOCK_BYTES // sample_bytes))
+    cols = np.empty((block, c_in, kh, kw, oh, ow), dtype=x.dtype)
+    cols_g = cols.reshape(block, groups, p, oh * ow)
+    if pad:
+        # Zero borders once; each block only overwrites the interior.
+        src = np.zeros((block, c_in, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        interior = src[:, :, pad : pad + h, pad : pad + w]
+    else:
+        src = x
+    windows = _windows(src, kh, kw, stride, oh, ow)
+    for s in range(0, n, block):
+        b = min(block, n - s)
+        if pad:
+            interior[:b] = x[s : s + b]
+            cols[:b] = windows[:b]
+        else:
+            cols[:b] = windows[s : s + b]
+        np.matmul(w_g, cols_g[:b], out=out_g[s : s + b])
+
+
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -116,27 +204,13 @@ def conv2d_forward(
     -------
     out, cache:
         ``out`` has shape ``(N, C_out, OH, OW)``; ``cache`` carries what the
-        backward pass needs.
+        backward pass needs (the input, not its 9x larger patch matrix).
     """
-    n, c_in, _, _ = x.shape
-    c_out, c_in_g, kh, kw = weight.shape
-    if c_in != c_in_g * groups:
-        raise ValueError(
-            f"input channels {c_in} incompatible with weight "
-            f"{weight.shape} and groups={groups}"
-        )
-    cols, (oh, ow) = im2col(x, kh, kw, stride, pad)
-    # (N, G, C_in/G * kh * kw, OH*OW)
-    cols_g = cols.reshape(n, groups, c_in_g * kh * kw, oh * ow)
-    w_g = weight.reshape(groups, c_out // groups, c_in_g * kh * kw)
-    # Batched matmul over the patch dimension: (G,O,P) @ (N,G,P,L) -> (N,G,O,L).
-    # (matmul dispatches to BLAS; ~3x faster than the equivalent einsum here.)
-    out = np.matmul(w_g, cols_g)
-    out = out.reshape(n, c_out, oh, ow)
+    out = _empty_conv_out(x, weight, stride, pad, groups)
+    _conv_into(out, x, weight, stride, pad, groups)
     if bias is not None:
-        out += bias.reshape(1, c_out, 1, 1)
-    cache = (x.shape, cols_g, weight.shape, stride, pad, groups, (oh, ow))
-    return out, cache
+        out += bias.reshape(1, -1, 1, 1)
+    return out, (x, stride, pad, groups)
 
 
 def conv2d_backward(
@@ -144,11 +218,16 @@ def conv2d_backward(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the grouped convolution.
 
+    Rebuilds the patch matrix from the cached input with :func:`im2col`
+    (the only caller allowed to build it whole: lint rule 9).
+
     Returns ``(dx, dweight, dbias)``.
     """
-    x_shape, cols_g, w_shape, stride, pad, groups, (oh, ow) = cache
-    n, c_in, _, _ = x_shape
-    c_out, c_in_g, kh, kw = w_shape
+    x, stride, pad, groups = cache
+    n, c_in, _, _ = x.shape
+    c_out, c_in_g, kh, kw = weight.shape
+    cols, (oh, ow) = im2col(x, kh, kw, stride, pad)
+    cols_g = cols.reshape(n, groups, c_in_g * kh * kw, oh * ow)
     go = grad_out.reshape(n, groups, c_out // groups, oh * ow)
     w_g = weight.reshape(groups, c_out // groups, c_in_g * kh * kw)
     # dW: sum over batch and spatial positions, via batched matmul.
@@ -158,7 +237,7 @@ def conv2d_backward(
     # dcols: (G,P,O) @ (N,G,O,L) -> (N,G,P,L), back through im2col.
     dcols_g = np.matmul(w_g.swapaxes(-1, -2), go)
     dcols = dcols_g.reshape(n, c_in, kh, kw, oh, ow)
-    dx = col2im(dcols, x_shape, stride, pad)
+    dx = col2im(dcols, x.shape, stride, pad)
     return dx, dw, dbias
 
 
@@ -203,30 +282,18 @@ def conv2d_forward_batched(
     """Grouped convolution under ``K`` stacked weight candidates.
 
     ``x`` is folded candidate-major, shape ``(K*N, C_in, H, W)``; ``weights``
-    has shape ``(K, C_out, C_in // groups, kh, kw)``.  Patches are gathered
-    once for all candidates (im2col is per-sample), then a single stacked
-    matmul evaluates every ``(candidate, sample, group)`` GEMM — each
-    bitwise identical to the sequential :func:`conv2d_forward` slice.
+    has shape ``(K, C_out, C_in // groups, kh, kw)``.  Candidate ``k``'s
+    slice runs the same per-``(sample, group)`` GEMMs as the sequential
+    :func:`conv2d_forward` with ``weights[k]``, so it is bitwise identical
+    to that.
     """
-    k, c_out, c_in_g, kh, kw = weights.shape
-    kn, c_in, _, _ = x.shape
-    if kn % k:
-        raise ValueError(
-            f"folded batch {kn} not divisible by candidate count {k}"
-        )
-    if c_in != c_in_g * groups:
-        raise ValueError(
-            f"input channels {c_in} incompatible with weights "
-            f"{weights.shape} and groups={groups}"
-        )
-    n = kn // k
-    cols, (oh, ow) = im2col(x, kh, kw, stride, pad)
-    cols_g = cols.reshape(k, n, groups, c_in_g * kh * kw, oh * ow)
-    w_g = weights.reshape(k, 1, groups, c_out // groups, c_in_g * kh * kw)
-    # (K,1,G,O,P) @ (K,N,G,P,L) -> (K,N,G,O,L); BLAS per (k,n,g) slice.
-    out = np.matmul(w_g, cols_g).reshape(kn, c_out, oh, ow)
+    n = _fold_slices(x.shape[0], weights.shape[0])
+    out = _empty_conv_out(x, weights, stride, pad, groups)
+    for i in range(weights.shape[0]):
+        sl = slice(i * n, (i + 1) * n)
+        _conv_into(out[sl], x[sl], weights[i], stride, pad, groups)
     if bias is not None:
-        out += bias.reshape(1, c_out, 1, 1)
+        out += bias.reshape(1, -1, 1, 1)
     return out
 
 
@@ -235,12 +302,14 @@ class BatchedWeightOverlay:
 
     Semantically equivalent to the dense ``(width, *base.shape)`` stack
     built by ``materialize()``, but the overlay kernels exploit the
-    structure: one full-width forward with ``base`` (a single tall GEMM)
-    plus a small per-slice fixup for each candidate in ``rows`` (candidate
-    index → full weight array).  The sweep's chunks are exactly this shape
-    — each candidate perturbs one layer, so at any given layer all but a
-    few candidate rows equal the in-context weight — and the tall GEMM is
-    far cheaper than ``width`` sliced GEMMs when the slices are tiny.
+    structure (``rows`` maps candidate index → full weight array).  The
+    sweep's chunks are exactly this shape — each candidate perturbs one
+    layer, so at any given layer all but a few candidate rows equal the
+    in-context weight.  :func:`linear_forward_overlay` runs one tall GEMM
+    with ``base`` plus a small per-slice fixup for each row, far cheaper
+    than ``width`` sliced GEMMs when the slices are tiny;
+    :func:`conv2d_forward_overlay`, whose GEMMs are per sample anyway,
+    computes each slice once under its own weight.
     """
 
     __slots__ = ("width", "base", "rows")
@@ -311,17 +380,26 @@ def conv2d_forward_overlay(
 ) -> np.ndarray:
     """Grouped convolution under a sparse candidate-weight overlay.
 
-    Same contract as :func:`linear_forward_overlay` for ``(K*N, C, H, W)``
-    inputs: one base convolution over the folded batch, then per-row
-    slice fixups.
+    ``x`` is folded candidate-major (``(K*N, C, H, W)``).  The candidate
+    slices are walked once: each run of consecutive slices without a row
+    is one :func:`_conv_into` call on the base weight, each slice with a
+    row one call on that row's weight, so no slice is computed twice.
+    Every slice is bitwise equal to the sequential :func:`conv2d_forward`
+    under its own weight.
     """
     n = _fold_slices(x.shape[0], overlay.width)
-    out, _ = conv2d_forward(x, overlay.base, bias, stride, pad, groups)
-    for k, w in overlay.rows.items():
-        fix, _ = conv2d_forward(
-            x[k * n : (k + 1) * n], w, bias, stride, pad, groups
-        )
-        out[k * n : (k + 1) * n] = fix
+    out = _empty_conv_out(x, overlay.base, stride, pad, groups)
+    start = 0
+    for k in [*sorted(overlay.rows), overlay.width]:
+        if start < k:
+            sl = slice(start * n, k * n)
+            _conv_into(out[sl], x[sl], overlay.base, stride, pad, groups)
+        if k < overlay.width:
+            sl = slice(k * n, (k + 1) * n)
+            _conv_into(out[sl], x[sl], overlay.rows[k], stride, pad, groups)
+        start = k + 1
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
     return out
 
 

@@ -83,8 +83,9 @@ class Conv2d(Module, _CacheMixin):
         self.act_quant = None
         # Optional stacked candidate weights (K, *weight.shape): when set,
         # forward expects a candidate-major folded batch (K*N, ...) and
-        # evaluates all K candidates in one stacked GEMM.  Eval-only — the
-        # batched path stashes no backward cache.
+        # evaluates all K candidates in one call.  Eval-only — the batched
+        # path drops any backward cache, so a backward after it raises
+        # instead of using an earlier forward's input.
         self.weight_batch = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -94,6 +95,7 @@ class Conv2d(Module, _CacheMixin):
             x = self.act_quant(x)
         bias = self.bias.data if self.bias is not None else None
         if self.weight_batch is not None:
+            self._cache = None
             if isinstance(self.weight_batch, F.BatchedWeightOverlay):
                 return F.conv2d_forward_overlay(
                     x,
@@ -145,6 +147,7 @@ class Linear(Module, _CacheMixin):
         if self.act_quant is not None:
             x = self.act_quant(x)
         if self.weight_batch is not None:
+            self._cache = None
             bias = self.bias.data if self.bias is not None else None
             if isinstance(self.weight_batch, F.BatchedWeightOverlay):
                 return F.linear_forward_overlay(x, self.weight_batch, bias)
@@ -199,11 +202,14 @@ class BatchNorm2d(Module, _CacheMixin):
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+        # Two full-size buffers (x_hat, out), each op in place after the
+        # first: bitwise equal to the out-of-place expression.
+        x_hat = x - mean.reshape(1, -1, 1, 1)
+        x_hat *= inv_std.reshape(1, -1, 1, 1)
         self._cache = (x_hat, inv_std, self.training)
-        return self.weight.data.reshape(1, -1, 1, 1) * x_hat + self.bias.data.reshape(
-            1, -1, 1, 1
-        )
+        out = self.weight.data.reshape(1, -1, 1, 1) * x_hat
+        out += self.bias.data.reshape(1, -1, 1, 1)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x_hat, inv_std, was_training = self._take_cache()

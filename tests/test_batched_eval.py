@@ -152,6 +152,32 @@ class TestBatchedKernels:
         for i in range(3):
             np.testing.assert_array_equal(out[i], x @ ws[i].T + lin.bias.data)
 
+    @pytest.mark.parametrize("overlay", [False, True])
+    @pytest.mark.parametrize("kind", ["conv", "linear"])
+    def test_stacked_forward_drops_backward_cache(self, kind, overlay):
+        """A backward after a stacked forward raises; it must not use the
+        cache an earlier plain forward left behind."""
+        rng = np.random.default_rng(5)
+        if kind == "conv":
+            layer = Conv2d(2, 3, 3, padding=1, rng=rng)
+            x = rng.normal(size=(2, 2, 5, 5)).astype(np.float32)
+        else:
+            layer = Linear(4, 3, rng=rng)
+            x = rng.normal(size=(2, 4)).astype(np.float32)
+        layer.eval()
+        out = layer.forward(x)
+        w = layer.weight.data
+        layer.weight_batch = (
+            F.BatchedWeightOverlay(3, w, {1: 2 * w}) if overlay
+            else np.stack([w, 2 * w, w])
+        )
+        try:
+            layer.forward(fold_candidates(x, 3))
+        finally:
+            layer.weight_batch = None
+        with pytest.raises(RuntimeError, match="without a prior forward"):
+            layer.backward(np.ones_like(out))
+
 
 class TestChunkPlanning:
     def _specs(self, starts):

@@ -54,3 +54,31 @@ class TestPowerRule:
     def test_only_layer_kernel_packages(self):
         assert _power_lines("y = x**3\n", package="quant") == [1]
         assert _power_lines("y = x**3\n", package="core") == []
+
+
+def _im2col_lines(source: str):
+    return sorted(line for line, _ in lint._im2col_violations(ast.parse(source)))
+
+
+class TestIm2colRule:
+    def test_rejects_forward_building_patch_matrix(self):
+        source = (
+            "def conv2d_forward(x, w):\n"
+            "    cols, hw = im2col(x, 3, 3, 1, 1)\n"
+            "    return F.im2col(x, 3, 3, 1, 1)\n"
+        )
+        assert _im2col_lines(source) == [2, 3]
+
+    def test_allows_backward_only(self):
+        source = (
+            "def conv2d_backward(grad_out, weight, cache):\n"
+            "    cols, hw = im2col(cache[0], 3, 3, 1, 1)\n"
+            "    def helper():\n"
+            "        return im2col(cache[0], 3, 3, 1, 1)\n"
+        )
+        assert _im2col_lines(source) == [4]
+
+    def test_tree_passes(self):
+        for path in sorted(lint.TARGET.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            assert list(lint._im2col_violations(tree)) == [], path

@@ -1,4 +1,7 @@
-"""Tests for the im2col convolution kernels (against naive reference loops)."""
+"""Tests for the im2col convolution kernels (against naive reference loops
+and, bit for bit, against the full-batch patch-matrix kernels)."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +119,147 @@ class TestConvBackward:
         np.testing.assert_allclose(dx, dx_num, rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(dw, dw_num, rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(db, grad_out.sum(axis=(0, 2, 3)))
+
+
+def full_batch_conv2d(x, w, b, stride, pad, groups):
+    """The full-batch kernel: one matmul over the whole im2col patch matrix.
+
+    Returns the output and the patches, which the reference backward uses.
+    """
+    n = x.shape[0]
+    c_out, c_in_g, kh, kw = w.shape
+    cols, (oh, ow) = F.im2col(x, kh, kw, stride, pad)
+    cols_g = cols.reshape(n, groups, c_in_g * kh * kw, oh * ow)
+    w_g = w.reshape(groups, c_out // groups, c_in_g * kh * kw)
+    out = np.matmul(w_g, cols_g).reshape(n, c_out, oh, ow)
+    if b is not None:
+        out += b.reshape(1, c_out, 1, 1)
+    return out, cols_g
+
+
+def full_batch_conv2d_backward(grad_out, w, x, cols_g, stride, pad, groups):
+    """Backward on the patch matrix cached by :func:`full_batch_conv2d`."""
+    n = x.shape[0]
+    c_out, c_in_g, kh, kw = w.shape
+    oh, ow = grad_out.shape[2:]
+    go = grad_out.reshape(n, groups, c_out // groups, oh * ow)
+    w_g = w.reshape(groups, c_out // groups, c_in_g * kh * kw)
+    dw = np.matmul(go, cols_g.swapaxes(-1, -2)).sum(axis=0).reshape(w.shape)
+    db = grad_out.sum(axis=(0, 2, 3))
+    dcols = np.matmul(w_g.swapaxes(-1, -2), go).reshape(
+        n, x.shape[1], kh, kw, oh, ow
+    )
+    return F.col2im(dcols, x.shape, stride, pad), dw, db
+
+
+# (n, c_in, c_out, h, k, stride, pad, groups)
+BLOCKED_CASES = {
+    "n1": (1, 3, 5, 8, 3, 1, 1, 1),
+    # 7 (float32) or 3 (float64) samples per block: a partial last block.
+    "n_not_block_multiple": (10, 4, 6, 32, 3, 1, 1, 1),
+    # One sample's patches (2.25 MiB in float32) exceed the block.
+    "sample_exceeds_block": (1, 64, 8, 32, 3, 1, 1, 1),
+    "stride2": (9, 8, 16, 32, 3, 2, 1, 1),
+    "1x1_pad0": (9, 8, 16, 32, 1, 1, 0, 1),
+    "1x1_stride2_pad0": (9, 8, 16, 32, 1, 2, 0, 1),
+    "groups2": (5, 4, 6, 9, 3, 1, 1, 2),
+    "depthwise": (5, 8, 8, 16, 3, 1, 1, 8),
+}
+
+
+def _blocked_inputs(case, dtype, seed=0):
+    n, c_in, c_out, h, k, _, _, groups = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c_in, h, h)).astype(dtype)
+    w = rng.normal(size=(c_out, c_in // groups, k, k)).astype(dtype)
+    b = rng.normal(size=c_out).astype(dtype)
+    return x, w, b
+
+
+class TestBlockedConvBitwise:
+    """Every forward path gathers patches per block of samples; each output
+    (and every gradient) is bitwise equal to the full-batch kernels."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", BLOCKED_CASES.values(), ids=BLOCKED_CASES)
+    def test_forward_and_backward(self, case, dtype):
+        stride, pad, groups = case[5:]
+        x, w, b = _blocked_inputs(case, dtype)
+        before = x.copy()
+        out, cache = F.conv2d_forward(x, w, b, stride, pad, groups)
+        expected, cols_g = full_batch_conv2d(x, w, b, stride, pad, groups)
+        assert out.dtype == expected.dtype == dtype
+        assert np.array_equal(out, expected)
+        grad_out = np.random.default_rng(1).normal(size=out.shape).astype(dtype)
+        grads = F.conv2d_backward(grad_out, w, cache)
+        ref = full_batch_conv2d_backward(grad_out, w, x, cols_g, stride, pad, groups)
+        for got, want in zip(grads, ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "name", ["n_not_block_multiple", "stride2", "1x1_pad0", "groups2"]
+    )
+    def test_batched_one_candidate_at_a_time(self, name, dtype):
+        case = BLOCKED_CASES[name]
+        stride, pad, groups = case[5:]
+        x, w, b = _blocked_inputs(case, dtype)
+        k, n = 3, x.shape[0]
+        rng = np.random.default_rng(2)
+        ws = (rng.normal(size=(k, *w.shape)) * w).astype(dtype)
+        xs = np.concatenate([x, x[::-1], 2 * x])
+        before = xs.copy()
+        out = F.conv2d_forward_batched(xs, ws, b, stride, pad, groups)
+        for i in range(k):
+            sl = slice(i * n, (i + 1) * n)
+            expected, _ = full_batch_conv2d(xs[sl], ws[i], b, stride, pad, groups)
+            assert np.array_equal(out[sl], expected)
+        assert np.array_equal(xs, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "rows", [(), (0,), (4,), (0, 1, 2, 3, 4), (1, 3)], ids=str
+    )
+    def test_overlay_matches_base_then_fixup(self, rows, dtype):
+        case = BLOCKED_CASES["n_not_block_multiple"]
+        stride, pad, groups = case[5:]
+        x, base, b = _blocked_inputs(case, dtype)
+        k, n = 5, 2
+        x = x[: k * n]
+        rng = np.random.default_rng(3)
+        weights = {r: rng.normal(size=base.shape).astype(dtype) for r in rows}
+        overlay = F.BatchedWeightOverlay(k, base, weights)
+        before = x.copy()
+        out = F.conv2d_forward_overlay(x, overlay, b, stride, pad, groups)
+        expected, _ = full_batch_conv2d(x, base, b, stride, pad, groups)
+        for r, w in weights.items():
+            sl = slice(r * n, (r + 1) * n)
+            expected[sl], _ = full_batch_conv2d(x[sl], w, b, stride, pad, groups)
+        assert out.dtype == dtype
+        assert np.array_equal(out, expected)
+        assert np.array_equal(x, before)
+
+    def test_overlay_peak_memory(self):
+        """No full-batch patch matrix: the extra peak of one overlay call stays
+        within its output, a copy's worth of input and a few MiB of blocks
+        (the full-batch kernel needed ~65 MiB here: 9x the input)."""
+        rng = np.random.default_rng(4)
+        k, n = 12, 16
+        x = rng.standard_normal((k * n, 8, 32, 32), dtype=np.float32)
+        base = rng.standard_normal((8, 8, 3, 3), dtype=np.float32)
+        rows = {r: rng.standard_normal(base.shape, dtype=np.float32) for r in (1, 3)}
+        bias = rng.standard_normal(8, dtype=np.float32)
+        overlay = F.BatchedWeightOverlay(k, base, rows)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            out = F.conv2d_forward_overlay(x, overlay, bias, 1, 1, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < out.nbytes + x.nbytes + 4 * 2**20
 
 
 class TestIm2colAdjoint:

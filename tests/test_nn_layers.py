@@ -201,6 +201,33 @@ class TestBatchNorm:
         x = rng.normal(size=(4, 2, 3, 3)).astype(np.float64)
         _check_input_grad(bn, x, train=False)
 
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_out_of_place_reference(self, dtype, train):
+        rng = np.random.default_rng(14)
+        bn = BatchNorm2d(4)
+        bn.running_mean[:] = rng.normal(size=4)
+        bn.running_var[:] = np.abs(rng.normal(size=4)) + 0.5
+        bn.weight.data[:] = rng.normal(size=4)
+        bn.bias.data[:] = rng.normal(size=4)
+        bn.train(train)
+        x = (rng.normal(size=(6, 4, 5, 5)) * 2.0 + 0.5).astype(dtype)
+        if train:
+            mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        else:
+            mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        before = x.copy()
+        out = bn.forward(x)
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+        expected = bn.weight.data.reshape(1, -1, 1, 1) * x_hat + (
+            bn.bias.data.reshape(1, -1, 1, 1)
+        )
+        assert out.dtype == dtype
+        assert np.array_equal(out, expected)
+        assert np.array_equal(bn._cache[0], x_hat)
+        assert np.array_equal(x, before)
+
 
 class TestLayerNorm:
     def test_normalizes_last_dim(self):
