@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """AST lint: enforce the telemetry conventions inside ``src/repro/``.
 
-Nine rules (see docs/observability.md and docs/robustness.md):
+Ten rules (see docs/observability.md and docs/robustness.md):
 
 1. No ``time.time()`` — wall-clock arithmetic must use
    ``telemetry.monotonic()`` (an alias of ``time.perf_counter``) so spans
@@ -69,6 +69,13 @@ Nine rules (see docs/observability.md and docs/robustness.md):
    and its peak memory.  Every forward path goes through the blocked
    gather in ``repro.nn.functional._conv_into`` instead; backward, which
    needs the whole matrix for ``dW``, rebuilds it from the cached input.
+10. No scipy — ``import scipy`` and ``from scipy ...`` are rejected
+    everywhere in ``src/repro``.  Branch-and-bound prunes on node bounds
+    that must be certified, and a general NLP solver's objective value is
+    not a lower bound; the relaxation is solved by the active-set method
+    in ``repro.solvers.qp_relax``, which returns a certified Lagrangian
+    bound.  ``scipy.optimize`` alone also adds about 44 MiB to every
+    allocation process.
 
 Exit status 0 when clean, 1 with a ``path:line: message`` listing per
 violation.  Run via ``make lint`` (part of the default ``make`` target).
@@ -390,8 +397,28 @@ def _im2col_violations(tree: ast.AST):
     yield from visit(tree, None)
 
 
+def _scipy_violations(tree: ast.AST):
+    """Rule 10: no scipy import anywhere in ``src/repro``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            yield (
+                node.lineno,
+                "scipy import in src/repro: node bounds must be certified "
+                "(an NLP solver's objective is not a lower bound) and "
+                "scipy.optimize costs every allocation process ~44 MiB; "
+                "use the active-set QP in repro.solvers.qp_relax",
+            )
+
+
 def _violations(path: Path, tree: ast.AST, source_lines):
     yield from _swallow_violations(path, tree, source_lines)
+    yield from _scipy_violations(tree)
     yield from _power_violations(path, tree)
     yield from _im2col_violations(tree)
     yield from _blocking_violations(tree, source_lines)

@@ -3,20 +3,24 @@
 This is the reproduction's replacement for CVXPY + Gurobi.  Best-first
 search over per-layer one-hot decisions:
 
-- **bounding** — the convex QP relaxation (``qp_relax``) at each node; for a
-  PSD sensitivity matrix its optimum is a valid lower bound, so pruning is
-  exact and the returned assignment is a certified optimum.
+- **bounding** — the convex QP relaxation (``qp_relax``) at each node,
+  solved by a primal active-set method.  The node bound is a certified
+  Lagrangian bound computed from that solver's primal–dual output, valid
+  whether or not the solve converged, so pruning is exact and a finished
+  search returns a certified optimum.
 - **incumbents** — greedy construction + local search at the root, then
   rounding-and-repair of every node relaxation.
 - **branching** — on the layer whose relaxed block is most fractional.
 
-For *indefinite* matrices (the paper's no-PSD ablation, §7/Fig. 7) a valid
-bound requires a diagonal shift: ``x^T G x = x^T (G - λI) x + λ ||x||^2``
-with ``λ = λ_min(G) < 0`` and ``||x||^2 = I`` for one-hot blocks, giving
-``bound = relax(G - λI) + λ I``.  The shift makes the bound loose, so the
-solver typically hits its node cap and returns a non-certified incumbent —
-reproducing the paper's observation that the solver stops converging
-without the PSD projection.
+The bound needs a convex relaxation.  Every matrix goes through the shift
+identity ``x^T G x = x^T (G - λI) x + λ ||x||^2`` with
+``λ = min(λ_min(G), 0)`` and ``||x||^2 = I`` for one-hot blocks, giving
+``bound = relax(G - λI) + λ I`` (``qp_relax.convex_surrogate``).  For a
+PSD matrix, or one within round-off of PSD, the shift is zero or
+negligible.  For an *indefinite* matrix (the paper's no-PSD ablation,
+§7/Fig. 7) it makes the bound loose, so the solver typically hits its node
+cap and returns a non-certified incumbent — reproducing the paper's
+observation that the solver stops converging without the PSD projection.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from .. import telemetry
 from .greedy import greedy_construct, local_search
 from .problem import InfeasibleBudgetError, MPQProblem, SolveResult
-from .qp_relax import solve_relaxation
+from .qp_relax import Relaxation, convex_surrogate
 
 __all__ = ["solve_branch_and_bound"]
 
@@ -91,32 +95,14 @@ def solve_branch_and_bound(
         Resource caps; on hitting either, the best incumbent is returned
         with ``optimal=False``.
     assume_psd:
-        Force the PSD/indefinite code path; by default it is detected from
-        the smallest eigenvalue of the symmetrized matrix.
+        Whether a finished search may report a certified optimum; by
+        default, whether the smallest eigenvalue of the symmetrized matrix
+        is within round-off of PSD.  The node bounds come from the convex
+        surrogate either way, so they stay valid.
     """
     t0 = perf_counter()
-    # All eigendecomposition goes through the audited core.psd module
-    # (SVD fallback + psd.fallback counter; lint rule 5).  Imported at
-    # call time: repro.core imports repro.solvers at module scope.
-    from ..core.psd import min_eigenvalue
-
-    g_sym = 0.5 * (problem.sensitivity + problem.sensitivity.T)
-    if assume_psd is None:
-        min_eig = min_eigenvalue(g_sym)
-        assume_psd = min_eig >= -1e-10 * max(1.0, float(np.abs(g_sym).max()))
-    shift = 0.0
-    bound_problem = problem
-    if not assume_psd:
-        min_eig = min_eigenvalue(g_sym)
-        shift = min_eig  # negative
-        shifted = g_sym - shift * np.eye(problem.num_vars)
-        bound_problem = MPQProblem(
-            sensitivity=shifted,
-            layer_sizes=problem.layer_sizes,
-            bits=problem.bits,
-            budget_bits=problem.budget_bits,
-            extra_constraints=problem.extra_constraints,
-        )
+    bound_problem, shift, assume_psd = convex_surrogate(problem, assume_psd)
+    relaxation = Relaxation(bound_problem)
 
     def node_bound(lb_shifted: float) -> float:
         # One-hot alphas have ||alpha||^2 = I exactly.
@@ -128,20 +114,23 @@ def solve_branch_and_bound(
 
     counter = itertools.count()
     with telemetry.span("solve.bb"):
-        root = solve_relaxation(bound_problem, fixed={})
+        root = relaxation.solve()
         if not root.feasible:
             raise InfeasibleBudgetError(
                 "root relaxation infeasible: budget below min size",
                 budget_bits=int(problem.budget_bits),
                 min_size_bits=problem.min_size_bits(),
             )
-        heap = [(node_bound(root.lower_bound), next(counter), {}, root.alpha)]
+        heap = [
+            (node_bound(root.lower_bound), next(counter), {}, root.alpha,
+             root.converged)
+        ]
         nodes = 0
         proven = True
         lower_bound_global = node_bound(root.lower_bound)
 
         while heap:
-            lb, _, fixed, alpha = heapq.heappop(heap)
+            lb, _, fixed, alpha, converged = heapq.heappop(heap)
             lower_bound_global = lb
             if lb >= best_obj - gap_tol:
                 break  # everything remaining is dominated
@@ -173,17 +162,17 @@ def solve_branch_and_bound(
                 continue  # fully fixed leaf
             frac.sort(reverse=True)
             branch_layer = frac[0][1]
-            if frac[0][0] < 1e-9:
+            if frac[0][0] < 1e-9 and converged:
                 # Relaxation is integral at this node: its bound equals the
                 # objective of the integral solution; nothing to branch on.
+                # (A capped relaxation's iterate proves nothing, so its node
+                # is branched like any other.)
                 continue
 
             for m in range(problem.num_choices):
                 child_fixed: Dict[int, int] = dict(fixed)
                 child_fixed[branch_layer] = m
-                relax = solve_relaxation(
-                    bound_problem, fixed=child_fixed, warm_start=alpha
-                )
+                relax = relaxation.solve(child_fixed, warm_start=alpha)
                 if not relax.feasible:
                     continue
                 child_lb = node_bound(relax.lower_bound) - _BOUND_SLACK
@@ -191,7 +180,9 @@ def solve_branch_and_bound(
                     _BOUNDS_PRUNED.add()
                     continue
                 heapq.heappush(
-                    heap, (child_lb, next(counter), child_fixed, relax.alpha)
+                    heap,
+                    (child_lb, next(counter), child_fixed, relax.alpha,
+                     relax.converged),
                 )
 
     return SolveResult(

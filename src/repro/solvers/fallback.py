@@ -36,7 +36,7 @@ from ..robustness.faults import FaultPlan, resolve_fault_plan
 from .branch_bound import _round_and_repair, solve_branch_and_bound
 from .greedy import local_search, solve_greedy
 from .problem import InfeasibleBudgetError, MPQProblem, SolveResult
-from .qp_relax import solve_relaxation
+from .qp_relax import convex_surrogate, solve_relaxation
 
 __all__ = ["LADDER_RUNGS", "WARM_RUNG", "relax_and_round", "solve_with_fallback"]
 
@@ -76,9 +76,12 @@ def relax_and_round(
     to its heaviest choice, repairs the budget by demoting the largest
     per-bit-mass layers, and polishes with local search — the same
     incumbent recipe branch-and-bound applies per node, paid exactly once.
+    The relaxation is that of the convex surrogate branch-and-bound bounds
+    with, so ``lower_bound`` is certified on an indefinite matrix too.
     """
     t0 = perf_counter()
-    relax = solve_relaxation(problem, fixed={}, max_iter=max_iter)
+    surrogate, shift, _ = convex_surrogate(problem)
+    relax = solve_relaxation(surrogate, fixed={}, max_iter=max_iter)
     if not relax.feasible:
         raise InfeasibleBudgetError(
             "root relaxation infeasible: budget below min size",
@@ -95,7 +98,7 @@ def relax_and_round(
         method="qp_round",
         iterations=1,
         wall_time=perf_counter() - t0,
-        lower_bound=float(relax.lower_bound),
+        lower_bound=float(relax.lower_bound + shift * problem.num_layers),
         message="rounded relaxation",
     )
 

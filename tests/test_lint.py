@@ -82,3 +82,35 @@ class TestIm2colRule:
         for path in sorted(lint.TARGET.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             assert list(lint._im2col_violations(tree)) == [], path
+
+
+def _scipy_lines(source: str):
+    return sorted(line for line, _ in lint._scipy_violations(ast.parse(source)))
+
+
+class TestScipyRule:
+    def test_rejects_scipy_in_a_solver_module(self):
+        solver = (lint.TARGET / "solvers" / "qp_relax.py").read_text()
+        assert _scipy_lines("from scipy import optimize\n" + solver) == [1]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import scipy\n",
+            "import scipy.optimize as opt\n",
+            "import numpy, scipy.linalg\n",
+            "from scipy.optimize import minimize\n",
+            "def f():\n    from scipy import optimize\n",
+        ],
+    )
+    def test_rejects_every_import_form(self, source):
+        assert len(_scipy_lines(source)) == 1
+
+    def test_allows_other_modules(self):
+        source = "import scipyx\nfrom .scipy import helper\nimport numpy as np\n"
+        assert _scipy_lines(source) == []
+
+    def test_tree_passes(self):
+        for path in sorted(lint.TARGET.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            assert list(lint._scipy_violations(tree)) == [], path

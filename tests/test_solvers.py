@@ -1,21 +1,27 @@
 """Solver tests: cross-validation against exhaustive enumeration, invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.solvers import (
     MPQProblem,
     greedy_construct,
     local_search,
+    relax_and_round,
     solve,
     solve_branch_and_bound,
     solve_dp,
     solve_exhaustive,
     solve_greedy,
     solve_relaxation,
+    solve_with_fallback,
 )
+from repro.solvers.qp_relax import Relaxation
 
 
 def random_psd_problem(rng, num_layers, bits=(2, 4, 8), avg_budget=4.0):
@@ -46,6 +52,38 @@ def realistic_problem(rng, num_layers, bits=(2, 4, 8), avg_budget=4.0, cross=0.1
     g = (v * np.clip(w, 0, None)) @ v.T
     sizes = rng.integers(10, 400, size=num_layers)
     return MPQProblem(g, sizes, bits, int(sizes.sum() * avg_budget))
+
+
+def clipped_psd(rng, n):
+    """Eigenvalue-clipped projection of a random symmetric matrix.
+
+    Rank-deficient, and PSD only up to round-off, like ``core.psd``'s
+    projection of a measured Ĝ.
+    """
+    a = rng.normal(size=(n, n))
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    return (v * np.clip(w, 0.0, None)) @ v.T
+
+
+def bops_constraint(rng, sizes, bits, fraction):
+    """A BOPs-style row (MACs x bits x 8-bit activations) and its bound."""
+    macs = sizes * rng.integers(1, 20, size=len(sizes))
+    coeffs = np.outer(macs, np.asarray(bits) * 8).astype(np.float64)
+    low, high = coeffs[:, 0].sum(), coeffs[:, -1].sum()
+    return coeffs, float(low + fraction * (high - low))
+
+
+def subtree_optimum(problem, fixed):
+    """Exhaustive IQP optimum over the completions of a node's fixings."""
+    best = np.inf
+    for combo in itertools.product(
+        range(problem.num_choices), repeat=problem.num_layers
+    ):
+        if any(combo[i] != m for i, m in fixed.items()):
+            continue
+        if problem.is_feasible(combo):
+            best = min(best, problem.objective(combo))
+    return best
 
 
 class TestMPQProblem:
@@ -201,6 +239,36 @@ class TestBranchAndBound:
         ex = solve_exhaustive(p)
         assert result.objective == pytest.approx(ex.objective, abs=1e-9)
 
+    def test_bb_stays_exact_when_every_relaxation_is_capped(self, monkeypatch):
+        """B&B prunes on the capped bound alone and branches capped nodes.
+
+        Every relaxation stops after two iterations and reports a one-hot
+        iterate, as a solve stopped at a vertex would.  That iterate
+        proves nothing about the node's subtree, so the node is branched.
+        """
+        solve_node = Relaxation.solve
+
+        def stopped_at_vertex(self, fixed=None, warm_start=None, max_iter=200):
+            relax = solve_node(self, fixed, warm_start, 2)
+            blocks = relax.alpha.reshape(self.problem.num_layers, -1)
+            relax.alpha = np.eye(blocks.shape[1])[blocks.argmax(axis=1)].ravel()
+            relax.converged = False
+            return relax
+
+        monkeypatch.setattr(Relaxation, "solve", stopped_at_vertex)
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            num_layers = int(rng.integers(2, 6))
+            a = rng.integers(-2, 3, size=(3 * num_layers,) * 2).astype(float)
+            sizes = rng.integers(1, 5, size=num_layers) * 10
+            budget = int(sizes.sum() * rng.integers(2, 9))
+            p = MPQProblem(a @ a.T, sizes, (2, 4, 8), budget)
+            result = solve_branch_and_bound(p, max_nodes=5000)
+            assert result.optimal
+            assert result.objective == pytest.approx(
+                solve_exhaustive(p).objective, rel=1e-12
+            )
+
 
 class TestGreedyAndLocalSearch:
     def test_greedy_feasible(self):
@@ -285,6 +353,115 @@ class TestRelaxation:
         for i in range(p.num_layers):
             block = relax.alpha[i * nb : (i + 1) * nb]
             assert block.sum() == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_capped_solve_still_bounds_subtree(self, max_iter):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            p = random_psd_problem(
+                rng, 5, avg_budget=float(rng.uniform(2.5, 6.0))
+            )
+            layers = rng.permutation(p.num_layers)[: rng.integers(0, 3)]
+            fixed = {int(i): int(rng.integers(0, p.num_choices)) for i in layers}
+            optimum = subtree_optimum(p, fixed)
+            warm = rng.dirichlet(np.ones(p.num_choices), size=p.num_layers)
+            relax = solve_relaxation(
+                p, fixed=fixed, warm_start=warm.ravel(), max_iter=max_iter
+            )
+            if not np.isfinite(optimum):
+                assert not relax.feasible
+                continue
+            assert relax.lower_bound <= optimum + 1e-12 * max(1.0, abs(optimum))
+
+    @pytest.mark.parametrize("kind", ["full_rank", "clipped", "bops"])
+    def test_gap_closes_at_convergence(self, kind):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            num_layers = int(rng.integers(3, 12))
+            nb = 3
+            sizes = rng.integers(10, 400, size=num_layers)
+            if kind == "clipped":
+                g = clipped_psd(rng, num_layers * nb)
+            else:
+                a = rng.normal(size=(num_layers * nb, num_layers * nb))
+                g = a @ a.T * 0.01
+            extra = ()
+            if kind == "bops":
+                extra = (bops_constraint(rng, sizes, (2, 4, 8), 0.4),)
+            p = MPQProblem(
+                g, sizes, (2, 4, 8), int(sizes.sum() * rng.uniform(2.5, 6.0)),
+                extra,
+            )
+            relax = solve_relaxation(p)
+            assert relax.converged, relax.message
+            primal = p.objective_alpha(relax.alpha)
+            assert abs(primal - relax.lower_bound) <= 1e-9 * max(1.0, abs(primal))
+            assert p.size_vector() @ relax.alpha <= p.budget_bits * (1 + 1e-9)
+
+    def test_capped_relaxation_counted(self):
+        rng = np.random.default_rng(3)
+        p = random_psd_problem(rng, 6)
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            capped = solve_relaxation(p, max_iter=1)
+            solve_relaxation(p)
+            counters = telemetry.counters_snapshot()
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert not capped.converged
+        assert counters["solver.qp_capped"] == 1
+        assert counters["solver.qp_relaxations"] == 2
+        assert counters["solver.qp_iterations"] > 2
+
+
+class TestLadderAgainstExhaustive:
+    def test_qp_round_bound_holds_on_indefinite_matrices(self):
+        """The ``qp_round`` rung bounds with the shifted convex surrogate."""
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            a = rng.normal(size=(12, 12))
+            sizes = rng.integers(10, 400, size=4)
+            budget = int(sizes.sum() * rng.uniform(2.5, 7.0))
+            p = MPQProblem(0.5 * (a + a.T), sizes, (2, 4, 8), budget)
+            rounded = relax_and_round(p)
+            optimum = solve_exhaustive(p).objective
+            assert p.is_feasible(rounded.choice)
+            assert rounded.lower_bound <= optimum + 1e-12 * max(1.0, abs(optimum))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_layers=st.integers(2, 5),
+        clipped=st.booleans(),
+        budget=st.sampled_from(["min", "max", "between"]),
+        bops=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bb_rung_matches_exhaustive(
+        self, seed, num_layers, clipped, budget, bops
+    ):
+        rng = np.random.default_rng(seed)
+        bits = (2, 4, 8)
+        n = num_layers * len(bits)
+        if clipped:
+            g = clipped_psd(rng, n)
+        else:
+            a = rng.normal(size=(n, n))
+            g = a @ a.T
+        sizes = rng.integers(10, 400, size=num_layers)
+        budget_bits = {
+            "min": int(sizes.sum()) * bits[0],
+            "max": int(sizes.sum()) * bits[-1],
+            "between": int(sizes.sum() * rng.uniform(bits[0], bits[-1])),
+        }[budget]
+        extra = (bops_constraint(rng, sizes, bits, rng.uniform()),) if bops else ()
+        p = MPQProblem(g, sizes, bits, budget_bits, extra)
+        result = solve_with_fallback(p)
+        exact = solve_exhaustive(p)
+        assert result.extras["rung"] == "bb"
+        assert result.optimal
+        assert result.objective == pytest.approx(exact.objective, rel=1e-12)
 
 
 class TestSolveDispatch:
