@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """AST lint: enforce the telemetry conventions inside ``src/repro/``.
 
-Ten rules (see docs/observability.md and docs/robustness.md):
+Eleven rules (see docs/observability.md and docs/robustness.md):
 
 1. No ``time.time()`` — wall-clock arithmetic must use
    ``telemetry.monotonic()`` (an alias of ``time.perf_counter``) so spans
@@ -76,6 +76,18 @@ Ten rules (see docs/observability.md and docs/robustness.md):
     in ``repro.solvers.qp_relax``, which returns a certified Lagrangian
     bound.  ``scipy.optimize`` alone also adds about 44 MiB to every
     allocation process.
+11. No forward writes into its input — inside ``forward`` methods in
+    ``repro/nn/`` and ``repro/models/``, an augmented assignment to a
+    parameter of the forward (``x -= mean``, ``x[i] *= 2``), an
+    assignment into one (``x[i] = 0``) and an ``out=`` argument that may
+    name one (``np.multiply(x, mask, out=x)``, also as an arm of
+    ``a if cond else b``) are rejected.  The sweep feeds one checkpointed
+    activation to many replays, so a forward that overwrote its input
+    would change every later replay from that cut; the sweep freezes its
+    checkpoints to catch this at run time, and the rule catches it in
+    review, also for layers no test puts at a segment boundary.
+    Accumulating into a buffer the forward allocated (``out += identity``)
+    is fine.
 
 Exit status 0 when clean, 1 with a ``path:line: message`` listing per
 violation.  Run via ``make lint`` (part of the default ``make`` target).
@@ -135,6 +147,9 @@ NP_POWER_NAMES = {"power", "float_power"}
 
 #: Rule 9: the one function allowed to build a whole patch matrix.
 ALLOWED_IM2COL = "conv2d_backward"
+
+#: Rule 11: the packages whose forwards may not write into their input.
+INPUT_WRITE_DIRS = (TARGET / "nn", TARGET / "models")
 
 
 def _is_hot_path(func: ast.AST) -> bool:
@@ -416,11 +431,70 @@ def _scipy_violations(tree: ast.AST):
             )
 
 
+def _root_name(node: ast.AST):
+    """``x`` for ``x``, ``x[i]``, ``x.real`` and ``x[i][j]``; else None."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _out_targets(node: ast.AST):
+    """The arrays an ``out=`` value may name: tuple items, both arms of
+    ``a if cond else b``."""
+    if isinstance(node, ast.Tuple):
+        for elt in node.elts:
+            yield from _out_targets(elt)
+    elif isinstance(node, ast.IfExp):
+        yield from _out_targets(node.body)
+        yield from _out_targets(node.orelse)
+    else:
+        yield node
+
+
+def _input_write_violations(path: Path, tree: ast.AST):
+    """Rule 11: a layer forward writing into one of its parameters."""
+    if not any(d in path.parents for d in INPUT_WRITE_DIRS):
+        return
+    hint = (
+        "forwards must not write into their input: sweep replays share "
+        "checkpointed activations; write into a buffer the forward allocated"
+    )
+    for func in ast.walk(tree):
+        if not (
+            isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and func.name == "forward"
+        ):
+            continue
+        args = func.args
+        params = {
+            a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+        } - {"self"}
+        for node in ast.walk(func):
+            if isinstance(node, ast.AugAssign) and _root_name(node.target) in params:
+                yield node.lineno, (
+                    f"augmented assignment to input '{_root_name(node.target)}' "
+                    f"in forward(); {hint}"
+                )
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, (ast.Subscript, ast.Attribute))
+                and _root_name(t) in params
+                for t in node.targets
+            ):
+                yield node.lineno, f"assignment into an input of forward(); {hint}"
+            elif isinstance(node, ast.Call):
+                for kw in node.keywords:
+                    if kw.arg == "out" and any(
+                        _root_name(t) in params for t in _out_targets(kw.value)
+                    ):
+                        yield node.lineno, f"out= names an input of forward(); {hint}"
+
+
 def _violations(path: Path, tree: ast.AST, source_lines):
     yield from _swallow_violations(path, tree, source_lines)
     yield from _scipy_violations(tree)
     yield from _power_violations(path, tree)
     yield from _im2col_violations(tree)
+    yield from _input_write_violations(path, tree)
     yield from _blocking_violations(tree, source_lines)
     yield from _raw_write_violations(path, tree, source_lines)
     for node in ast.walk(tree):

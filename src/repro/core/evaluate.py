@@ -91,8 +91,8 @@ def evaluate_assignments(
     sees, giving results equal to the one-by-one loop.
 
     ``eval_batch_k=0`` picks a memory-aware width; ``1`` degenerates to
-    the sequential loop.  Returns ``[(loss, accuracy), ...]`` in
-    ``assignments`` order.
+    the sequential loop.  Every forward runs in no-grad mode.  Returns
+    ``[(loss, accuracy), ...]`` in ``assignments`` order.
     """
     assignments = [list(map(int, a)) for a in assignments]
     for a in assignments:
@@ -126,7 +126,7 @@ def evaluate_assignments(
         }
         loss_totals = np.zeros(width)
         correct_totals = np.zeros(width)
-        with table.batched(overrides):
+        with table.batched(overrides), model.no_grad():
             for s in range(0, n, batch_size):
                 xb = images[s : s + batch_size]
                 yb = labels[s : s + batch_size]

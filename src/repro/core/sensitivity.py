@@ -34,17 +34,24 @@ only from layer ``j``'s segment.  Evaluations can additionally fan out
 across fork-based worker processes; the measured matrix is bitwise
 identical across strategies and worker counts because losses are keyed by
 their plan index before assembly.
+
+Every forward the engine runs is a no-grad forward
+(:meth:`repro.nn.Module.no_grad`): no layer keeps a backward cache, and
+the sweep freezes (``writeable = False``) every activation it checkpoints,
+so a layer writing into its input would raise instead of corrupting the
+replays that share the checkpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import multiprocessing as mp
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -533,6 +540,18 @@ class SensitivityEngine:
             )
         return loss
 
+    @contextlib.contextmanager
+    def _no_grad(self) -> Iterator[None]:
+        """No-grad mode over the model and the segments the engine replays.
+
+        Segments may be wrappers built outside the model tree (ViT's
+        classifier tail), so every segment gets its own ``no_grad``.
+        """
+        with contextlib.ExitStack() as stack:
+            for root in [self.model, *(self._segments or ())]:
+                stack.enter_context(root.no_grad())
+            yield
+
     # -- segmented-forward support ---------------------------------------------
     def _segment_map(self) -> Optional[Tuple[list, Tuple[int, ...]]]:
         """(segments, layer->segment) when every searched layer is covered."""
@@ -716,39 +735,43 @@ class SensitivityEngine:
             )
 
         resolved = self._resolve_strategy(strategy)
-        if resolved == "naive":
-            return self._measure_naive(
-                x, y, mode, pair_list, batch_size, progress, symmetric_diag,
-                health=health_mode, health_policy=policy,
+        # Fork workers inherit the no-grad flags of the parent.
+        with self._no_grad():
+            if resolved == "naive":
+                return self._measure_naive(
+                    x, y, mode, pair_list, batch_size, progress, symmetric_diag,
+                    health=health_mode, health_policy=policy,
+                )
+            return self._measure_segmented(
+                x,
+                y,
+                mode,
+                pair_list,
+                batch_size,
+                progress,
+                symmetric_diag,
+                num_workers=self._resolve_workers(num_workers),
+                cache_budget=(
+                    self.cache_budget if cache_budget is None else cache_budget
+                ),
+                checkpoint_path=checkpoint_path or self.checkpoint_path,
+                checkpoint_every=(
+                    self.checkpoint_every
+                    if checkpoint_every is None
+                    else checkpoint_every
+                ),
+                eval_batch_k=self._resolve_eval_batch_k(eval_batch_k, x, batch_size),
+                cache_bytes=self.cache_bytes if cache_bytes is None else cache_bytes,
+                group_deadline=(
+                    self.group_deadline if group_deadline is None else group_deadline
+                ),
+                max_retries=self.max_retries if max_retries is None else max_retries,
+                fault_plan=resolve_fault_plan(
+                    self.fault_plan if fault_plan is None else fault_plan
+                ),
+                health=health_mode,
+                health_policy=policy,
             )
-        return self._measure_segmented(
-            x,
-            y,
-            mode,
-            pair_list,
-            batch_size,
-            progress,
-            symmetric_diag,
-            num_workers=self._resolve_workers(num_workers),
-            cache_budget=(
-                self.cache_budget if cache_budget is None else cache_budget
-            ),
-            checkpoint_path=checkpoint_path or self.checkpoint_path,
-            checkpoint_every=(
-                self.checkpoint_every if checkpoint_every is None else checkpoint_every
-            ),
-            eval_batch_k=self._resolve_eval_batch_k(eval_batch_k, x, batch_size),
-            cache_bytes=self.cache_bytes if cache_bytes is None else cache_bytes,
-            group_deadline=(
-                self.group_deadline if group_deadline is None else group_deadline
-            ),
-            max_retries=self.max_retries if max_retries is None else max_retries,
-            fault_plan=resolve_fault_plan(
-                self.fault_plan if fault_plan is None else fault_plan
-            ),
-            health=health_mode,
-            health_policy=policy,
-        )
 
     # -- naive strategy: one full forward per evaluation -----------------------
     def _measure_naive(
@@ -1288,7 +1311,9 @@ class SensitivityEngine:
             ctx = self.table.perturbed((spec.i, bits[spec.m]))
         total = 0.0
         work = 0
-        with ctx:
+        # Its own no-grad scope: the sharded coordinator calls the health
+        # pass outside measure().
+        with ctx, self._no_grad():
             for b, (xb, yb) in enumerate(batches):
                 a = clean.activation(b, start)
                 a, replayed = self._replay(start, a)
@@ -1851,7 +1876,8 @@ class ShardSession:
 
     The session requires the segmented strategy and pins the engine's
     active execution knobs for the lifetime of the object; do not
-    interleave with other ``measure`` calls on the same engine.
+    interleave with other ``measure`` calls on the same engine.  Its
+    forwards, the prefix pass and every group, run in no-grad mode.
     """
 
     def __init__(
@@ -1909,7 +1935,7 @@ class ShardSession:
             select_cuts(clean_freq, cache_budget) | {0},
             max_bytes=cache_bytes,
         )
-        with telemetry.span("sweep.prefix"):
+        with telemetry.span("sweep.prefix"), engine._no_grad():
             base_total = 0.0
             for b, (xb, yb) in enumerate(self.batches):
                 a = xb
@@ -1933,9 +1959,10 @@ class ShardSession:
 
     def run_group(self, group_idx: int) -> List[Tuple[int, float]]:
         """Execute one plan group, returning ``(plan_index, loss)`` pairs."""
-        results, _, _ = self.engine._execute_group(
-            self.plan, group_idx, self.clean, self.batches, self.n
-        )
+        with self.engine._no_grad():
+            results, _, _ = self.engine._execute_group(
+                self.plan, group_idx, self.clean, self.batches, self.n
+            )
         return results
 
     def run_groups(

@@ -373,6 +373,12 @@ class PrefixCache:
     growing until the OOM killer takes the worker down.  Each batch's
     earliest stored cut (its recompute anchor) is never evicted — without
     it no later cut could be reconstructed at all.
+
+    Every stored activation is frozen (``flags.writeable = False``): many
+    replays read one checkpoint, so a forward that wrote into its input
+    would silently change every later replay from that cut.  The stored
+    object itself is frozen, not a view of it, because it is also the
+    array the caller passes on to the next segment.
     """
 
     def __init__(
@@ -395,6 +401,7 @@ class PrefixCache:
         """Store a checkpoint if ``cut`` is within the kept set."""
         if cut not in self.kept or (batch, cut) in self._store:
             return
+        activation.flags.writeable = False
         self._store[(batch, cut)] = activation
         self._bytes += int(activation.nbytes)
         anchor = self._anchors.get(batch)

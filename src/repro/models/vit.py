@@ -57,7 +57,7 @@ class ViTS(Module):
         for block in self.layer:
             tokens = block.forward(tokens)
         tokens = self.norm.forward(tokens)
-        self._cache = tokens.shape
+        self._stash(tokens.shape)
         return self.classifier.forward(tokens[:, 0, :])
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

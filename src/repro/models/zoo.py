@@ -122,16 +122,17 @@ def evaluate_model(
     labels: np.ndarray,
     batch_size: int = 256,
 ) -> Tuple[float, float]:
-    """Mean cross-entropy loss and top-1 accuracy in eval mode."""
+    """Mean cross-entropy loss and top-1 accuracy in eval and no-grad mode."""
     criterion = CrossEntropyLoss()
     model.eval()
     total_loss = 0.0
     total_correct = 0.0
     n = len(images)
-    for xb, yb in iterate_batches(images, labels, batch_size):
-        logits = model.forward(xb)
-        total_loss += criterion.forward(logits, yb) * len(xb)
-        total_correct += accuracy(logits, yb) * len(xb)
+    with model.no_grad():
+        for xb, yb in iterate_batches(images, labels, batch_size):
+            logits = model.forward(xb)
+            total_loss += criterion.forward(logits, yb) * len(xb)
+            total_correct += accuracy(logits, yb) * len(xb)
     return total_loss / n, total_correct / n
 
 

@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from .functional import softmax
 from .layers import Linear
 from .module import Module
 
@@ -54,10 +53,14 @@ class MultiHeadSelfAttention(Module):
         k = self._split_heads(self.key.forward(x))
         v = self._split_heads(self.value.forward(x))
         scale = float(1.0 / np.sqrt(self.head_dim))
-        scores = np.matmul(q, k.swapaxes(-1, -2)) * scale
-        probs = softmax(scores, axis=-1)
+        # softmax(scores * scale)'s ops, in place on the scores buffer.
+        probs = np.matmul(q, k.swapaxes(-1, -2))
+        probs *= scale
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        self._stash((q, k, v, probs, scale))
         context = np.matmul(probs, v)
-        self._cache = (q, k, v, probs, scale)
         return self.out.forward(self._merge_heads(context))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 ``BasicBlock`` / ``Bottleneck`` give ResNet-34/50-style topologies,
 ``InvertedResidual`` + ``SqueezeExcite`` give MobileNetV3, ``XBlock`` gives
 RegNet, and ``TransformerEncoderBlock`` + ``PatchEmbed`` give ViT.  Residual
-additions are handled explicitly inside each block's forward/backward.
+additions are handled explicitly inside each block's forward/backward; the
+forward adds the skip into the branch output (``out += identity``), a buffer
+the branch's last layer allocated and no backward cache holds.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ class BasicBlock(Module):
         out = self.bn1.forward(self.conv1.forward(x))
         out = self.relu1.forward(out)
         out = self.bn2.forward(self.conv2.forward(out))
-        identity = self.downsample.forward(x) if self.downsample else x
-        return self.relu2.forward(out + identity)
+        out += self.downsample.forward(x) if self.downsample else x
+        return self.relu2.forward(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_sum = self.relu2.backward(grad_out)
@@ -158,8 +160,8 @@ class Bottleneck(Module):
         out = self.relu1.forward(self.bn1.forward(self.conv1.forward(x)))
         out = self.relu2.forward(self.bn2.forward(self.conv2.forward(out)))
         out = self.bn3.forward(self.conv3.forward(out))
-        identity = self.downsample.forward(x) if self.downsample else x
-        return self.relu3.forward(out + identity)
+        out += self.downsample.forward(x) if self.downsample else x
+        return self.relu3.forward(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_sum = self.relu3.backward(grad_out)
@@ -196,7 +198,7 @@ class SqueezeExcite(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         pooled = self.pool.forward(x)
         gate = self.gate.forward(self.fc2.forward(self.relu.forward(self.fc1.forward(pooled))))
-        self._cache = (x, gate)
+        self._stash((x, gate))
         return x * gate[:, :, None, None]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -243,7 +245,7 @@ class InvertedResidual(Module):
             out = self.se.forward(out)
         out = self.project.forward(out)
         if self.use_residual:
-            out = out + x
+            out += x
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -289,8 +291,8 @@ class XBlock(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.conv3.forward(self.conv2.forward(self.conv1.forward(x)))
-        identity = self.downsample.forward(x) if self.downsample else x
-        return self.relu.forward(out + identity)
+        out += self.downsample.forward(x) if self.downsample else x
+        return self.relu.forward(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_sum = self.relu.backward(grad_out)
@@ -344,9 +346,11 @@ class TransformerEncoderBlock(Module):
         self.mlp = Mlp(dim, int(dim * mlp_ratio), rng=rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = x + self.attention.forward(self.norm1.forward(x))
-        x = x + self.mlp.forward(self.norm2.forward(x))
-        return x
+        h = self.attention.forward(self.norm1.forward(x))
+        h += x
+        out = self.mlp.forward(self.norm2.forward(h))
+        out += h
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         g = grad_out + self.norm2.backward(self.mlp.backward(grad_out))
@@ -387,7 +391,7 @@ class PatchEmbed(Module):
         tokens = patches.reshape(n, d, -1).transpose(0, 2, 1)  # (N, T, D)
         cls = np.broadcast_to(self.cls_token.data, (n, 1, d))
         out = np.concatenate([cls, tokens], axis=1) + self.pos_embed.data
-        self._cache = (n, d, patches.shape)
+        self._stash((n, d, patches.shape))
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Core layers: convolution, linear, normalization, activations, pooling.
 
 Every layer implements the explicit forward/backward contract of
-:class:`repro.nn.module.Module`.  Forward passes stash intermediates on the
-instance; a backward call consumes them (single-use — a second backward
-without a fresh forward is a bug and raises).
+:class:`repro.nn.module.Module`.  Grad-mode forward passes stash
+intermediates on the instance; a backward call consumes them (single-use —
+a second backward without a fresh forward is a bug and raises).  Under
+:meth:`~repro.nn.module.Module.no_grad` forwards stash nothing, and the
+normalizations and GELU work in place on their own buffers.
 """
 
 from __future__ import annotations
@@ -38,14 +40,16 @@ __all__ = [
 
 
 class _CacheMixin:
-    """Shared guard: backward must follow exactly one forward."""
+    """Shared guard: backward must follow exactly one grad-mode forward."""
 
     _cache = None
 
     def _take_cache(self):
         if self._cache is None:
             raise RuntimeError(
-                f"{type(self).__name__}.backward called without a prior forward"
+                f"{type(self).__name__}.backward called without a prior "
+                "forward, or after a forward under no_grad(), which keeps "
+                "no backward state"
             )
         cache, self._cache = self._cache, None
         return cache
@@ -108,9 +112,10 @@ class Conv2d(Module, _CacheMixin):
             return F.conv2d_forward_batched(
                 x, self.weight_batch, bias, self.stride, self.padding, self.groups
             )
-        out, self._cache = F.conv2d_forward(
+        out, cache = F.conv2d_forward(
             x, self.weight.data, bias, self.stride, self.padding, self.groups
         )
+        self._stash(cache)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -152,7 +157,7 @@ class Linear(Module, _CacheMixin):
             if isinstance(self.weight_batch, F.BatchedWeightOverlay):
                 return F.linear_forward_overlay(x, self.weight_batch, bias)
             return F.linear_forward_batched(x, self.weight_batch, bias)
-        self._cache = x
+        self._stash(x)
         out = x @ self.weight.data.T
         if self.bias is not None:
             out += self.bias.data
@@ -202,13 +207,17 @@ class BatchNorm2d(Module, _CacheMixin):
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        # Two full-size buffers (x_hat, out), each op in place after the
-        # first: bitwise equal to the out-of-place expression.
+        gamma = self.weight.data.reshape(1, -1, 1, 1)
+        beta = self.bias.data.reshape(1, -1, 1, 1)
+        # Each op in place after the first: bitwise equal to the
+        # out-of-place expression.
         x_hat = x - mean.reshape(1, -1, 1, 1)
         x_hat *= inv_std.reshape(1, -1, 1, 1)
-        self._cache = (x_hat, inv_std, self.training)
-        out = self.weight.data.reshape(1, -1, 1, 1) * x_hat
-        out += self.bias.data.reshape(1, -1, 1, 1)
+        self._stash((x_hat, inv_std, self.training))
+        # A no-grad forward keeps no x_hat, so the output reuses its
+        # buffer (x_hat * gamma is gamma * x_hat: IEEE products commute).
+        out = np.multiply(x_hat, gamma, out=None if self.grad_enabled else x_hat)
+        out += beta
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -247,8 +256,11 @@ class LayerNorm(Module, _CacheMixin):
         var = np.multiply(x_hat, x_hat).mean(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat *= inv_std
-        self._cache = (x_hat, inv_std)
-        out = self.weight.data * x_hat
+        self._stash((x_hat, inv_std))
+        # As in BatchNorm2d, a no-grad output reuses the x_hat buffer.
+        out = np.multiply(
+            x_hat, self.weight.data, out=None if self.grad_enabled else x_hat
+        )
         out += self.bias.data
         return out
 
@@ -268,7 +280,7 @@ class LayerNorm(Module, _CacheMixin):
 class ReLU(Module, _CacheMixin):
     def forward(self, x: np.ndarray) -> np.ndarray:
         mask = x > 0
-        self._cache = mask
+        self._stash(mask)
         return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -289,9 +301,11 @@ class GELU(Module, _CacheMixin):
         inner += x
         inner *= self._C
         tanh = np.tanh(inner, out=inner)
-        self._cache = (x, tanh)
+        self._stash((x, tanh))
         out = 0.5 * x
-        out *= 1.0 + tanh
+        # A no-grad forward keeps no tanh, so 1 + tanh reuses its buffer
+        # (tanh + 1.0 is 1.0 + tanh: IEEE sums commute).
+        out *= np.add(tanh, 1.0, out=None if self.grad_enabled else tanh)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -306,7 +320,7 @@ class SiLU(Module, _CacheMixin):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         sig = 1.0 / (1.0 + np.exp(-x))
-        self._cache = (x, sig)
+        self._stash((x, sig))
         return x * sig
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -318,7 +332,7 @@ class Hardswish(Module, _CacheMixin):
     """``x * relu6(x + 3) / 6`` — the MobileNetV3 activation."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x
+        self._stash(x)
         return x * np.clip(x + 3.0, 0.0, 6.0) / 6.0
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -331,7 +345,7 @@ class Hardsigmoid(Module, _CacheMixin):
     """``relu6(x + 3) / 6`` — used inside squeeze-excite gates."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x
+        self._stash(x)
         return np.clip(x + 3.0, 0.0, 6.0) / 6.0
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -343,7 +357,7 @@ class Hardsigmoid(Module, _CacheMixin):
 class Sigmoid(Module, _CacheMixin):
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = 1.0 / (1.0 + np.exp(-x))
-        self._cache = out
+        self._stash(out)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -368,7 +382,7 @@ class MaxPool2d(Module, _CacheMixin):
         flat = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, k * k)
         idx = flat.argmax(axis=-1)
         out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
+        self._stash((x.shape, idx))
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -398,7 +412,7 @@ class AvgPool2d(Module, _CacheMixin):
         n, c, h, w = x.shape
         if h % k or w % k:
             raise ValueError(f"spatial size {h}x{w} not divisible by pool {k}")
-        self._cache = x.shape
+        self._stash(x.shape)
         return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -412,7 +426,7 @@ class GlobalAvgPool2d(Module, _CacheMixin):
     """Mean over all spatial positions, producing ``(N, C)``."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x.shape
+        self._stash(x.shape)
         return x.mean(axis=(2, 3))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -422,7 +436,7 @@ class GlobalAvgPool2d(Module, _CacheMixin):
 
 class Flatten(Module, _CacheMixin):
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x.shape
+        self._stash(x.shape)
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -445,8 +459,9 @@ class Dropout(Module, _CacheMixin):
             return x
         mask = self.rng.random(x.shape) >= self.p
         scale = 1.0 / (1.0 - self.p)
-        self._cache = mask * scale
-        return x * self._cache
+        keep = mask * scale
+        self._stash(keep)
+        return x * keep
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         mask = self._cache
@@ -477,7 +492,7 @@ class SelectToken(Module, _CacheMixin):
         self.index = index
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x.shape
+        self._stash(x.shape)
         return x[:, self.index, :]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

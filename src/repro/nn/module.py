@@ -1,11 +1,16 @@
 """Module and Parameter primitives for the numpy NN framework.
 
 The framework is layer-based rather than tape-based: every ``Module``
-implements an explicit ``forward`` and ``backward``.  ``forward`` stores
-whatever intermediate values ``backward`` needs in the module instance;
-``backward`` consumes the gradient of the loss w.r.t. the module output and
-returns the gradient w.r.t. the module input, accumulating parameter
-gradients into ``Parameter.grad`` along the way.
+implements an explicit ``forward`` and ``backward``.  In grad mode (the
+default) ``forward`` stores whatever intermediate values ``backward`` needs
+in the module instance; ``backward`` consumes the gradient of the loss
+w.r.t. the module output and returns the gradient w.r.t. the module input,
+accumulating parameter gradients into ``Parameter.grad`` along the way.
+Inside :meth:`Module.no_grad` forwards store nothing for ``backward`` (a
+backward after such a forward raises) and reuse the temporaries they
+allocate, which is how every forward-only path (sensitivity sweeps,
+evaluation, calibration) runs.  No forward, in either mode, writes into
+its input: the sweeps feed one stored activation to many replays.
 
 This explicit style keeps the math of every layer visible (useful when the
 point of the library is to reason about per-layer quantization sensitivity)
@@ -14,6 +19,7 @@ and avoids the machinery of a general autograd engine.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,6 +114,8 @@ class Module:
 
     def __init__(self) -> None:
         self.training = False
+        # Whether forward keeps the state backward needs; see no_grad().
+        self.grad_enabled = True
 
     # -- forward / backward ------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -118,6 +126,10 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
+
+    def _stash(self, cache) -> None:
+        """Keep ``cache`` for backward; a no-grad forward drops it instead."""
+        self._cache = cache if self.grad_enabled else None
 
     # -- segmented forward -------------------------------------------------
     def segments(self) -> Optional[List["Module"]]:
@@ -234,6 +246,31 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
+
+    @contextlib.contextmanager
+    def no_grad(self) -> Iterator["Module"]:
+        """Run forwards without backward state for the duration of the block.
+
+        Clears ``grad_enabled`` over the module tree, the way :meth:`train`
+        sets ``training``, and restores every module's previous flag on
+        exit, also when the block raises.  A no-grad forward drops any
+        backward cache an earlier forward left (so a ``backward`` after it
+        raises instead of using stale state) and works in place on the
+        buffers it allocates itself.  It performs the same floating-point
+        operations on the same operands as the grad-mode forward, up to
+        the order of the operands of ``+`` and ``*``, so its output is
+        bitwise equal.  Modules outside this tree (such as wrappers that
+        :meth:`segments` builds) need their own ``no_grad``.
+        """
+        modules = list({id(m): m for _, m in self.named_modules()}.values())
+        saved = [m.grad_enabled for m in modules]
+        for module in modules:
+            module.grad_enabled = False
+        try:
+            yield self
+        finally:
+            for module, flag in zip(modules, saved):
+                module.grad_enabled = flag
 
     # -- (de)serialization ---------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -107,9 +107,9 @@ def affine_minmax_params(w: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarr
 def calibrate_activations(model, layers, images, bits: int = 8) -> None:
     """Attach calibrated 8-bit activation fake-quantizers to ``layers``.
 
-    Runs one recording pass over ``images`` to observe per-layer input
-    ranges, then freezes per-tensor symmetric scales.  ``layers`` is a list
-    of :class:`repro.models.QuantizableLayer`.
+    Runs one recording pass over ``images`` (a no-grad forward) to observe
+    per-layer input ranges, then freezes per-tensor symmetric scales.
+    ``layers`` is a list of :class:`repro.models.QuantizableLayer`.
     """
     from .quantizers import ActivationQuantizer
 
@@ -121,7 +121,8 @@ def calibrate_activations(model, layers, images, bits: int = 8) -> None:
             layer.module.act_quant = quant
             quantizers.append(quant)
         model.eval()
-        model.forward(images)
+        with model.no_grad():
+            model.forward(images)
         for quant in quantizers:
             quant.finalize()
         _CALIBRATION_CALLS.add(len(quantizers))

@@ -114,3 +114,61 @@ class TestScipyRule:
         for path in sorted(lint.TARGET.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             assert list(lint._scipy_violations(tree)) == [], path
+
+
+def _input_write_lines(source: str, package: str = "nn"):
+    path = lint.TARGET / package / "probe.py"
+    return sorted(
+        line for line, _ in lint._input_write_violations(path, ast.parse(source))
+    )
+
+
+class TestInputWriteRule:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "x -= mean",
+            "x[:, 0] *= 2.0",
+            "x[:, 0] = 0.0",
+            "np.multiply(x, mask, out=x)",
+            "np.exp(x, out=(x,))",
+            "np.add(x, 1.0, out=None if self.grad_enabled else x)",
+        ],
+    )
+    def test_rejects_writes_into_the_input(self, body):
+        source = f"class L:\n    def forward(self, x):\n        {body}\n        return x\n"
+        assert _input_write_lines(source) == [3]
+
+    def test_rejects_in_models_too(self):
+        source = "def forward(self, tokens):\n    tokens += 1.0\n    return tokens\n"
+        assert _input_write_lines(source, package="models") == [2]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "out += identity",
+            "x = x + identity",
+            "out[:, 0] = x[:, 0]",
+            "out = x - mean\n        out *= inv_std",
+            "np.exp(out, out=out)",
+            "np.add(out, 1.0, out=None if self.grad_enabled else out)",
+            "self.count += 1",
+        ],
+    )
+    def test_allows_writes_into_own_buffers(self, body):
+        source = (
+            "class L:\n    def forward(self, x):\n        out = x * 1.0\n"
+            f"        {body}\n        return out\n"
+        )
+        assert _input_write_lines(source) == []
+
+    def test_only_forwards_in_layer_packages(self):
+        source = "def backward(self, x):\n    x -= 1.0\n"
+        assert _input_write_lines(source) == []
+        source = "def forward(self, x):\n    x -= 1.0\n"
+        assert _input_write_lines(source, package="core") == []
+
+    def test_tree_passes(self):
+        for path in sorted(lint.TARGET.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            assert list(lint._input_write_violations(path, tree)) == [], path

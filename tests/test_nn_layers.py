@@ -17,7 +17,9 @@ from repro.nn import (
     LayerNorm,
     Linear,
     MaxPool2d,
+    MultiHeadSelfAttention,
     ReLU,
+    SelectToken,
     Sigmoid,
     SiLU,
     fold_candidates,
@@ -350,3 +352,156 @@ class TestActQuantHook:
         layer.act_quant = lambda x: x * 0.0
         out = layer.forward(np.ones((1, 2), dtype=np.float32))
         np.testing.assert_allclose(out, 0.0)
+
+
+def _image_inputs(dtype):
+    """A (N, C, H, W) activation and its candidate-folded batch."""
+    rng = np.random.default_rng(17)
+    x = (rng.normal(size=(3, 4, 5, 5)) * 2.0 + 0.5).astype(dtype)
+    return [x, fold_candidates(x, 3)]
+
+
+def _no_grad_forward(layer, x):
+    """Forward under no_grad: output, and whether the input was left alone."""
+    before = x.copy()
+    with layer.no_grad():
+        out = layer.forward(x)
+    return out, np.array_equal(x, before)
+
+
+class TestNoGradKernels:
+    """Forwards in both modes equal the grad-mode expressions bit for bit,
+    in float32, float64 and on a folded batch; no-grad ones keep no cache."""
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batchnorm_single_buffer(self, dtype, train):
+        rng = np.random.default_rng(14)
+        bn = BatchNorm2d(4)
+        bn.running_mean[:] = rng.normal(size=4)
+        bn.running_var[:] = np.abs(rng.normal(size=4)) + 0.5
+        bn.weight.data[:] = rng.normal(size=4)
+        bn.bias.data[:] = rng.normal(size=4)
+        bn.train(train)
+        for x in _image_inputs(dtype):
+            if train:
+                mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+            else:
+                mean, var = bn.running_mean.copy(), bn.running_var.copy()
+            out, untouched = _no_grad_forward(bn, x)
+            inv_std = 1.0 / np.sqrt(var + bn.eps)
+            x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+            expected = bn.weight.data.reshape(1, -1, 1, 1) * x_hat + (
+                bn.bias.data.reshape(1, -1, 1, 1)
+            )
+            assert out.dtype == dtype
+            assert np.array_equal(out, expected)
+            assert bn._cache is None
+            assert untouched
+            assert np.array_equal(bn.forward(x), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layernorm_output_in_x_hat(self, dtype):
+        rng = np.random.default_rng(13)
+        ln = LayerNorm(16)
+        ln.weight.data[:] = rng.normal(size=16)
+        ln.bias.data[:] = rng.normal(size=16)
+        for x in _kernel_inputs(dtype):
+            out, untouched = _no_grad_forward(ln, x)
+            inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + ln.eps)
+            x_hat = (x - x.mean(axis=-1, keepdims=True)) * inv_std
+            assert out.dtype == dtype
+            expected = ln.weight.data * x_hat + ln.bias.data
+            assert np.array_equal(out, expected)
+            assert ln._cache is None
+            assert untouched
+            assert np.array_equal(ln.forward(x), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_two_buffers(self, dtype):
+        layer = GELU()
+        for x in _kernel_inputs(dtype):
+            out, untouched = _no_grad_forward(layer, x)
+            tanh = np.tanh(GELU._C * (x + 0.044715 * (x * x * x)))
+            assert out.dtype == dtype
+            expected = 0.5 * x * (1.0 + tanh)
+            assert np.array_equal(out, expected)
+            assert layer._cache is None
+            assert untouched
+            assert np.array_equal(layer.forward(x), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_softmax_in_place(self, dtype):
+        rng = np.random.default_rng(18)
+        attn = MultiHeadSelfAttention(16, 4, rng=rng)
+        for x in _kernel_inputs(dtype):
+            out, untouched = _no_grad_forward(attn, x)
+
+            def proj(lin, a):
+                return a @ lin.weight.data.T + lin.bias.data
+
+            q, k, v = (
+                attn._split_heads(proj(lin, x))
+                for lin in (attn.query, attn.key, attn.value)
+            )
+            scores = np.matmul(q, k.swapaxes(-1, -2)) * float(
+                1.0 / np.sqrt(attn.head_dim)
+            )
+            exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            probs = exp / exp.sum(axis=-1, keepdims=True)
+            expected = proj(attn.out, attn._merge_heads(np.matmul(probs, v)))
+            assert out.dtype == dtype
+            assert np.array_equal(out, expected)
+            assert attn._cache is None
+            assert untouched
+            assert np.array_equal(attn.forward(x), expected)
+            assert np.array_equal(attn._cache[3], probs)
+
+    @pytest.mark.parametrize(
+        "make, shape",
+        [
+            pytest.param(make, shape, id=type(make()).__name__)
+            for make, shape in [
+                (lambda: Conv2d(4, 3, 3, padding=1), (2, 4, 6, 6)),
+                (lambda: Linear(6, 3), (2, 5, 6)),
+                (lambda: BatchNorm2d(4), (2, 4, 6, 6)),
+                (lambda: LayerNorm(6), (2, 5, 6)),
+                (ReLU, (2, 5, 6)),
+                (GELU, (2, 5, 6)),
+                (SiLU, (2, 5, 6)),
+                (Hardswish, (2, 5, 6)),
+                (Hardsigmoid, (2, 5, 6)),
+                (Sigmoid, (2, 5, 6)),
+                (lambda: MaxPool2d(2), (2, 4, 6, 6)),
+                (lambda: AvgPool2d(2), (2, 4, 6, 6)),
+                (GlobalAvgPool2d, (2, 4, 6, 6)),
+                (Flatten, (2, 4, 6, 6)),
+                (lambda: SelectToken(0), (2, 5, 6)),
+                (lambda: MultiHeadSelfAttention(6, 2), (2, 5, 6)),
+            ]
+        ],
+    )
+    def test_every_layer_drops_its_cache(self, make, shape):
+        """A no-grad forward equals the grad-mode one, clears the cache an
+        earlier grad-mode forward left, and makes backward raise."""
+        layer = make()
+        x = np.random.default_rng(19).normal(size=shape).astype(np.float32)
+        expected = layer.forward(x)
+        assert layer._cache is not None
+        out, untouched = _no_grad_forward(layer, x)
+        assert np.array_equal(out, expected)
+        assert layer._cache is None
+        assert untouched
+        with pytest.raises(RuntimeError, match="before forward|no_grad"):
+            layer.backward(np.ones_like(out))
+        # Grad mode is back: the next forward keeps its cache again.
+        layer.forward(x)
+        layer.backward(np.ones_like(out))
+
+    def test_dropout_training_forward_keeps_no_mask(self):
+        layer = Dropout(0.5, rng=np.random.default_rng(20))
+        layer.train()
+        with layer.no_grad():
+            out = layer.forward(np.ones((64,)))
+        assert layer._cache is None
+        assert set(np.unique(out)) <= {0.0, 2.0}

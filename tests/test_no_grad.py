@@ -1,0 +1,226 @@
+"""No-grad mode: bitwise, stateless forwards on every zoo model, and sweeps
+that leave no backward state behind."""
+
+import contextlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core import SensitivityEngine
+from repro.core.sensitivity import ShardSession
+from repro.hessian import loss_and_grads
+from repro.models import MODEL_REGISTRY, build_model, quantizable_layers
+from repro.nn import (
+    BatchedWeightOverlay,
+    CrossEntropyLoss,
+    Linear,
+    Sequential,
+    fold_candidates,
+)
+from repro.quant import QuantConfig, QuantizedWeightTable, calibrate_activations
+from repro.robustness import SweepFailure
+from repro.robustness.faults import FaultPlan, FaultSpec
+from repro.robustness.health import HealthPolicy
+
+
+def _modules(*roots):
+    for root in roots:
+        for _, module in root.named_modules():
+            yield module
+
+
+def _cached(*roots):
+    """Names of the modules that still hold a backward cache."""
+    return [
+        type(m).__name__ for m in _modules(*roots)
+        if getattr(m, "_cache", None) is not None
+    ]
+
+
+@contextlib.contextmanager
+def _no_grad(*roots):
+    with contextlib.ExitStack() as stack:
+        for root in roots:
+            stack.enter_context(root.no_grad())
+        yield
+
+
+def _calibrated(name, samples=2, seed=0):
+    model = build_model(name)
+    model.eval()
+    layers = quantizable_layers(model, name)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(samples, 3, 32, 32)).astype(np.float32)
+    calibrate_activations(model, layers, x)
+    return model, layers, x
+
+
+class TestModuleNoGrad:
+    def test_sets_and_restores_the_tree(self):
+        model = Sequential(Linear(3, 3), Sequential(Linear(3, 2)))
+        inner = model.layers[1].layers[0]
+        inner.grad_enabled = False  # a flag set before entry comes back as-is
+        with model.no_grad() as entered:
+            assert entered is model
+            assert not any(m.grad_enabled for m in _modules(model))
+        assert model.grad_enabled and model.layers[0].grad_enabled
+        assert not inner.grad_enabled
+
+    def test_restores_when_the_body_raises(self):
+        model = Sequential(Linear(3, 3))
+        with pytest.raises(KeyError):
+            with model.no_grad():
+                raise KeyError("boom")
+        assert all(m.grad_enabled for m in _modules(model))
+
+    def test_shared_module_restored_once(self):
+        shared = Linear(3, 3)
+        model = Sequential(shared, shared)
+        with model.no_grad():
+            with model.no_grad():
+                assert not shared.grad_enabled
+            assert not shared.grad_enabled
+        assert shared.grad_enabled
+
+
+@pytest.fixture(scope="module", params=sorted(MODEL_REGISTRY))
+def zoo_model(request):
+    return (request.param, *_calibrated(request.param))
+
+
+class TestZooForwards:
+    """Every registered model: plain and folded no-grad forwards equal the
+    grad-mode ones bit for bit, leave the input alone, and keep no state."""
+
+    def test_bitwise_and_stateless(self, zoo_model):
+        name, model, layers, x = zoo_model
+        width = 3
+        before = x.copy()
+        folded = fold_candidates(x, width)
+        picks = (layers[0], layers[len(layers) // 2])
+        overlays = [
+            BatchedWeightOverlay(
+                width, q.weight.data, {k + 1: q.weight.data * (0.5 + k)}
+            )
+            for k, q in enumerate(picks)
+        ]
+
+        @contextlib.contextmanager
+        def overlaid():
+            for q, overlay in zip(picks, overlays):
+                q.module.weight_batch = overlay
+            try:
+                yield
+            finally:
+                for q in picks:
+                    q.module.weight_batch = None
+
+        plain_ref = model.forward(x)
+        with overlaid():
+            folded_ref = model.forward(folded)
+        # The grad-mode forward left caches for the no-grad one to drop.
+        assert _cached(model)
+
+        segments = model.segments()
+        with _no_grad(model, *segments):
+            plain = model.forward(x)
+            with overlaid():
+                a = folded
+                for seg in segments:
+                    a = seg.forward(a)
+        assert np.array_equal(plain, plain_ref)
+        assert np.array_equal(a, folded_ref)
+        assert np.array_equal(x, before)
+        assert np.array_equal(folded, fold_candidates(before, width))
+        assert _cached(model, *segments) == []
+        with pytest.raises(RuntimeError):
+            model.backward(np.ones_like(plain))
+        assert all(m.grad_enabled for m in _modules(model, *segments))
+
+
+def _engine_setup(name, samples=4, seed=1):
+    model, layers, x = _calibrated(name, samples=samples, seed=seed)
+    y = np.random.default_rng(seed).integers(0, 10, size=samples)
+    table = QuantizedWeightTable(layers, QuantConfig(bits=(4, 8)))
+    return model, layers, table, x, y
+
+
+class TestSweepLeavesNoState:
+    @pytest.mark.parametrize(
+        "name, strategy",
+        [("resnet_s20", "segmented"), ("resnet_s20", "naive"),
+         ("vit_s", "segmented")],
+    )
+    def test_no_cache_after_measure(self, name, strategy):
+        model, layers, table, x, y = _engine_setup(name)
+        engine = SensitivityEngine(model, table, strategy=strategy)
+        result = engine.measure(x, y, mode="full")
+        assert np.isfinite(result.matrix).all()
+        roots = (model, *(engine._segments or ()))
+        assert _cached(*roots) == []
+        assert all(m.grad_enabled for m in _modules(*roots))
+        # The caller's array stays writeable; only the engine's slice of
+        # it was frozen as the segment-0 checkpoint.
+        assert x.flags.writeable
+        # Grad mode is back: a backward pass works on the same model.
+        loss, grads = loss_and_grads(model, CrossEntropyLoss(), layers, x, y)
+        assert np.isfinite(loss)
+        assert all(np.isfinite(g).all() and g.any() for g in grads)
+
+    def test_shard_session_and_coordinator_health_pass(self):
+        """The spool workers' session and the sharded coordinator's health
+        pass (which runs outside ``measure``) replay without state too."""
+        model, layers, table, x, y = _engine_setup("vit_s")
+        engine = SensitivityEngine(model, table, strategy="segmented")
+        session = ShardSession(
+            engine, x, y, mode="full", batch_size=4, eval_batch_k=4
+        )
+        losses = session.run_groups(range(len(session.plan.groups)))
+        diag = session.plan.groups[0].diag.index
+        plan = FaultPlan(seed=3, faults=(FaultSpec("outlier_loss", at=diag),))
+        matrix, single = session.assemble(losses, plan)
+        _, extras = engine._health_pass(
+            session.plan, matrix, single, session.base_loss, losses,
+            session.clean, session.batches, session.n, HealthPolicy(), plan,
+        )
+        assert extras["remeasured"] > 0
+        roots = (model, *engine._segments)
+        assert _cached(*roots) == []
+        assert all(m.grad_enabled for m in _modules(*roots))
+
+    def test_failed_measure_restores_grad_mode(self):
+        model, layers, table, x, y = _engine_setup("resnet_s20")
+        plan = FaultPlan(seed=0, faults=(FaultSpec("nonfinite_loss", at=0),))
+        engine = SensitivityEngine(model, table, max_retries=0, fault_plan=plan)
+        with pytest.raises(SweepFailure):
+            engine.measure(x, y, mode="diagonal")
+        assert all(m.grad_enabled for m in _modules(model, *engine._segments))
+        loss, _ = loss_and_grads(model, CrossEntropyLoss(), layers, x, y)
+        assert np.isfinite(loss)
+
+
+def _traced(forward):
+    """``(bytes retained beyond the output, extra peak bytes)`` of a call."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = forward()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current - start - out.nbytes, peak - start
+
+
+class TestReplayMemory:
+    def test_no_grad_forward_retains_nothing(self):
+        """A folded resnet_s34 forward with activation quantization on:
+        no-grad keeps nothing beyond its output and peaks far lower."""
+        model, _, x = _calibrated("resnet_s34", samples=32)
+        folded = fold_candidates(x, 4)
+        with model.no_grad():
+            kept, peak = _traced(lambda: model.forward(folded))
+        grad_kept, grad_peak = _traced(lambda: model.forward(folded))
+        assert grad_kept > 8 * folded.nbytes  # the caches the sweep paid for
+        assert kept < 64 * 1024  # small Python objects at most
+        assert peak < 0.4 * grad_peak

@@ -13,7 +13,17 @@ from repro.core import (
     select_cuts,
 )
 from repro.models import MODEL_REGISTRY, build_model, quantizable_layers
-from repro.nn import CrossEntropyLoss, Linear, Module, ReLU, Sequential
+from repro.nn import (
+    BatchNorm2d,
+    Conv2d,
+    CrossEntropyLoss,
+    Flatten,
+    GlobalAvgPool2d,
+    Linear,
+    Module,
+    ReLU,
+    Sequential,
+)
 from repro.quant import QuantConfig, QuantizedWeightTable
 
 
@@ -42,6 +52,36 @@ def _deep_mlp(num_linear=8, dim=6, num_classes=3, seed=0):
     model.eval()
     linears = [m for m in mods if isinstance(m, Linear)]
     layers = [_QLayer(i, f"fc{i}", m) for i, m in enumerate(linears)]
+    return model, layers
+
+
+def _layerwise_cnn(seed=0):
+    """Conv2d, BatchNorm2d and ReLU each their own forward segment.
+
+    A BatchNorm2d on the input comes first, so segment 0 reads the cut-0
+    checkpoint (the other checkpoints are inputs of searched segments).
+    The BatchNorms carry non-trivial statistics: one applied twice to a
+    checkpoint moves every downstream loss far past the equivalence
+    tolerance, where an idempotent ReLU would not.
+    """
+    rng = np.random.default_rng(seed)
+
+    def batchnorm(c):
+        bn = BatchNorm2d(c)
+        bn.running_mean[:] = rng.normal(size=c)
+        bn.running_var[:] = rng.uniform(0.2, 3.0, size=c)
+        bn.weight.data[:] = rng.uniform(0.5, 2.0, size=c)
+        bn.bias.data[:] = rng.normal(size=c)
+        return bn
+
+    mods = [batchnorm(3)]
+    for c_in, c_out in ((3, 6), (6, 6), (6, 8)):
+        mods += [Conv2d(c_in, c_out, 3, padding=1, rng=rng), batchnorm(c_out), ReLU()]
+    mods += [GlobalAvgPool2d(), Flatten(), Linear(8, 3, rng=rng)]
+    model = Sequential(*mods)
+    model.eval()
+    weighted = [m for m in mods if isinstance(m, (Conv2d, Linear))]
+    layers = [_QLayer(i, f"w{i}", m) for i, m in enumerate(weighted)]
     return model, layers
 
 
@@ -118,6 +158,31 @@ class TestNaiveSegmentedEquivalence:
         assert capped.extras["clean_cache_evictions"] > 0
         assert capped.extras["clean_cache_stored_bytes"] <= 2048
         assert free.extras["clean_cache_evictions"] == 0
+
+    @pytest.mark.parametrize("eval_batch_k, cache_budget", [(1, 16), (0, 16), (0, 0)])
+    def test_segment_per_layer_cnn_matches_naive(self, eval_batch_k, cache_budget):
+        """Replays share checkpoints; a layer writing into its input would
+        change the ones it reads.  ``cache_budget=0`` keeps only cut 0, so
+        every replay starts with the input BatchNorm2d on that checkpoint."""
+        model, layers = _layerwise_cnn()
+        table = QuantizedWeightTable(layers, QuantConfig(bits=(2, 4)))
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(6, 3, 6, 6)).astype(np.float32)
+        y = rng.integers(0, 3, size=6)
+        before = x.copy()
+        naive = SensitivityEngine(model, table, strategy="naive").measure(
+            x, y, batch_size=4
+        )
+        fast = SensitivityEngine(
+            model, table, strategy="segmented", eval_batch_k=eval_batch_k,
+            cache_budget=cache_budget,
+        ).measure(x, y, batch_size=4)
+        assert fast.extras["num_segments"] == len(model.layers)
+        np.testing.assert_allclose(fast.matrix, naive.matrix, atol=1e-6)
+        np.testing.assert_allclose(
+            fast.single_losses, naive.single_losses, atol=1e-6
+        )
+        np.testing.assert_array_equal(x, before)
 
     def test_weights_restored_and_progress_complete(self, mlp_setup):
         model, layers, table, x, y = mlp_setup
@@ -268,6 +333,22 @@ class TestPrefixCache:
         assert cache.recomputed_segments == 1
         with pytest.raises(KeyError):
             cache.activation(1, 2)  # unknown batch
+
+    def test_checkpoints_are_read_only(self):
+        segs = [Linear(3, 3, rng=np.random.default_rng(k)) for k in range(3)]
+        cache = PrefixCache(segs, kept_cuts={0, 1})
+        x = np.ones((4, 3), dtype=np.float32)
+        a = x[:2]  # the engine stores its own slice of the caller's array
+        for k, s in enumerate(segs):
+            cache.put(0, k, a)
+            a = s.forward(a)
+        for cut in (0, 1):
+            with pytest.raises(ValueError, match="read-only"):
+                cache.activation(0, cut)[...] += 1.0
+        assert x.flags.writeable
+        # A recomputed activation is the caller's own fresh array.
+        recomputed = cache.activation(0, 2)
+        recomputed += 1.0
 
     def test_byte_budget_evicts_lru_but_pins_anchors(self):
         segs = [Linear(3, 3, rng=np.random.default_rng(k)) for k in range(4)]
