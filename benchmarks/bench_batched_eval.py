@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import SensitivityEngine
+from repro.core import SensitivityConfig, SensitivityEngine
 from repro.nn import Linear, ReLU, Sequential
 from repro.quant import QuantConfig, QuantizedWeightTable
 
@@ -63,13 +63,14 @@ def _setup(set_size=32):
     return model, table, x, y
 
 
-def _timed_measure(model, table, x, y, rounds=3, **engine_kwargs):
+def _timed_measure(model, table, x, y, rounds=3, **config):
     """Best-of-``rounds`` wall clock (resists scheduler noise)."""
-    engine = SensitivityEngine(model, table, strategy="segmented", **engine_kwargs)
+    engine = SensitivityEngine(model, table)
+    sens = SensitivityConfig(batch_size=32, **config)
     result, best = None, float("inf")
     for _ in range(rounds):
         t0 = time.perf_counter()
-        result = engine.measure(x, y, mode="full", batch_size=32)
+        result = engine.measure(x, y, sens, mode="full")
         best = min(best, time.perf_counter() - t0)
     return result, best
 

@@ -1,8 +1,10 @@
 """Segmented sensitivity-sweep performance: naive vs cached vs parallel.
 
 The naive Algorithm 1 re-runs the full network for every one of its
-``O((|B|I)^2)`` loss evaluations.  The segmented engine checkpoints the
-clean prefix once per batch and replays only perturbed suffixes (see
+``O((|B|I)^2)`` loss evaluations; the baseline here is exactly that work:
+a sequential sweep (``eval_batch_k=1``) of the model wrapped so it exposes
+no forward segments.  The segmented sweep checkpoints the clean prefix
+once per batch and replays only perturbed suffixes (see
 ``docs/algorithm.md`` §3a); this benchmark measures the realized speedup
 on a 10-layer ResNet-20 at smoke size, checks the acceptance bar
 (cached + parallel at least 2x faster than naive), verifies bitwise
@@ -18,8 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import SensitivityEngine
+from repro.core import SensitivityConfig, SensitivityEngine
 from repro.models import build_model, quantizable_layers
+from repro.nn import Module
 from repro.quant import QuantConfig, QuantizedWeightTable
 
 TRAJECTORY = Path(__file__).resolve().parent.parent / "reports" / (
@@ -39,10 +42,23 @@ def _setup(set_size=64, image=16):
     return model, table, x, y
 
 
-def _timed_measure(model, table, x, y, **engine_kwargs):
-    engine = SensitivityEngine(model, table, **engine_kwargs)
+class _Unsegmented(Module):
+    """The model without forward segments: every replay is a full forward."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+
+    def forward(self, x):
+        return self.inner.forward(x)
+
+
+def _timed_measure(model, table, x, y, **config):
+    engine = SensitivityEngine(model, table)
     t0 = time.time()
-    result = engine.measure(x, y, mode="full", batch_size=32)
+    result = engine.measure(
+        x, y, SensitivityConfig(batch_size=32, **config), mode="full"
+    )
     return result, time.time() - t0
 
 
@@ -51,15 +67,13 @@ def test_sensitivity_cache_speedup(benchmark, report):
     model, table, x, y = _setup()
 
     def run():
-        naive, t_naive = _timed_measure(model, table, x, y, strategy="naive")
-        cached, t_cached = _timed_measure(
-            model, table, x, y, strategy="segmented"
+        naive, t_naive = _timed_measure(
+            _Unsegmented(model), table, x, y, eval_batch_k=1
         )
+        cached, t_cached = _timed_measure(model, table, x, y)
         # 0 workers = all cores; on a single-core host this degrades to the
         # serial cached path, which must clear the bar on its own.
-        parallel, t_parallel = _timed_measure(
-            model, table, x, y, strategy="segmented", num_workers=0
-        )
+        parallel, t_parallel = _timed_measure(model, table, x, y, num_workers=0)
         return naive, t_naive, cached, t_cached, parallel, t_parallel
 
     naive, t_naive, cached, t_cached, parallel, t_parallel = benchmark.pedantic(

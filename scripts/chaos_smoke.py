@@ -62,7 +62,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro import telemetry  # noqa: E402
-from repro.core import SensitivityEngine  # noqa: E402
+from repro.core import SensitivityConfig, SensitivityEngine  # noqa: E402
 from repro.models import MODEL_REGISTRY, build_model, quantizable_layers  # noqa: E402
 from repro.nn import Linear, ReLU, Sequential  # noqa: E402
 from repro.quant import QuantConfig, QuantizedWeightTable  # noqa: E402
@@ -114,18 +114,14 @@ def sweep_chaos(tmp: Path) -> None:
     y = rng.integers(0, 3, size=20)
 
     def run(fault_plan=None, checkpoint=None):
-        engine = SensitivityEngine(
-            model, table, strategy="segmented", num_workers=2
-        )
-        return engine.measure(
-            x,
-            y,
-            mode="full",
+        config = SensitivityConfig(
             batch_size=8,
+            num_workers=2,
             checkpoint_path=None if checkpoint is None else str(checkpoint),
             checkpoint_every=4,
             fault_plan=fault_plan,
         )
+        return SensitivityEngine(model, table).measure(x, y, config, mode="full")
 
     clean = run()
 
@@ -246,15 +242,16 @@ def distrib_chaos(tmp: Path) -> None:
             model = build_model(name, num_classes=10)
             layers = quantizable_layers(model, name)
             table = QuantizedWeightTable(layers, QuantConfig(bits=(2, 4, 8)))
-            engine = SensitivityEngine(model, table, strategy="segmented")
-            return engine.measure(
-                x, y, mode=mode, batch_size=8,
-                shards=shards, num_workers=3, lease_ttl=1.0,
+            config = SensitivityConfig(
+                batch_size=8, shards=shards, num_workers=3, lease_ttl=1.0,
                 spool_dir=spool, fault_plan=fault_plan,
                 model_spec={
                     "import": "repro.models.registry:build_model",
                     "kwargs": {"name": name, "num_classes": 10},
                 },
+            )
+            return SensitivityEngine(model, table).measure(
+                x, y, config, mode=mode
             )
 
         reference = run()
@@ -287,7 +284,7 @@ def distrib_chaos(tmp: Path) -> None:
 
 def measurement_chaos(tmp: Path) -> None:
     """Check 5: corrupted measurements are caught and fully repaired."""
-    from repro.core import CLADO, SensitivityConfig, SolverConfig
+    from repro.core import CLADO, SolverConfig
     from repro.core.sweep import build_eval_plan
     from repro.quant import QuantConfig as _QuantConfig
     from repro.robustness import UnhealthyMatrixError
@@ -446,7 +443,7 @@ def store_chaos(tmp: Path) -> None:
     import subprocess
 
     from repro.atomicio import STALE_TMP_TTL
-    from repro.core import CLADO, SensitivityConfig, SolverConfig
+    from repro.core import CLADO, SolverConfig
     from repro.quant.export import CorruptArtifactError
     from repro.store import (
         ArtifactStore,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """AST lint: enforce the telemetry conventions inside ``src/repro/``.
 
-Eleven rules (see docs/observability.md and docs/robustness.md):
+Twelve rules (see docs/observability.md and docs/robustness.md):
 
 1. No ``time.time()`` — wall-clock arithmetic must use
    ``telemetry.monotonic()`` (an alias of ``time.perf_counter``) so spans
@@ -88,6 +88,15 @@ Eleven rules (see docs/observability.md and docs/robustness.md):
     review, also for layers no test puts at a segment boundary.
     Accumulating into a buffer the forward allocated (``out += identity``)
     is fine.
+12. No per-call state on the sweep objects — inside the classes
+    ``SensitivityEngine`` and ``SweepSession``, ``self.<attr> = ...``
+    (also augmented, annotated and tuple assignments, and in functions
+    nested in a method) may appear only in ``__init__``.  Every execution
+    option is resolved once from the frozen ``SensitivityConfig`` when a
+    session opens; a method that stashed a knob or a fault flag on
+    ``self`` would leak it into the next sweep, into forked workers that
+    inherit the object, and into shard sessions that must reproduce the
+    coordinator's losses bitwise.  Pass such values as arguments.
 
 Exit status 0 when clean, 1 with a ``path:line: message`` listing per
 violation.  Run via ``make lint`` (part of the default ``make`` target).
@@ -150,6 +159,9 @@ ALLOWED_IM2COL = "conv2d_backward"
 
 #: Rule 11: the packages whose forwards may not write into their input.
 INPUT_WRITE_DIRS = (TARGET / "nn", TARGET / "models")
+
+#: Rule 12: classes whose instance attributes are set only in ``__init__``.
+INIT_ONLY_STATE_CLASSES = {"SensitivityEngine", "SweepSession"}
 
 
 def _is_hot_path(func: ast.AST) -> bool:
@@ -489,8 +501,56 @@ def _input_write_violations(path: Path, tree: ast.AST):
                         yield node.lineno, f"out= names an input of forward(); {hint}"
 
 
+def _self_targets(target: ast.AST):
+    """``self.<attr>`` nodes an assignment target writes."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _self_targets(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _self_targets(target.value)
+    elif (
+        isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+    ):
+        yield target
+
+
+def _instance_state_violations(tree: ast.AST):
+    """Rule 12: ``self.<attr> = ...`` outside ``__init__`` in the sweep
+    classes."""
+    for cls in ast.walk(tree):
+        if not (
+            isinstance(cls, ast.ClassDef) and cls.name in INIT_ONLY_STATE_CLASSES
+        ):
+            continue
+        for method in cls.body:
+            if (
+                not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or method.name == "__init__"
+            ):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for attr in _self_targets(target):
+                        yield (
+                            node.lineno,
+                            f"self.{attr.attr} assigned in "
+                            f"{cls.name}.{method.name}(); sweep objects hold "
+                            "no per-call state: set attributes in __init__ "
+                            "and pass per-call values as arguments",
+                        )
+
+
 def _violations(path: Path, tree: ast.AST, source_lines):
     yield from _swallow_violations(path, tree, source_lines)
+    yield from _instance_state_violations(tree)
     yield from _scipy_violations(tree)
     yield from _power_violations(path, tree)
     yield from _im2col_violations(tree)

@@ -90,7 +90,6 @@ def _allocate_body(args, run) -> int:
             "act_bits": config.act_bits,
         }
     sens_config = SensitivityConfig(
-        strategy="naive" if args.naive_sweep else "auto",
         num_workers=args.workers,
         checkpoint_path=args.sweep_checkpoint,
         eval_batch_k=args.eval_batch_k,
@@ -234,7 +233,6 @@ def _cmd_allocate(args) -> int:
                 "avg_bits": args.avg_bits,
                 "set_size": args.set_size,
                 "workers": args.workers,
-                "naive_sweep": bool(args.naive_sweep),
             },
             manifest_dir=args.manifest_dir,
         )
@@ -620,11 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep-checkpoint",
         default=None,
         help="path for periodic sweep checkpoints; reruns resume from it",
-    )
-    p.add_argument(
-        "--naive-sweep",
-        action="store_true",
-        help="disable prefix-cached segmented replay (full forward per eval)",
     )
     p.add_argument(
         "--eval-batch-k",

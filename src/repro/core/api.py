@@ -7,8 +7,9 @@ interpreted its own untyped ``**kwargs`` (``HAWQ(probes=, seed=)``,
 algorithms.  This module is the single vocabulary both speak:
 
 - :class:`SensitivityConfig` — every measurement-phase knob
-  (sweep execution strategy, worker fan-out, cache budget, checkpoint
-  resume, Hutchinson probes...);
+  (worker fan-out, cache budget, checkpoint resume, stack width,
+  Hutchinson probes...); the sensitivity engine reads all of its
+  execution options from it;
 - :class:`SolverConfig` — every allocation-phase knob (method, time
   limit, node cap, PSD assumption);
 - :class:`AllocationResult` — what ``allocate`` returns: the concrete
@@ -25,12 +26,11 @@ is the typed failure for budgets below the all-minimum-bits size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from ..robustness.faults import FaultPlan
 from ..solvers.problem import InfeasibleBudgetError
-from .sensitivity import DEFAULT_CACHE_BUDGET, DEFAULT_MAX_RETRIES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .clado import MPQAlgorithm, MPQAssignment
@@ -39,11 +39,27 @@ __all__ = [
     "SensitivityConfig",
     "SolverConfig",
     "AllocationResult",
+    "DEFAULT_CACHE_BUDGET",
+    "DEFAULT_MAX_RETRIES",
+    "DEFAULT_LEASE_TTL",
     "InfeasibleBudgetError",
     "ALGORITHM_KINDS",
     "algorithm_specs",
     "build_algorithm",
 ]
+
+#: Default number of activation checkpoints each prefix cache may hold.
+DEFAULT_CACHE_BUDGET = 16
+
+#: Times a failed group is re-queued (to surviving workers, then serially)
+#: before the sweep gives up with :class:`repro.robustness.SweepFailure`.
+DEFAULT_MAX_RETRIES = 2
+
+#: Wall-clock seconds a sharded-sweep lease may go without a heartbeat
+#: before the coordinator's reaper revokes it (see ``repro.distrib``).
+#: Lives here rather than in ``repro.distrib`` so config layers can name
+#: the default without importing the (subprocess-spawning) subsystem.
+DEFAULT_LEASE_TTL = 30.0
 
 
 @dataclass(frozen=True)
@@ -58,12 +74,13 @@ class SensitivityConfig:
 
     # Shared
     batch_size: int = 256
-    # CLADO sweep execution (see SensitivityEngine)
-    strategy: str = "auto"  # "auto" | "naive" | "segmented"
-    num_workers: int = 1  # 0 = all cores
+    # CLADO sweep execution (see SensitivityEngine / SweepSession)
+    num_workers: int = 1  # fork workers; 0 = all cores
     cache_budget: Optional[int] = DEFAULT_CACHE_BUDGET  # None = unbounded
-    checkpoint_path: Optional[str] = None
+    checkpoint_path: Optional[str] = None  # periodic resume checkpoint
     checkpoint_every: int = 32
+    # Extension beyond the paper: diagonals by the symmetric second
+    # difference L(w+Δ) + L(w-Δ) - 2L(w), at |B|I extra evaluations.
     symmetric_diag: bool = False
     eval_batch_k: int = 0  # candidate configs per stacked replay; 0 = auto
     # Fault tolerance (see docs/robustness.md)
@@ -84,41 +101,21 @@ class SensitivityConfig:
     probes: int = 8
     seed: int = 0
 
-    def engine_kwargs(self) -> dict:
-        """Keyword arguments for ``SensitivityEngine.measure``.
-
-        ``health_repair`` is not an engine knob — the repair ladder runs
-        in ``CLADO._prepare`` on the assembled matrix — so only the
-        detection/quarantine fields are forwarded here.
-        """
-        return {
-            "batch_size": self.batch_size,
-            "strategy": self.strategy,
-            "num_workers": self.num_workers,
-            "cache_budget": self.cache_budget,
-            "checkpoint_path": self.checkpoint_path,
-            "checkpoint_every": self.checkpoint_every,
-            "symmetric_diag": self.symmetric_diag,
-            "eval_batch_k": self.eval_batch_k,
-            "cache_bytes": self.cache_bytes,
-            "group_deadline": self.group_deadline,
-            "max_retries": self.max_retries,
-            "fault_plan": self.fault_plan,
-            "health": self.health,
-            "health_rounds": self.health_rounds,
-            "shards": self.shards,
-            "lease_ttl": self.lease_ttl,
-            "spool_dir": self.spool_dir,
-            "model_spec": self.model_spec,
-        }
+    def __post_init__(self) -> None:
+        if self.eval_batch_k < 0:
+            raise ValueError(f"eval_batch_k must be >= 0, got {self.eval_batch_k}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.health not in ("off", "warn", "strict"):
+            raise ValueError(f"unknown health mode {self.health!r}")
+        if self.health_rounds < 0:
+            raise ValueError(
+                f"health_rounds must be >= 0, got {self.health_rounds}"
+            )
 
     def with_overrides(self, **overrides) -> "SensitivityConfig":
         """A copy with the given fields replaced (unknown names rejected)."""
         return replace(self, **overrides)
-
-    @classmethod
-    def field_names(cls) -> Tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -141,31 +138,6 @@ class SolverConfig:
 
     def with_overrides(self, **overrides) -> "SolverConfig":
         return replace(self, **overrides)
-
-    @classmethod
-    def from_legacy_kwargs(
-        cls, base: Optional["SolverConfig"] = None, **kwargs
-    ) -> "SolverConfig":
-        """Fold pre-redesign ``allocate(**kwargs)`` names into a config.
-
-        ``solver_method=`` becomes ``method``; recognized tuning fields map
-        onto their typed slots; anything else rides along in ``options``.
-        """
-        config = base or cls()
-        updates: Dict[str, object] = {}
-        if "solver_method" in kwargs:
-            updates["method"] = kwargs.pop("solver_method")
-        for name in (
-            "method", "time_limit", "max_nodes", "gap_tol", "assume_psd",
-            "deadline",
-        ):
-            if name in kwargs:
-                updates[name] = kwargs.pop(name)
-        if kwargs:
-            merged = dict(config.options)
-            merged.update(kwargs)
-            updates["options"] = merged
-        return config.with_overrides(**updates) if updates else config
 
 
 @dataclass

@@ -17,7 +17,6 @@ CLADO with reduced measurement modes).
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -69,31 +68,8 @@ class HAWQ(_SeparableBaseline):
 
     name = "HAWQ"
 
-    def __init__(
-        self,
-        *args,
-        probes: Optional[int] = None,
-        seed: Optional[int] = None,
-        **kwargs,
-    ) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # Constructor-level probes=/seed= predate SensitivityConfig; fold
-        # them into the algorithm's default config so both paths agree.
-        if probes is not None or seed is not None:
-            warnings.warn(
-                "HAWQ(probes=, seed=) is deprecated; pass "
-                "SensitivityConfig(probes=, seed=) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides = {}
-            if probes is not None:
-                overrides["probes"] = probes
-            if seed is not None:
-                overrides["seed"] = seed
-            self.sensitivity_config = self.sensitivity_config.with_overrides(
-                **overrides
-            )
         self.traces: Optional[np.ndarray] = None
 
     @property

@@ -10,9 +10,6 @@ The allocator API (see :mod:`repro.core.api`): ``prepare(x, y, config)``
 takes a typed :class:`SensitivityConfig`, ``allocate(budget_bits, solver)``
 takes a typed :class:`SolverConfig` and returns an
 :class:`AllocationResult` wrapping the concrete :class:`MPQAssignment`.
-Pre-redesign keyword arguments (``strategy=``, ``solver_method=``,
-``time_limit=``...) still work through deprecation shims that fold them
-into the typed configs.
 """
 
 from __future__ import annotations
@@ -64,17 +61,6 @@ class MPQAssignment:
         )
 
 
-def _deprecated_kwargs(method: str, names) -> None:
-    warnings.warn(
-        f"passing untyped keyword arguments ({', '.join(sorted(names))}) to "
-        f"{method} is deprecated; use the typed "
-        f"{'SolverConfig' if method == 'allocate' else 'SensitivityConfig'} "
-        "instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class MPQAlgorithm:
     """Shared skeleton for sensitivity-based MPQ algorithms.
 
@@ -111,33 +97,16 @@ class MPQAlgorithm:
         self.prepare_time = 0.0
 
     # -- API -------------------------------------------------------------------
-    def _effective_sensitivity_config(
-        self, config: Optional[SensitivityConfig], legacy: dict
-    ) -> SensitivityConfig:
-        effective = config or self.sensitivity_config
-        if legacy:
-            known = set(SensitivityConfig.field_names())
-            unknown = set(legacy) - known
-            if unknown:
-                raise TypeError(
-                    f"unknown prepare() arguments: {sorted(unknown)}"
-                )
-            _deprecated_kwargs("prepare", legacy)
-            effective = effective.with_overrides(**legacy)
-        return effective
-
     def prepare(
         self,
         x: np.ndarray,
         y: np.ndarray,
         config: Optional[SensitivityConfig] = None,
-        **legacy_kwargs,
     ) -> None:
         """Measure sensitivities on the sensitivity set ``(x, y)``."""
-        effective = self._effective_sensitivity_config(config, legacy_kwargs)
         t0 = telemetry.monotonic()
         with telemetry.span("prepare", algorithm=self.name):
-            self._prepare(x, y, effective)
+            self._prepare(x, y, config or self.sensitivity_config)
         self.prepare_time = telemetry.monotonic() - t0
         self.prepared = True
 
@@ -145,18 +114,15 @@ class MPQAlgorithm:
         self,
         budget_bits: int,
         solver: Optional[SolverConfig] = None,
-        **legacy_kwargs,
     ) -> AllocationResult:
         """Pick bit-widths for one size budget (requires ``prepare`` first).
 
         Returns an :class:`AllocationResult`; its attributes fall through
-        to the wrapped :class:`MPQAssignment` for legacy callers.
+        to the wrapped :class:`MPQAssignment`.
         """
         if not self.prepared:
             raise RuntimeError(f"{self.name}: call prepare() before allocate()")
-        if legacy_kwargs:
-            _deprecated_kwargs("allocate", legacy_kwargs)
-        solver = SolverConfig.from_legacy_kwargs(solver, **legacy_kwargs)
+        solver = solver or SolverConfig()
         budget_bits = int(budget_bits)
         min_bits = sum(layer.num_params for layer in self.layers) * min(
             self.config.bits
@@ -289,7 +255,7 @@ class CLADO(MPQAlgorithm):
         self, x: np.ndarray, y: np.ndarray, config: SensitivityConfig
     ) -> None:
         engine = SensitivityEngine(self.model, self.table, self.criterion)
-        self.raw = engine.measure(x, y, mode=self.mode, **config.engine_kwargs())
+        self.raw = engine.measure(x, y, config, mode=self.mode)
         self._repair_and_project(
             self.raw,
             HealthPolicy(

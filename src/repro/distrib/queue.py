@@ -1,11 +1,12 @@
 """Coordinator: elastic sharded sweeps over the spool work queue.
 
-:func:`measure_sharded` is the distributed twin of the segmented
-``SensitivityEngine.measure`` path.  It serializes the sweep into a spool
-directory (job spec, data, weights, gen-0 work tickets), spawns ``N``
-worker *processes* (``python -m repro sweep-worker``; no shared memory —
-each rebuilds the model from the spec), then supervises the queue until
-every shard has a valid completion:
+:func:`measure_sharded` is the distributed twin of the single-process
+``SensitivityEngine.measure`` path; both sides run the sweep through a
+:class:`~repro.core.sensitivity.SweepSession`.  It serializes the sweep
+into a spool directory (job spec, data, weights, gen-0 work tickets),
+spawns ``N`` worker *processes* (``python -m repro sweep-worker``; no
+shared memory — each rebuilds the model from the spec), then supervises
+the queue until every shard has a valid completion:
 
 - **reaper** — a lease whose mtime stops advancing past the TTL is
   revoked and its shard re-queued as the next lease generation, with
@@ -37,15 +38,14 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from ..atomicio import atomic_write_json
 from ..quant.export import wall_now
-from ..robustness.faults import ENV_VAR, FaultPlan
-from ..robustness.health import HealthPolicy
+from ..robustness.faults import ENV_VAR
 from . import lease as lease_ops
 from .merge import merge_checkpoints, validate_part
 from .spool import ShardProtocolError, Spool, partition_groups
@@ -122,49 +122,38 @@ def _quarantine(spool: Spool, reason: str, *paths) -> None:
 
 
 def measure_sharded(
-    engine,
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    mode: str,
-    blocks=None,
-    batch_size: int = 256,
-    symmetric_diag: bool = False,
-    shards: int = 2,
-    num_workers: int = 2,
-    lease_ttl: float = 30.0,
-    spool_dir: Optional[str] = None,
-    model_spec: Optional[dict] = None,
-    eval_batch_k: int = 1,
-    cache_budget: Optional[int] = None,
-    cache_bytes: Optional[int] = None,
-    max_retries: int = 2,
-    fault_plan: Optional[FaultPlan] = None,
-    health: str = "off",
-    health_policy: Optional[HealthPolicy] = None,
-    progress: bool = False,
+    engine, x: np.ndarray, y: np.ndarray, config, *, mode: str, blocks=None,
+    progress=None,
 ):
     """Run one sensitivity sweep sharded across spawned worker processes.
 
-    Returns the same :class:`~repro.core.sensitivity.SensitivityResult`
-    as the single-process segmented sweep, with ``extras["strategy"] ==
-    "distributed"`` plus the protocol counters.  Raises
-    :class:`ShardProtocolError` when the protocol cannot complete: a
-    shard out of retries, every worker dead with no respawn budget, or
-    merged losses that do not cover the plan.
+    ``config`` is the :class:`~repro.core.api.SensitivityConfig` of the
+    sweep: ``shards`` shards go to ``num_workers`` spawned processes that
+    rebuild the model from ``model_spec``, with ``lease_ttl``,
+    ``spool_dir`` and ``max_retries`` driving the protocol.  Returns the
+    same :class:`~repro.core.sensitivity.SensitivityResult` as the
+    single-process sweep, with ``extras["strategy"] == "distributed"``
+    plus the protocol counters.  Raises :class:`ShardProtocolError` when
+    the protocol cannot complete: a shard out of retries, every worker
+    dead with no respawn budget, or merged losses that do not cover the
+    plan.  A truthy ``progress`` prints protocol events.
     """
-    from ..core.sensitivity import SensitivityResult, ShardSession
+    from ..core.api import DEFAULT_LEASE_TTL
+    from ..core.sensitivity import SensitivityResult, SweepSession
 
+    model_spec = config.model_spec
     if model_spec is None or "import" not in model_spec:
         raise ValueError(
             "sharded sweeps need a model_spec with an 'import' builder "
             "(workers rebuild the model from scratch; there is no fork)"
         )
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    lease_ttl = float(lease_ttl)
+    lease_ttl = float(
+        DEFAULT_LEASE_TTL if config.lease_ttl is None else config.lease_ttl
+    )
     if lease_ttl <= 0:
         raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
+    max_retries = config.max_retries
+    spool_dir = config.spool_dir
 
     t0 = telemetry.monotonic()
     own_spool = spool_dir is None
@@ -180,36 +169,33 @@ def measure_sharded(
     spool.write_npz(spool.data_path, {"x": np.asarray(x), "y": np.asarray(y)})
     spool.write_npz(spool.weights_path, dict(engine.model.state_dict()))
 
-    session = ShardSession(
-        engine, x, y,
-        mode=mode, blocks=blocks, batch_size=batch_size,
-        symmetric_diag=symmetric_diag, eval_batch_k=eval_batch_k,
-        cache_budget=cache_budget, cache_bytes=cache_bytes,
-    )
+    session = SweepSession(engine, x, y, config, mode=mode, blocks=blocks)
+    num_workers = session.num_workers
+    fault_plan = session.fault_plan
     fingerprint = session.fingerprint()
-    partition = partition_groups(session.plan, shards)
+    partition = partition_groups(session.plan, config.shards)
     nshards = len(partition)
     shard_indices: Dict[int, Set[int]] = {
         s: {i for gi in groups for i in session.group_indices(gi)}
         for s, groups in enumerate(partition)
     }
-    config = engine.table.config
+    quant = engine.table.config
     job = {
         "model": dict(model_spec),
         "layers": [layer.name for layer in engine.table.layers],
         "quant": {
-            "bits": [int(b) for b in config.bits],
-            "scheme": str(config.scheme),
-            "act_bits": int(config.act_bits),
+            "bits": [int(b) for b in quant.bits],
+            "scheme": str(quant.scheme),
+            "act_bits": int(quant.act_bits),
         },
         "sweep": {
             "mode": mode,
             "blocks": list(blocks) if blocks else None,
-            "batch_size": int(batch_size),
-            "symmetric_diag": bool(symmetric_diag),
-            "eval_batch_k": int(eval_batch_k),
-            "cache_budget": cache_budget,
-            "cache_bytes": cache_bytes,
+            "batch_size": int(config.batch_size),
+            "symmetric_diag": bool(config.symmetric_diag),
+            "eval_batch_k": int(session.eval_batch_k),
+            "cache_budget": config.cache_budget,
+            "cache_bytes": config.cache_bytes,
         },
         "fingerprint": fingerprint,
         "lease_ttl": lease_ttl,
@@ -445,16 +431,13 @@ def measure_sharded(
                     f"unmeasured (first: {missing[:5]})"
                 )
 
-            matrix, single = session.assemble(merged, fault_plan)
+            matrix, single = session.assemble(merged)
             health_report = None
             health_extras = None
-            if health != "off":
-                policy = health_policy or HealthPolicy()
+            if config.health != "off":
                 with telemetry.span("sweep.health"):
-                    health_report, health_extras = engine._health_pass(
-                        session.plan, matrix, single, session.base_loss,
-                        merged, session.clean, session.batches, session.n,
-                        policy, fault_plan,
+                    health_report, health_extras = session.health_pass(
+                        matrix, single, merged
                     )
     finally:
         for wid, proc, log in workers:
@@ -474,7 +457,7 @@ def measure_sharded(
         "spool": str(root),
         "plan_groups": len(session.plan.groups),
         "plan_evals": session.plan.num_evals,
-        "eval_batch_k": eval_batch_k,
+        "eval_batch_k": session.eval_batch_k,
         "max_retries": max_retries,
         "merged_parts": len(parts),
         "injected_fault_plan": (

@@ -183,11 +183,12 @@ def rebuild_session(spool: Spool, job: dict):
     Rebuilds the model from the builder spec, loads the serialized
     weights, re-applies activation calibration (deterministic given the
     same data), rebuilds the quantized-weight table, and opens a
-    :class:`~repro.core.sensitivity.ShardSession`.  Every step is a
+    :class:`~repro.core.sensitivity.SweepSession`.  Every step is a
     deterministic function of the spool bytes, so the session's
     fingerprint must equal the job's — checked by the caller.
     """
-    from ..core.sensitivity import SensitivityEngine, ShardSession
+    from ..core.api import SensitivityConfig
+    from ..core.sensitivity import SensitivityEngine, SweepSession
     from ..models.registry import QuantizableLayer
     from ..quant import QuantConfig, QuantizedWeightTable
 
@@ -226,18 +227,18 @@ def rebuild_session(spool: Spool, job: dict):
             act_bits=int(quant.get("act_bits", 8)),
         ),
     )
-    engine = SensitivityEngine(model, table, strategy="segmented")
     sweep = job["sweep"]
-    session = ShardSession(
-        engine,
-        x,
-        y,
-        mode=str(sweep["mode"]),
-        blocks=sweep.get("blocks"),
+    # No fault plan in the config: the worker loop injects the job's shard
+    # faults itself, and the spawned environment carries no
+    # REPRO_FAULT_PLAN.
+    config = SensitivityConfig(
         batch_size=int(sweep["batch_size"]),
         symmetric_diag=bool(sweep["symmetric_diag"]),
         eval_batch_k=int(sweep["eval_batch_k"]),
         cache_budget=sweep.get("cache_budget"),
         cache_bytes=sweep.get("cache_bytes"),
     )
-    return session
+    return SweepSession(
+        SensitivityEngine(model, table), x, y, config,
+        mode=str(sweep["mode"]), blocks=sweep.get("blocks"),
+    )

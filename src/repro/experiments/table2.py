@@ -16,9 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import SensitivityEngine
 from ..hessian import vhv
-from ..models import quantizable_layers
+from ..models import evaluate_model, quantizable_layers
 from ..nn import CrossEntropyLoss
 from ..quant import QuantConfig, QuantizedWeightTable
 from .runner import ExperimentContext
@@ -74,15 +73,18 @@ def run_table2(
 
     x, y = ctx.sensitivity_data()
     criterion = CrossEntropyLoss()
-    engine = SensitivityEngine(model, table, criterion)
-    base_loss = engine._loss(x, y, batch_size=256)
+
+    def set_loss() -> float:
+        return evaluate_model(model, x, y, 256)[0]
+
+    base_loss = set_loss()
 
     rows: List[Vhvrow] = []
     for layer_idx, bits in layer_picks:
         delta = table.delta(layer_idx, bits).astype(np.float64).ravel()
         # Fast method (Eq. 12): 2 * (L(w + dw) - L(w)).
         with table.perturbed((layer_idx, bits)):
-            plus_loss = engine._loss(x, y, batch_size=256)
+            plus_loss = set_loss()
         # Symmetric second difference: L(w+v) + L(w-v) - 2 L(w) cancels the
         # first- and third-order Taylor terms, isolating v^T H v.
         original = table.original[layer_idx]
@@ -91,7 +93,7 @@ def run_table2(
             layer.weight.data = (
                 2.0 * original - table.quantized(layer_idx, bits)
             ).astype(original.dtype)
-            minus_loss = engine._loss(x, y, batch_size=256)
+            minus_loss = set_loss()
         finally:
             layer.weight.data = original
         fast = 2.0 * (plus_loss - base_loss)

@@ -1,10 +1,91 @@
-"""Shared test utilities: numeric gradient checking and tiny fixtures."""
+"""Shared test utilities: numeric gradient checking, tiny fixtures, and
+the literal Algorithm 1 the sensitivity sweep is checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.sensitivity import SensitivityResult, build_pair_list
 from repro.nn import CrossEntropyLoss, Module
+
+
+class Unsegmented(Module):
+    """``inner`` without forward segments: a sweep of it runs as the
+    single segment ``[model]``, every replay a full forward."""
+
+    def __init__(self, inner: Module) -> None:
+        super().__init__()
+        self.inner = inner
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.inner.forward(x)
+
+
+def naive_sweep(
+    model: Module,
+    table,
+    x: np.ndarray,
+    y: np.ndarray,
+    mode: str = "full",
+    blocks=None,
+    batch_size: int = 256,
+    symmetric_diag: bool = False,
+) -> SensitivityResult:
+    """The literal Algorithm 1, the oracle for the sweep's equivalence.
+
+    One full forward per evaluation under ``table.perturbed`` (or
+    ``table.mirrored`` for the symmetric diagonal), with no prefix caches
+    and no chunks, and the per-batch loss reduction the sweep uses.
+    """
+    criterion = CrossEntropyLoss()
+    model.eval()
+
+    def loss() -> float:
+        total = 0.0
+        for start in range(0, len(x), batch_size):
+            xb, yb = x[start : start + batch_size], y[start : start + batch_size]
+            total += criterion.forward(model.forward(xb), yb) * len(xb)
+        return total / len(x)
+
+    bits = table.config.bits
+    nb = len(bits)
+    num_layers = len(table.layers)
+    matrix = np.zeros((num_layers * nb, num_layers * nb))
+    single = np.zeros((num_layers, nb))
+    with model.no_grad():
+        base = loss()
+        evals = 1
+        for i in range(num_layers):
+            for m, b in enumerate(bits):
+                with table.perturbed((i, b)):
+                    single[i, m] = loss()
+                evals += 1
+                if symmetric_diag:
+                    with table.mirrored(i, b):
+                        minus = loss()
+                    evals += 1
+                    omega = single[i, m] + minus - 2.0 * base
+                else:
+                    omega = 2.0 * (single[i, m] - base)
+                matrix[i * nb + m, i * nb + m] = omega
+        for i, j in build_pair_list(table.layers, mode, blocks):
+            for m, bm in enumerate(bits):
+                for n, bn in enumerate(bits):
+                    with table.perturbed((i, bm), (j, bn)):
+                        pair = loss()
+                    evals += 1
+                    omega = pair + base - single[i, m] - single[j, n]
+                    matrix[i * nb + m, j * nb + n] = omega
+                    matrix[j * nb + n, i * nb + m] = omega
+    return SensitivityResult(
+        matrix=matrix,
+        base_loss=base,
+        single_losses=single,
+        num_evals=evals,
+        wall_time=0.0,
+        mode=mode,
+        bits=tuple(bits),
+    )
 
 
 def numeric_param_grad(

@@ -1,4 +1,4 @@
-"""Unified allocator API: typed configs, AllocationResult, legacy shims."""
+"""Unified allocator API: typed configs, AllocationResult, the factory."""
 
 import numpy as np
 import pytest
@@ -34,29 +34,24 @@ def small_setup():
 class TestSensitivityConfig:
     def test_defaults_are_auto_single_worker(self):
         cfg = SensitivityConfig()
-        assert cfg.strategy == "auto"
+        assert cfg.eval_batch_k == 0  # auto stack width
         assert cfg.num_workers == 1
         assert cfg.checkpoint_path is None
 
     def test_frozen(self):
         cfg = SensitivityConfig()
         with pytest.raises(Exception):
-            cfg.strategy = "naive"
+            cfg.eval_batch_k = 1
 
     def test_with_overrides(self):
-        cfg = SensitivityConfig().with_overrides(num_workers=4, strategy="naive")
+        cfg = SensitivityConfig().with_overrides(num_workers=4, eval_batch_k=1)
         assert cfg.num_workers == 4
-        assert cfg.strategy == "naive"
+        assert cfg.eval_batch_k == 1
         assert cfg.batch_size == SensitivityConfig().batch_size
 
     def test_with_overrides_rejects_unknown(self):
         with pytest.raises(TypeError):
             SensitivityConfig().with_overrides(bogus=1)
-
-    def test_engine_kwargs_subset(self):
-        kwargs = SensitivityConfig(num_workers=3).engine_kwargs()
-        assert kwargs["num_workers"] == 3
-        assert "probes" not in kwargs  # HAWQ-only knob stays out
 
 
 class TestSolverConfig:
@@ -64,14 +59,6 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.method == "auto"
         assert cfg.time_limit == 20.0
-
-    def test_from_legacy_kwargs(self):
-        cfg = SolverConfig.from_legacy_kwargs(
-            solver_method="bb", time_limit=3.0, mystery_knob=7
-        )
-        assert cfg.method == "bb"
-        assert cfg.time_limit == 3.0
-        assert cfg.options["mystery_knob"] == 7
 
     def test_with_overrides(self):
         cfg = SolverConfig().with_overrides(max_nodes=5)
@@ -104,7 +91,7 @@ class TestBuildAlgorithm:
 
     def test_sensitivity_config_threaded_through(self, small_setup):
         model, _, _ = small_setup
-        sens = SensitivityConfig(num_workers=2, strategy="naive")
+        sens = SensitivityConfig(num_workers=2, eval_batch_k=1)
         algo = build_algorithm("clado", model, "resnet_s20", CFG, sensitivity=sens)
         assert algo.sensitivity_config is sens
 
@@ -118,7 +105,7 @@ class TestAllocationResult:
             model,
             "resnet_s20",
             CFG,
-            sensitivity=SensitivityConfig(strategy="naive"),
+            sensitivity=SensitivityConfig(eval_batch_k=1),
         )
         algo.prepare(x, y)
         budget = int(algo.layer_sizes().sum()) * 4
@@ -163,19 +150,12 @@ class TestAllocationResult:
 
 
 class TestLegacyShims:
-    def test_allocate_time_limit_kwarg_warns_but_works(self, small_setup):
-        model, x, y = small_setup
-        algo = build_algorithm("clado_star", model, "resnet_s20", CFG)
-        algo.prepare(x, y)
-        budget = int(algo.layer_sizes().sum()) * 4
-        with pytest.warns(DeprecationWarning):
-            res = algo.allocate(budget, time_limit=5.0)
-        assert isinstance(res, AllocationResult)
-
     def test_hawq_probes_ctor_kwarg_warns(self, small_setup):
+        """HAWQ's probe count comes from its SensitivityConfig."""
         model, _, _ = small_setup
-        with pytest.warns(DeprecationWarning):
-            algo = HAWQ(model, "resnet_s20", CFG, probes=2)
+        algo = HAWQ(
+            model, "resnet_s20", CFG, sensitivity=SensitivityConfig(probes=2)
+        )
         assert algo.sensitivity_config.probes == 2
         assert algo.probes == 2
 

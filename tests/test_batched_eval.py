@@ -4,8 +4,10 @@ batched sweep/evaluation paths' exactness guarantees."""
 import numpy as np
 import pytest
 
+from helpers import naive_sweep
 from repro import telemetry
 from repro.core import (
+    SensitivityConfig,
     SensitivityEngine,
     auto_eval_batch_k,
     build_batch_chunks,
@@ -220,21 +222,23 @@ class TestChunkPlanning:
             build_batch_chunks([], num_segments=3, max_k=0)
 
 
+def _sweep(model, table, x, y, **config):
+    return SensitivityEngine(model, table).measure(
+        x, y, SensitivityConfig(batch_size=8, **config)
+    )
+
+
 class TestBatchedSweepEquivalence:
     """The acceptance property: batched replay changes nothing but speed."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_matches_naive_and_sequential(self, mlp_setup, workers):
         model, layers, table, x, y = mlp_setup
-        naive = SensitivityEngine(model, table, strategy="naive").measure(
-            x, y, batch_size=8
-        )
-        seq = SensitivityEngine(
-            model, table, strategy="segmented", eval_batch_k=1
-        ).measure(x, y, batch_size=8)
-        fast = SensitivityEngine(
-            model, table, strategy="segmented", num_workers=workers
-        ).measure(x, y, batch_size=8)
+        naive = naive_sweep(model, table, x, y, batch_size=8)
+        seq = _sweep(model, table, x, y, eval_batch_k=1)
+        fast = _sweep(model, table, x, y, num_workers=workers)
+        # A width-1 sweep stacks nothing: it is the sequential engine.
+        assert seq.extras["batched_chunks"] == seq.extras["batched_evals"] == 0
         assert fast.extras["eval_batch_k"] > 1
         assert fast.extras["batched_chunks"] > 0
         assert fast.extras["batched_evals"] > 0
@@ -250,12 +254,8 @@ class TestBatchedSweepEquivalence:
 
     def test_identical_argmin_assignment(self, mlp_setup):
         model, layers, table, x, y = mlp_setup
-        seq = SensitivityEngine(
-            model, table, strategy="segmented", eval_batch_k=1
-        ).measure(x, y, batch_size=8)
-        fast = SensitivityEngine(model, table, strategy="segmented").measure(
-            x, y, batch_size=8
-        )
+        seq = _sweep(model, table, x, y, eval_batch_k=1)
+        fast = _sweep(model, table, x, y)
         # Tolerance-equal G-hat plus bitwise diagonals: any downstream
         # per-(layer, bit) argmin agrees exactly.
         bits = np.asarray(table.config.bits)
@@ -268,23 +268,15 @@ class TestBatchedSweepEquivalence:
 
     def test_explicit_small_batch_k(self, mlp_setup):
         model, layers, table, x, y = mlp_setup
-        seq = SensitivityEngine(
-            model, table, strategy="segmented", eval_batch_k=1
-        ).measure(x, y, batch_size=8)
-        k2 = SensitivityEngine(
-            model, table, strategy="segmented", eval_batch_k=2
-        ).measure(x, y, batch_size=8)
+        seq = _sweep(model, table, x, y, eval_batch_k=1)
+        k2 = _sweep(model, table, x, y, eval_batch_k=2)
         assert k2.extras["batch_width_max"] <= 2
         np.testing.assert_allclose(k2.matrix, seq.matrix, atol=1e-6)
 
     def test_batched_does_fewer_segment_forwards(self, mlp_setup):
         model, layers, table, x, y = mlp_setup
-        seq = SensitivityEngine(
-            model, table, strategy="segmented", eval_batch_k=1
-        ).measure(x, y, batch_size=8)
-        fast = SensitivityEngine(model, table, strategy="segmented").measure(
-            x, y, batch_size=8
-        )
+        seq = _sweep(model, table, x, y, eval_batch_k=1)
+        fast = _sweep(model, table, x, y)
         assert (
             fast.extras["segment_forwards"] < seq.extras["segment_forwards"]
         )
@@ -292,7 +284,7 @@ class TestBatchedSweepEquivalence:
     def test_invalid_eval_batch_k(self, mlp_setup):
         model, layers, table, x, y = mlp_setup
         with pytest.raises(ValueError):
-            SensitivityEngine(model, table, strategy="segmented", eval_batch_k=-1)
+            SensitivityConfig(eval_batch_k=-1)
 
     def test_auto_eval_batch_k_bounds(self):
         x = np.zeros((8, 3, 32, 32), dtype=np.float32)

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import CLADO, HAWQ, MPQCO, AllocationResult, upq_assignment
+from repro.core import (
+    CLADO,
+    HAWQ,
+    MPQCO,
+    AllocationResult,
+    SensitivityConfig,
+    SolverConfig,
+    upq_assignment,
+)
 from repro.core.clado import MPQAssignment
 from repro.data import make_dataset
 from repro.models import build_model
@@ -29,7 +37,7 @@ class TestCLADOPipeline:
         clado.prepare(x, y)
         sizes = clado.layer_sizes()
         budget = int(sizes.sum()) * 4
-        assignment = clado.allocate(budget, time_limit=10)
+        assignment = clado.allocate(budget, SolverConfig(time_limit=10))
         assert isinstance(assignment, AllocationResult)
         assert isinstance(assignment.assignment, MPQAssignment)
         assert assignment.solver_status in {"optimal", "incumbent"}
@@ -83,7 +91,9 @@ class TestCLADOPipeline:
         before = [p.data.copy() for p in model.parameters()]
         clado = CLADO(model, "resnet_s20", CFG)
         clado.prepare(x, y)
-        clado.allocate(int(clado.layer_sizes().sum()) * 4, time_limit=5)
+        clado.allocate(
+            int(clado.layer_sizes().sum()) * 4, SolverConfig(time_limit=5)
+        )
         for p, b in zip(model.parameters(), before):
             np.testing.assert_array_equal(p.data, b)
 
@@ -93,7 +103,9 @@ class TestCLADOPipeline:
         clado.prepare(x, y)
         total = int(clado.layer_sizes().sum())
         preds = [
-            clado.allocate(total * avg, time_limit=10).predicted_loss_increase
+            clado.allocate(
+                total * avg, SolverConfig(time_limit=10)
+            ).predicted_loss_increase
             for avg in (3, 5, 7)
         ]
         assert preds[0] >= preds[1] - 1e-9
@@ -111,7 +123,9 @@ class TestCLADOPipeline:
 class TestBaselines:
     def test_hawq_costs_nonnegative(self, small_setup):
         model, x, y = small_setup
-        hawq = HAWQ(model, "resnet_s20", CFG, probes=2)
+        hawq = HAWQ(
+            model, "resnet_s20", CFG, sensitivity=SensitivityConfig(probes=2)
+        )
         hawq.prepare(x, y)
         assert hawq.costs.shape == (len(hawq.layers), 3)
         assert (hawq.costs >= 0).all()
@@ -120,7 +134,9 @@ class TestBaselines:
 
     def test_hawq_allocation_feasible(self, small_setup):
         model, x, y = small_setup
-        hawq = HAWQ(model, "resnet_s20", CFG, probes=2)
+        hawq = HAWQ(
+            model, "resnet_s20", CFG, sensitivity=SensitivityConfig(probes=2)
+        )
         hawq.prepare(x, y)
         budget = int(hawq.layer_sizes().sum()) * 4
         a = hawq.allocate(budget)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CLADO
+from repro.core import CLADO, SolverConfig
 from repro.data import make_dataset
 from repro.models import build_model
 from repro.models.zoo import TrainConfig, train_model
@@ -24,20 +24,20 @@ def prepared_clado():
 class TestSolverRouting:
     def test_greedy_method(self, prepared_clado):
         budget = int(prepared_clado.layer_sizes().sum()) * 4
-        a = prepared_clado.allocate(budget, solver_method="greedy")
+        a = prepared_clado.allocate(budget, SolverConfig(method="greedy"))
         assert a.solver.method == "greedy"
         assert a.size_bits <= budget
 
     def test_bb_method_explicit(self, prepared_clado):
         budget = int(prepared_clado.layer_sizes().sum()) * 4
-        a = prepared_clado.allocate(budget, solver_method="bb", time_limit=5)
+        a = prepared_clado.allocate(budget, SolverConfig(method="bb", time_limit=5))
         assert a.solver.method == "branch_and_bound"
 
     def test_greedy_objective_not_much_worse_than_bb(self, prepared_clado):
         budget = int(prepared_clado.layer_sizes().sum()) * 3
-        bb = prepared_clado.allocate(budget, solver_method="bb", time_limit=10)
-        gr = prepared_clado.allocate(budget, solver_method="greedy")
-        naive = prepared_clado.allocate(budget, solver_method="greedy")
+        bb = prepared_clado.allocate(budget, SolverConfig(method="bb", time_limit=10))
+        gr = prepared_clado.allocate(budget, SolverConfig(method="greedy"))
+        naive = prepared_clado.allocate(budget, SolverConfig(method="greedy"))
         assert gr.solver.objective >= bb.solver.objective - 1e-9
 
     def test_prepare_time_recorded(self, prepared_clado):

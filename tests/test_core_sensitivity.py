@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core import SensitivityEngine, block_id_from_name, psd_project
+from repro.core import (
+    SensitivityConfig,
+    SensitivityEngine,
+    block_id_from_name,
+    psd_project,
+)
 from repro.hessian import cross_vhv, exact_hessian_block, vhv
 from repro.models import build_model, quantizable_layers
 from repro.nn import CrossEntropyLoss, Linear, Module
 from repro.quant import QuantConfig, QuantizedWeightTable
+
+_SYMMETRIC = SensitivityConfig(symmetric_diag=True)
 
 
 class ThreeLinear(Module):
@@ -230,13 +237,13 @@ class TestSymmetricDiagonal:
         model, layers, table, x, y = setup
         engine = SensitivityEngine(model, table)
         asym = engine.measure(x, y, mode="diagonal")
-        sym = engine.measure(x, y, mode="diagonal", symmetric_diag=True)
+        sym = engine.measure(x, y, _SYMMETRIC, mode="diagonal")
         assert sym.num_evals == asym.num_evals + 3 * 2  # one mirror per (i, m)
 
     def test_symmetric_matches_second_difference_formula(self, setup):
         model, layers, table, x, y = setup
         engine = SensitivityEngine(model, table)
-        result = engine.measure(x, y, mode="diagonal", symmetric_diag=True)
+        result = engine.measure(x, y, _SYMMETRIC, mode="diagonal")
         crit = CrossEntropyLoss()
 
         def loss_with_weight(i, w):
@@ -262,7 +269,7 @@ class TestSymmetricDiagonal:
     def test_weights_restored(self, setup):
         model, layers, table, x, y = setup
         before = [layer.weight.data.copy() for layer in layers]
-        SensitivityEngine(model, table).measure(x, y, symmetric_diag=True)
+        SensitivityEngine(model, table).measure(x, y, _SYMMETRIC)
         for layer, b in zip(layers, before):
             np.testing.assert_array_equal(layer.weight.data, b)
 
@@ -293,7 +300,7 @@ class TestSymmetricDiagonal:
         table = QuantizedWeightTable(layers, config)
         engine = SensitivityEngine(model, table)
         one_sided = engine.measure(x, y, mode="diagonal")
-        symmetric = engine.measure(x, y, mode="diagonal", symmetric_diag=True)
+        symmetric = engine.measure(x, y, _SYMMETRIC, mode="diagonal")
         wins = 0
         total = 0
         for i in range(3):

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core.sensitivity import SensitivityEngine, ShardSession
+from repro.core import SensitivityConfig
+from repro.core.sensitivity import SensitivityEngine, SweepSession
 from repro.core.sweep import (
     CheckpointMergeConflict,
     SweepCheckpoint,
@@ -55,7 +56,10 @@ def _engine():
     model = build_model(MODEL, num_classes=10)
     layers = quantizable_layers(model, MODEL)
     table = QuantizedWeightTable(layers, QuantConfig(bits=(2, 4, 8)))
-    return SensitivityEngine(model, table, strategy="segmented")
+    return SensitivityEngine(model, table)
+
+
+_BATCH8 = SensitivityConfig(batch_size=8)
 
 
 def _model_spec():
@@ -324,7 +328,7 @@ class TestValidatePart:
 class TestShardSessionEquivalence:
     def test_partition_covers_groups_exactly_once(self):
         x, y = _data()
-        session = ShardSession(_engine(), x, y, mode="diagonal", batch_size=8)
+        session = SweepSession(_engine(), x, y, _BATCH8, mode="diagonal")
         n_groups = len(session.plan.groups)
         for shards in (1, 2, 3, n_groups + 5):
             groups = partition_groups(session.plan, shards)
@@ -338,9 +342,9 @@ class TestShardSessionEquivalence:
 
     def test_sharded_assembly_bitwise_equals_single_process(self):
         x, y = _data()
-        reference = _engine().measure(x, y, mode="diagonal", batch_size=8)
+        reference = _engine().measure(x, y, _BATCH8, mode="diagonal")
 
-        session = ShardSession(_engine(), x, y, mode="diagonal", batch_size=8)
+        session = SweepSession(_engine(), x, y, _BATCH8, mode="diagonal")
         parts = []
         for si, gis in enumerate(partition_groups(session.plan, 3)):
             parts.append((f"shard-{si}", session.run_groups(gis)))
@@ -355,7 +359,7 @@ class TestShardSessionEquivalence:
 
     def test_assemble_rejects_incomplete_losses(self):
         x, y = _data()
-        session = ShardSession(_engine(), x, y, mode="diagonal", batch_size=8)
+        session = SweepSession(_engine(), x, y, _BATCH8, mode="diagonal")
         groups = partition_groups(session.plan, 2)
         merged = session.run_groups(groups[0])  # shard 1 never measured
         with pytest.raises(Exception):
@@ -371,21 +375,22 @@ class TestShardSessionEquivalence:
 def sharded_run(tmp_path_factory):
     """One sharded sweep with a worker killed on shard 0's first lease."""
     x, y = _data()
-    reference = _engine().measure(x, y, mode="diagonal", batch_size=8)
+    reference = _engine().measure(x, y, _BATCH8, mode="diagonal")
     spool = tmp_path_factory.mktemp("distrib") / "spool"
     plan = FaultPlan(seed=7, faults=(FaultSpec("shard_loss", at=0, times=1),))
     result = measure_sharded(
         _engine(),
         x,
         y,
+        _BATCH8.with_overrides(
+            shards=3,
+            num_workers=2,
+            lease_ttl=1.0,
+            spool_dir=str(spool),
+            model_spec=_model_spec(),
+            fault_plan=plan,
+        ),
         mode="diagonal",
-        batch_size=8,
-        shards=3,
-        num_workers=2,
-        lease_ttl=1.0,
-        spool_dir=str(spool),
-        model_spec=_model_spec(),
-        fault_plan=plan,
     )
     return reference, result, spool
 
@@ -458,14 +463,15 @@ class TestRetryExhaustion:
                 _engine(),
                 x,
                 y,
+                _BATCH8.with_overrides(
+                    shards=2,
+                    num_workers=1,
+                    lease_ttl=0.5,
+                    max_retries=0,
+                    spool_dir=str(tmp_path / "spool"),
+                    model_spec=_model_spec(),
+                    fault_plan=plan,
+                ),
                 mode="diagonal",
-                batch_size=8,
-                shards=2,
-                num_workers=1,
-                lease_ttl=0.5,
-                max_retries=0,
-                spool_dir=str(tmp_path / "spool"),
-                model_spec=_model_spec(),
-                fault_plan=plan,
             )
         assert info.value.shard == 0

@@ -8,13 +8,16 @@ injection points — no monkeypatching — so every failure reproduces
 bitwise under ``REPRO_FAULT_PLAN`` (see docs/robustness.md).
 """
 
+import multiprocessing as mp
+import time
+
 import numpy as np
 import pytest
 
-from repro.core import CLADO, SensitivityEngine
+from repro.core import CLADO, SensitivityConfig, SensitivityEngine
 from repro.core.qat import QATConfig, qat_finetune
 from repro.models import build_model, quantizable_layers
-from repro.nn import Linear, ReLU, Sequential
+from repro.nn import Linear, Module, ReLU, Sequential
 from repro.quant import QuantConfig, QuantizedWeightTable
 from repro.robustness import (
     DeadlineExpired,
@@ -22,6 +25,7 @@ from repro.robustness import (
     FaultSpec,
     SweepFailure,
 )
+from repro.robustness.faults import in_worker
 from repro.solvers import (
     MPQProblem,
     solve_branch_and_bound,
@@ -109,18 +113,14 @@ def fault_mlp():
 
 def _measure(setup, workers, fault_plan=None, checkpoint=None, **kwargs):
     model, _layers, table, x, y = setup
-    engine = SensitivityEngine(
-        model, table, strategy="segmented", num_workers=workers
-    )
-    return engine.measure(
-        x,
-        y,
-        mode="full",
+    config = SensitivityConfig(
         batch_size=8,
+        num_workers=workers,
         fault_plan=fault_plan,
         checkpoint_path=None if checkpoint is None else str(checkpoint),
         **kwargs,
     )
+    return SensitivityEngine(model, table).measure(x, y, config, mode="full")
 
 
 class TestWorkerCrashRecovery:
@@ -169,6 +169,49 @@ class TestWorkerCrashRecovery:
         injected = _measure(fault_mlp, workers=2, fault_plan=plan)
         np.testing.assert_array_equal(clean.matrix, injected.matrix)
         assert injected.extras["worker_crashes"] == 2
+
+
+class _HangInWorker(Module):
+    """Identity segment that hangs only inside supervised fork workers."""
+
+    def forward(self, x):
+        if in_worker():
+            time.sleep(30.0)
+        return x
+
+
+class TestGroupDeadline:
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(), reason="needs fork workers"
+    )
+    def test_hung_workers_killed_and_groups_rerun_serially(self):
+        """docs/robustness.md: a worker hung on a group is killed at the
+        per-group deadline and the group re-queued; with every worker gone
+        the groups finish serially in the parent, bitwise unchanged."""
+        rng = np.random.default_rng(4)
+        linear = Linear(4, 3, rng=rng)
+        model = Sequential(linear, _HangInWorker())
+        model.eval()
+        table = QuantizedWeightTable(
+            [_QLayer(0, "fc0", linear)], QuantConfig(bits=(4, 8))
+        )
+        x = rng.normal(size=(8, 4)).astype(np.float32)
+        y = rng.integers(0, 3, size=8)
+        engine = SensitivityEngine(model, table)
+        serial = engine.measure(x, y, SensitivityConfig(batch_size=8))
+        t0 = time.perf_counter()
+        pooled = engine.measure(
+            x, y,
+            SensitivityConfig(
+                batch_size=8, num_workers=2, group_deadline=0.5, max_retries=1
+            ),
+        )
+        assert time.perf_counter() - t0 < 10.0  # killed, not slept out
+        e = pooled.extras
+        assert e["plan_groups"] == 2
+        assert e["deadline_kills"] == 2
+        assert e["serial_fallback_groups"] == 2
+        np.testing.assert_array_equal(pooled.matrix, serial.matrix)
 
 
 class TestCheckpointCorruption:

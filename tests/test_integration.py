@@ -15,7 +15,7 @@ assert the paper's *qualitative* claims on a small instance:
 import numpy as np
 import pytest
 
-from repro.core import CLADO, evaluate_assignment, upq_assignment
+from repro.core import CLADO, SolverConfig, evaluate_assignment, upq_assignment
 from repro.data import make_dataset
 from repro.models import build_model, quantizable_layers
 from repro.models.zoo import TrainConfig, train_model
@@ -41,7 +41,7 @@ class TestEndToEnd:
         sizes = clado.layer_sizes()
         for avg in (2.0, 4.0, 8.0):
             budget = int(sizes.sum() * avg)
-            assignment = clado.allocate(budget, time_limit=10)
+            assignment = clado.allocate(budget, SolverConfig(time_limit=10))
             upq_bits = upq_assignment(sizes, config.bits, budget)
             upq_choice = [config.bits.index(int(b)) for b in upq_bits]
             from repro.solvers import MPQProblem
@@ -55,7 +55,7 @@ class TestEndToEnd:
         model, clado, config, _ = pipeline
         sizes = clado.layer_sizes()
         budget = int(sizes.sum() * 3)
-        full_assignment = clado.allocate(budget, time_limit=15)
+        full_assignment = clado.allocate(budget, SolverConfig(time_limit=15))
 
         star = CLADO(model, "resnet_s20", config, mode="diagonal")
         star.set_sensitivity(clado.raw)  # reuses diagonal of same data
@@ -75,7 +75,7 @@ class TestEndToEnd:
         x_val, y_val = val
         sizes = clado.layer_sizes()
         budget = int(sizes.sum() * 3)  # between 2-bit and 4-bit UPQ
-        assignment = clado.allocate(budget, time_limit=15)
+        assignment = clado.allocate(budget, SolverConfig(time_limit=15))
         _, acc_mixed = evaluate_assignment(
             model, clado.table, assignment.bits, x_val, y_val
         )
@@ -93,7 +93,7 @@ class TestEndToEnd:
         x_train, y_train = ds.splits(512, 1)[0]
         sizes = clado.layer_sizes()
         budget = int(sizes.sum() * 2.5)
-        assignment = clado.allocate(budget, time_limit=10)
+        assignment = clado.allocate(budget, SolverConfig(time_limit=10))
 
         state = model.state_dict()
         _, acc_before = evaluate_assignment(
@@ -115,6 +115,6 @@ class TestEndToEnd:
         """Re-solving at the same budget from the same matrix is deterministic."""
         _, clado, config, _ = pipeline
         budget = int(clado.layer_sizes().sum() * 4)
-        a1 = clado.allocate(budget, time_limit=10)
-        a2 = clado.allocate(budget, time_limit=10)
+        a1 = clado.allocate(budget, SolverConfig(time_limit=10))
+        a2 = clado.allocate(budget, SolverConfig(time_limit=10))
         np.testing.assert_array_equal(a1.bits, a2.bits)

@@ -172,3 +172,51 @@ class TestInputWriteRule:
         for path in sorted(lint.TARGET.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             assert list(lint._input_write_violations(path, tree)) == [], path
+
+
+def _instance_state_lines(source: str):
+    return sorted(
+        line for line, _ in lint._instance_state_violations(ast.parse(source))
+    )
+
+
+class TestInstanceStateRule:
+    def test_rejects_knob_pinned_in_a_method(self):
+        source = (
+            "class SensitivityEngine:\n"
+            "    def _measure_segmented(self, cache_budget):\n"
+            "        self._active_cache_budget = cache_budget\n"
+        )
+        assert _instance_state_lines(source) == [3]
+
+    @pytest.mark.parametrize(
+        "body, lines",
+        [
+            ("self._fault_attempt += 1", [3]),
+            ("self.a, self.b = 1, 2", [3, 3]),
+            ("self.flag: bool = True", [3]),
+            ("def inner():\n            self.x = 1", [4]),
+        ],
+    )
+    def test_rejects_every_assignment_form(self, body, lines):
+        source = f"class SweepSession:\n    def run(self):\n        {body}\n"
+        assert _instance_state_lines(source) == lines
+
+    def test_allows_init_and_other_classes(self):
+        source = (
+            "class SensitivityEngine:\n"
+            "    def __init__(self, cache_budget):\n"
+            "        self._active_cache_budget = cache_budget\n"
+            "    def measure(self):\n"
+            "        local = self._active_cache_budget\n"
+            "        self.table.restore_all()\n"
+            "class Other:\n"
+            "    def run(self):\n"
+            "        self.state = 1\n"
+        )
+        assert _instance_state_lines(source) == []
+
+    def test_tree_passes(self):
+        for path in sorted(lint.TARGET.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            assert list(lint._instance_state_violations(tree)) == [], path

@@ -324,16 +324,13 @@ def _plan_indices(setup):
 
 def _measure(setup, fault_plan=None, **kwargs):
     model, _layers, table, x, y = setup
-    engine = SensitivityEngine(model, table, strategy="segmented", num_workers=1)
-    return engine.measure(
-        x,
-        y,
-        mode="full",
+    config = SensitivityConfig(
         batch_size=8,
         eval_batch_k=1,  # sequential replays: re-measure is bitwise
         fault_plan=fault_plan,
         **kwargs,
     )
+    return SensitivityEngine(model, table).measure(x, y, config, mode="full")
 
 
 class TestEngineQuarantine:

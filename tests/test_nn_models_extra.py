@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.models import build_model, quantizable_layers
+from repro.models import build_model, evaluate_model, quantizable_layers
 from repro.nn import CrossEntropyLoss, SGD
 from repro.nn.module import DTYPE
 
@@ -21,20 +21,14 @@ class TestBatchingInvariance:
         np.testing.assert_allclose(full[2:3], solo, rtol=1e-4, atol=1e-5)
 
     def test_sensitivity_loss_batch_size_invariant(self):
-        """The engine's batched loss must match a single-batch loss."""
-        from repro.core import SensitivityEngine
-        from repro.quant import QuantConfig, QuantizedWeightTable
-
+        """The sweep's batched loss must match a single-batch loss."""
         model = build_model("resnet_s20", num_classes=4)
         model.eval()
-        layers = quantizable_layers(model, "resnet_s20")
-        table = QuantizedWeightTable(layers, QuantConfig(bits=(4, 8)))
-        engine = SensitivityEngine(model, table)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(10, 3, 32, 32)).astype(np.float32)
         y = rng.integers(0, 4, size=10)
-        loss_one = engine._loss(x, y, batch_size=10)
-        loss_many = engine._loss(x, y, batch_size=3)
+        loss_one = evaluate_model(model, x, y, batch_size=10)[0]
+        loss_many = evaluate_model(model, x, y, batch_size=3)[0]
         assert loss_one == pytest.approx(loss_many, rel=1e-6)
 
 

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import SensitivityEngine
-from repro.core.sensitivity import ShardSession
+from helpers import Unsegmented
+from repro.core import SensitivityConfig, SensitivityEngine
+from repro.core.sensitivity import SweepSession
 from repro.hessian import loss_and_grads
 from repro.models import MODEL_REGISTRY, build_model, quantizable_layers
 from repro.nn import (
@@ -21,7 +22,6 @@ from repro.nn import (
 from repro.quant import QuantConfig, QuantizedWeightTable, calibrate_activations
 from repro.robustness import SweepFailure
 from repro.robustness.faults import FaultPlan, FaultSpec
-from repro.robustness.health import HealthPolicy
 
 
 def _modules(*roots):
@@ -139,6 +139,21 @@ class TestZooForwards:
         assert all(m.grad_enabled for m in _modules(model, *segments))
 
 
+def _recording_segments(engine):
+    """Record the segments each sweep of ``engine`` replays (ViT's
+    classifier tail is a wrapper built afresh by every ``segments()``)."""
+    seen = []
+    segment_map = engine._segment_map
+
+    def recording():
+        mapping = segment_map()
+        seen.append(mapping[0])
+        return mapping
+
+    engine._segment_map = recording
+    return seen
+
+
 def _engine_setup(name, samples=4, seed=1):
     model, layers, x = _calibrated(name, samples=samples, seed=seed)
     y = np.random.default_rng(seed).integers(0, 10, size=samples)
@@ -147,6 +162,8 @@ def _engine_setup(name, samples=4, seed=1):
 
 
 class TestSweepLeavesNoState:
+    # "naive": the model wrapped without segments, so the sweep runs it as
+    # the one segment [model].
     @pytest.mark.parametrize(
         "name, strategy",
         [("resnet_s20", "segmented"), ("resnet_s20", "naive"),
@@ -154,10 +171,14 @@ class TestSweepLeavesNoState:
     )
     def test_no_cache_after_measure(self, name, strategy):
         model, layers, table, x, y = _engine_setup(name)
-        engine = SensitivityEngine(model, table, strategy=strategy)
+        swept = Unsegmented(model) if strategy == "naive" else model
+        engine = SensitivityEngine(swept, table)
+        seen = _recording_segments(engine)
         result = engine.measure(x, y, mode="full")
         assert np.isfinite(result.matrix).all()
-        roots = (model, *(engine._segments or ()))
+        (segments,) = seen
+        assert (len(segments) == 1) == (strategy == "naive")
+        roots = (model, *segments)
         assert _cached(*roots) == []
         assert all(m.grad_enabled for m in _modules(*roots))
         # The caller's array stays writeable; only the engine's slice of
@@ -172,30 +193,37 @@ class TestSweepLeavesNoState:
         """The spool workers' session and the sharded coordinator's health
         pass (which runs outside ``measure``) replay without state too."""
         model, layers, table, x, y = _engine_setup("vit_s")
-        engine = SensitivityEngine(model, table, strategy="segmented")
-        session = ShardSession(
-            engine, x, y, mode="full", batch_size=4, eval_batch_k=4
+        engine = SensitivityEngine(model, table)
+        probe = SweepSession(
+            engine, x, y, SensitivityConfig(batch_size=4), mode="full"
+        )
+        diag = probe.plan.groups[0].diag.index
+        plan = FaultPlan(seed=3, faults=(FaultSpec("outlier_loss", at=diag),))
+        session = SweepSession(
+            engine, x, y,
+            SensitivityConfig(batch_size=4, eval_batch_k=4, fault_plan=plan),
+            mode="full",
         )
         losses = session.run_groups(range(len(session.plan.groups)))
-        diag = session.plan.groups[0].diag.index
-        plan = FaultPlan(seed=3, faults=(FaultSpec("outlier_loss", at=diag),))
-        matrix, single = session.assemble(losses, plan)
-        _, extras = engine._health_pass(
-            session.plan, matrix, single, session.base_loss, losses,
-            session.clean, session.batches, session.n, HealthPolicy(), plan,
-        )
+        matrix, single = session.assemble(losses)
+        _, extras = session.health_pass(matrix, single, losses)
         assert extras["remeasured"] > 0
-        roots = (model, *engine._segments)
+        roots = (model, *session.segments)
         assert _cached(*roots) == []
         assert all(m.grad_enabled for m in _modules(*roots))
 
     def test_failed_measure_restores_grad_mode(self):
         model, layers, table, x, y = _engine_setup("resnet_s20")
         plan = FaultPlan(seed=0, faults=(FaultSpec("nonfinite_loss", at=0),))
-        engine = SensitivityEngine(model, table, max_retries=0, fault_plan=plan)
+        engine = SensitivityEngine(model, table)
+        seen = _recording_segments(engine)
         with pytest.raises(SweepFailure):
-            engine.measure(x, y, mode="diagonal")
-        assert all(m.grad_enabled for m in _modules(model, *engine._segments))
+            engine.measure(
+                x, y, SensitivityConfig(max_retries=0, fault_plan=plan),
+                mode="diagonal",
+            )
+        (segments,) = seen
+        assert all(m.grad_enabled for m in _modules(model, *segments))
         loss, _ = loss_and_grads(model, CrossEntropyLoss(), layers, x, y)
         assert np.isfinite(loss)
 

@@ -1,16 +1,20 @@
-"""Segmented/parallel sensitivity sweeps: equivalence with the naive engine,
-plan/cache/checkpoint machinery, segmented-forward model support."""
+"""Segmented/parallel sensitivity sweeps: equivalence with the literal
+Algorithm 1, plan/cache/checkpoint machinery, segmented-forward model
+support."""
 
 import numpy as np
 import pytest
 
+from helpers import Unsegmented, naive_sweep
 from repro.core import (
     EvalPlan,
     PrefixCache,
+    SensitivityConfig,
     SensitivityEngine,
     SweepCheckpoint,
     build_eval_plan,
     select_cuts,
+    setup_activation_quant,
 )
 from repro.models import MODEL_REGISTRY, build_model, quantizable_layers
 from repro.nn import (
@@ -20,7 +24,6 @@ from repro.nn import (
     Flatten,
     GlobalAvgPool2d,
     Linear,
-    Module,
     ReLU,
     Sequential,
 )
@@ -96,7 +99,8 @@ def mlp_setup():
 
 
 class TestNaiveSegmentedEquivalence:
-    """The acceptance property: cached/parallel results equal naive results."""
+    """The acceptance property: cached/parallel results equal the literal
+    Algorithm 1 (``helpers.naive_sweep``)."""
 
     @pytest.mark.parametrize("mode", ["full", "diagonal", "block"])
     @pytest.mark.parametrize("symmetric_diag", [False, True])
@@ -104,18 +108,17 @@ class TestNaiveSegmentedEquivalence:
     def test_matrix_matches_naive(self, mlp_setup, mode, symmetric_diag, workers):
         model, layers, table, x, y = mlp_setup
         blocks = ["a", "a", "a", "b", "b", "b", "c", "c"] if mode == "block" else None
-        kwargs = dict(
-            mode=mode,
-            blocks=blocks,
-            batch_size=8,
+        naive = naive_sweep(
+            model, table, x, y, mode=mode, blocks=blocks, batch_size=8,
             symmetric_diag=symmetric_diag,
         )
-        naive = SensitivityEngine(model, table, strategy="naive").measure(
-            x, y, **kwargs
+        fast = SensitivityEngine(model, table).measure(
+            x, y,
+            SensitivityConfig(
+                batch_size=8, symmetric_diag=symmetric_diag, num_workers=workers
+            ),
+            mode=mode, blocks=blocks,
         )
-        fast = SensitivityEngine(
-            model, table, strategy="segmented", num_workers=workers
-        ).measure(x, y, **kwargs)
         assert fast.extras["strategy"] == "segmented"
         np.testing.assert_allclose(fast.matrix, naive.matrix, atol=1e-6)
         np.testing.assert_allclose(
@@ -126,8 +129,8 @@ class TestNaiveSegmentedEquivalence:
 
     def test_segmented_does_less_layer_work(self, mlp_setup):
         model, layers, table, x, y = mlp_setup
-        result = SensitivityEngine(model, table, strategy="segmented").measure(
-            x, y, batch_size=8
+        result = SensitivityEngine(model, table).measure(
+            x, y, SensitivityConfig(batch_size=8)
         )
         assert result.extras["segment_forwards"] < result.extras[
             "segment_forwards_naive"
@@ -136,22 +139,20 @@ class TestNaiveSegmentedEquivalence:
 
     def test_tight_cache_budget_still_exact(self, mlp_setup):
         model, layers, table, x, y = mlp_setup
-        naive = SensitivityEngine(model, table, strategy="naive").measure(
-            x, y, batch_size=8
+        naive = naive_sweep(model, table, x, y, batch_size=8)
+        tight = SensitivityEngine(model, table).measure(
+            x, y, SensitivityConfig(batch_size=8, cache_budget=2)
         )
-        tight = SensitivityEngine(
-            model, table, strategy="segmented", cache_budget=2
-        ).measure(x, y, batch_size=8)
         np.testing.assert_allclose(tight.matrix, naive.matrix, atol=1e-6)
 
     def test_byte_bounded_cache_still_exact(self, mlp_setup):
         """A tight ``cache_bytes`` cap forces evictions, not wrong numbers."""
         model, layers, table, x, y = mlp_setup
-        free = SensitivityEngine(model, table, strategy="segmented").measure(
-            x, y, batch_size=8
+        free = SensitivityEngine(model, table).measure(
+            x, y, SensitivityConfig(batch_size=8)
         )
-        capped = SensitivityEngine(model, table, strategy="segmented").measure(
-            x, y, batch_size=8, cache_bytes=2048
+        capped = SensitivityEngine(model, table).measure(
+            x, y, SensitivityConfig(batch_size=8, cache_bytes=2048)
         )
         np.testing.assert_array_equal(capped.matrix, free.matrix)
         assert capped.extras["cache_bytes"] == 2048
@@ -170,13 +171,13 @@ class TestNaiveSegmentedEquivalence:
         x = rng.normal(size=(6, 3, 6, 6)).astype(np.float32)
         y = rng.integers(0, 3, size=6)
         before = x.copy()
-        naive = SensitivityEngine(model, table, strategy="naive").measure(
-            x, y, batch_size=4
+        naive = naive_sweep(model, table, x, y, batch_size=4)
+        fast = SensitivityEngine(model, table).measure(
+            x, y,
+            SensitivityConfig(
+                batch_size=4, eval_batch_k=eval_batch_k, cache_budget=cache_budget
+            ),
         )
-        fast = SensitivityEngine(
-            model, table, strategy="segmented", eval_batch_k=eval_batch_k,
-            cache_budget=cache_budget,
-        ).measure(x, y, batch_size=4)
         assert fast.extras["num_segments"] == len(model.layers)
         np.testing.assert_allclose(fast.matrix, naive.matrix, atol=1e-6)
         np.testing.assert_allclose(
@@ -188,8 +189,9 @@ class TestNaiveSegmentedEquivalence:
         model, layers, table, x, y = mlp_setup
         before = [layer.weight.data.copy() for layer in layers]
         calls = []
-        SensitivityEngine(model, table, strategy="segmented").measure(
-            x, y, batch_size=8, progress=lambda d, t: calls.append((d, t))
+        SensitivityEngine(model, table).measure(
+            x, y, SensitivityConfig(batch_size=8),
+            progress=lambda d, t: calls.append((d, t)),
         )
         for layer, b in zip(layers, before):
             np.testing.assert_array_equal(layer.weight.data, b)
@@ -199,39 +201,43 @@ class TestNaiveSegmentedEquivalence:
 
 class TestStrategySelection:
     def test_auto_falls_back_without_segments(self, mlp_setup):
-        class Opaque(Module):
-            def __init__(self, inner):
-                super().__init__()
-                self.inner = inner
-
-            def forward(self, x):
-                return self.inner.forward(x)
-
-        _, layers = _deep_mlp()
-        model = Opaque(Sequential(*[l.module for l in layers]))
-        model.eval()
-        table = QuantizedWeightTable(layers, QuantConfig(bits=(4, 8)))
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(8, 4)).astype(np.float32)
-        y = rng.integers(0, 3, size=8)
-        result = SensitivityEngine(model, table).measure(x, y, mode="diagonal")
-        assert result.extras["strategy"] == "naive"
-        with pytest.raises(RuntimeError):
-            SensitivityEngine(model, table, strategy="segmented").measure(x, y)
+        """A model without segments runs as the one segment ``[model]``:
+        at width 1 that is exactly the literal Algorithm 1, bitwise."""
+        model, layers, table, x, y = mlp_setup
+        opaque = Unsegmented(model)
+        engine = SensitivityEngine(opaque, table)
+        assert engine._segment_map() == ([opaque], (0,) * len(layers))
+        result = engine.measure(
+            x, y, SensitivityConfig(batch_size=8, eval_batch_k=1)
+        )
+        assert result.extras["strategy"] == "segmented"
+        assert result.extras["num_segments"] == 1
+        assert result.extras["batched_chunks"] == 0
+        naive = naive_sweep(opaque, table, x, y, batch_size=8)
+        np.testing.assert_array_equal(result.matrix, naive.matrix)
+        assert result.base_loss == naive.base_loss
+        # Stacked one-segment replays stay within the sweep tolerance.
+        stacked = engine.measure(x, y, SensitivityConfig(batch_size=8))
+        assert stacked.extras["batched_chunks"] > 0
+        np.testing.assert_allclose(stacked.matrix, naive.matrix, atol=1e-6)
 
     def test_unknown_strategy_rejected(self, mlp_setup):
+        """Execution knobs live in SensitivityConfig only; there is no
+        strategy to choose any more."""
         model, layers, table, x, y = mlp_setup
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SensitivityEngine(model, table, strategy="warp")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SensitivityEngine(model, table).measure(x, y, strategy="warp")
+        with pytest.raises(TypeError):
+            SensitivityConfig(strategy="warp")
 
 
 class TestResume:
     def test_checkpoint_resume_skips_completed_groups(self, mlp_setup, tmp_path):
         model, layers, table, x, y = mlp_setup
         path = str(tmp_path / "sweep.ckpt")
-        engine = SensitivityEngine(model, table, strategy="segmented")
+        engine = SensitivityEngine(model, table)
 
         class _Abort(Exception):
             pass
@@ -246,42 +252,83 @@ class TestResume:
 
         with pytest.raises(_Abort):
             engine.measure(
-                x, y, batch_size=8, checkpoint_path=path,
-                checkpoint_every=4, progress=aborting,
+                x, y,
+                SensitivityConfig(
+                    batch_size=8, checkpoint_path=path, checkpoint_every=4
+                ),
+                progress=aborting,
             )
         table.restore_all()
 
-        resumed = engine.measure(x, y, batch_size=8, checkpoint_path=path)
+        resumed = engine.measure(
+            x, y, SensitivityConfig(batch_size=8, checkpoint_path=path)
+        )
         assert resumed.extras["resumed_evals"] > 0
         assert (
             resumed.extras["resumed_evals"] + resumed.extras["executed_evals"]
             == resumed.extras["plan_evals"]
         )
-        naive = SensitivityEngine(model, table, strategy="naive").measure(
-            x, y, batch_size=8
-        )
+        naive = naive_sweep(model, table, x, y, batch_size=8)
         np.testing.assert_allclose(resumed.matrix, naive.matrix, atol=1e-6)
 
     def test_checkpoint_ignored_when_plan_changes(self, mlp_setup, tmp_path):
         model, layers, table, x, y = mlp_setup
         path = str(tmp_path / "sweep.ckpt")
-        engine = SensitivityEngine(model, table, strategy="segmented")
-        engine.measure(
-            x, y, mode="diagonal", batch_size=8,
-            checkpoint_path=path, checkpoint_every=1,
+        engine = SensitivityEngine(model, table)
+        config = SensitivityConfig(
+            batch_size=8, checkpoint_path=path, checkpoint_every=1
         )
+        engine.measure(x, y, config, mode="diagonal")
         # Different mode -> different fingerprint -> nothing resumed.
+        again = engine.measure(x, y, config, mode="full")
+        assert again.extras["resumed_evals"] == 0
+
+    @pytest.mark.parametrize("change", ["scheme", "act_bits", "eval_batch_k"])
+    def test_checkpoint_restarts_when_quantizers_change(self, tmp_path, change):
+        """The resume fingerprint covers the weight-quantizer scheme, the
+        activation quantizers and the stack width: a checkpoint measured
+        under other quantizers must not be served as this sweep's losses."""
+        model = build_model("resnet_s20", num_classes=4)
+        model.eval()
+        layers = quantizable_layers(model, "resnet_s20")
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
+        y = rng.integers(0, 4, size=8)
+        setup_activation_quant(model, layers, x, bits=8)
+        path = str(tmp_path / "sweep.ckpt")
+        config = SensitivityConfig(batch_size=8, eval_batch_k=1)
+        first = SensitivityEngine(
+            model, QuantizedWeightTable(layers, QuantConfig(bits=(2, 4)))
+        ).measure(
+            x, y, config.with_overrides(checkpoint_path=path), mode="diagonal"
+        )
+        assert first.extras["executed_evals"] == first.extras["plan_evals"]
+
+        scheme = "symmetric"
+        if change == "scheme":
+            scheme = "affine"
+        elif change == "act_bits":
+            setup_activation_quant(model, layers, x, bits=4)
+        else:
+            config = config.with_overrides(eval_batch_k=2)
+        engine = SensitivityEngine(
+            model, QuantizedWeightTable(layers, QuantConfig(bits=(2, 4), scheme=scheme))
+        )
+        fresh = engine.measure(x, y, config, mode="diagonal")
         again = engine.measure(
-            x, y, mode="full", batch_size=8, checkpoint_path=path
+            x, y, config.with_overrides(checkpoint_path=path), mode="diagonal"
         )
         assert again.extras["resumed_evals"] == 0
+        np.testing.assert_array_equal(again.matrix, fresh.matrix)
 
     def test_corrupt_checkpoint_restarts_cleanly(self, mlp_setup, tmp_path):
         model, layers, table, x, y = mlp_setup
         path = tmp_path / "sweep.ckpt"
         path.write_bytes(b"not an npz file")
-        result = SensitivityEngine(model, table, strategy="segmented").measure(
-            x, y, mode="diagonal", batch_size=8, checkpoint_path=str(path)
+        result = SensitivityEngine(model, table).measure(
+            x, y,
+            SensitivityConfig(batch_size=8, checkpoint_path=str(path)),
+            mode="diagonal",
         )
         assert result.extras["resumed_evals"] == 0
 

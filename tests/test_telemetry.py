@@ -276,9 +276,13 @@ class TestSweepEvalAccounting:
         model.eval()
         return model, [m for m in mods if isinstance(m, Linear)]
 
+    # "naive": the model wrapped without segments, swept one evaluation at a
+    # time — every evaluation a full forward, the literal Algorithm 1.
     @pytest.mark.parametrize("strategy", ["naive", "segmented"])
     @pytest.mark.parametrize("bits,num_linear", [((4, 8), 4), ((2, 4, 8), 5)])
     def test_full_sweep_matches_closed_form(self, strategy, bits, num_linear):
+        from helpers import Unsegmented
+        from repro.core import SensitivityConfig
         from repro.core.sensitivity import SensitivityEngine
         from repro.quant import QuantConfig, QuantizedWeightTable
 
@@ -302,9 +306,15 @@ class TestSweepEvalAccounting:
         x = rng.normal(size=(12, 4)).astype(np.float32)
         y = rng.integers(0, 3, size=12)
 
+        config = SensitivityConfig()
+        if strategy == "naive":
+            model = Unsegmented(model)
+            config = SensitivityConfig(eval_batch_k=1)
         telemetry.enable()
-        engine = SensitivityEngine(model, table, strategy=strategy)
-        engine.measure(x, y, mode="full")
+        result = SensitivityEngine(model, table).measure(x, y, config, mode="full")
+        assert result.extras["num_segments"] == (
+            1 if strategy == "naive" else len(model.layers)
+        )
         nb, ii = len(bits), len(layers)
         expected = 1 + ii * nb + (ii * (ii - 1) // 2) * nb * nb
         counters = telemetry.counters_snapshot()
