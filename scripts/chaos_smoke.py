@@ -15,13 +15,12 @@ as ``make chaos-smoke`` inside the default ``make`` target:
    assignment within its deadline on a problem sized from every zoo
    model even when branch-and-bound's budget is forced to expire, and
    the winning rung plus the injected faults land in the run manifest.
-4. **Sharded-sweep equivalence** — a sweep split into 4 crash-tolerant
-   shards on 3 spawned worker processes, with all four distributed fault
-   kinds injected (``shard_loss``, ``stale_lease``,
-   ``duplicate_completion``, ``torn_partial``), produces a Ĝ **bitwise
-   identical** to the single-process sweep on **every zoo model**, and
-   every recovery path (lease expiry, quarantine, duplicate discard,
-   worker respawn) is visible in the result extras.
+4. **Fork-supervisor equivalence** — a sweep on 3 supervised fork
+   workers, with a worker crash (``worker_crash``) and a non-finite loss
+   (``nonfinite_loss``) injected, produces a Ĝ, single losses and base
+   loss **bitwise identical** to the in-process sweep on **every zoo
+   model**, and the crash and the retries are visible in the result
+   extras.
 5. **Measurement integrity** — seeded ``outlier_loss`` +
    ``asymmetric_pair`` corruption of a zoo-model sweep is detected,
    quarantined, and re-measured; the repaired run's sensitivity matrix
@@ -213,15 +212,14 @@ def ladder_chaos(tmp: Path) -> None:
         check(f"manifest records rung + injected fault on {name}", recorded)
 
 
-def distrib_chaos(tmp: Path) -> None:
-    """Check 4: sharded sweeps survive every fault kind, bitwise.
+def fork_chaos() -> None:
+    """Check 4: fork-supervised sweeps survive crashes and NaNs, bitwise.
 
-    Each zoo model runs once single-process and once sharded across 4
-    shards on 3 spawned workers with one fault of every distributed kind
-    scheduled (worker loss on shard 0's first lease, a stalled heartbeat
-    on shard 1's, a duplicate completion on shard 2's, a torn partial on
-    shard 3's).  The merged matrix must equal the reference bitwise and
-    the recovery must be attributed in the extras.
+    Each zoo model runs once in-process and once on 3 fork workers with a
+    worker killed mid-group (group 0's first attempt) and a non-finite
+    loss (group 1's first attempt) scheduled.  The matrix, the single
+    losses and the base loss must equal the in-process sweep's bitwise,
+    and the recovery must be attributed in the extras.
     """
     rng = np.random.default_rng(23)
     x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
@@ -229,56 +227,41 @@ def distrib_chaos(tmp: Path) -> None:
     plan = FaultPlan(
         seed=7,
         faults=(
-            FaultSpec("shard_loss", at=0, times=1),
-            FaultSpec("stale_lease", at=1, times=1),
-            FaultSpec("duplicate_completion", at=2, times=1),
-            FaultSpec("torn_partial", at=3, times=1),
+            FaultSpec("worker_crash", at=0, times=1),
+            FaultSpec("nonfinite_loss", at=1, times=1),
         ),
     )
     for name in sorted(MODEL_REGISTRY):
         mode = "block" if name == "resnet_s20" else "diagonal"
+        model = build_model(name, num_classes=10)
+        layers = quantizable_layers(model, name)
+        table = QuantizedWeightTable(layers, QuantConfig(bits=(2, 4, 8)))
 
-        def run(shards=0, fault_plan=None, spool=None):
-            model = build_model(name, num_classes=10)
-            layers = quantizable_layers(model, name)
-            table = QuantizedWeightTable(layers, QuantConfig(bits=(2, 4, 8)))
+        def run(workers, fault_plan=None):
             config = SensitivityConfig(
-                batch_size=8, shards=shards, num_workers=3, lease_ttl=1.0,
-                spool_dir=spool, fault_plan=fault_plan,
-                model_spec={
-                    "import": "repro.models.registry:build_model",
-                    "kwargs": {"name": name, "num_classes": 10},
-                },
+                batch_size=8, num_workers=workers, fault_plan=fault_plan
             )
             return SensitivityEngine(model, table).measure(
                 x, y, config, mode=mode
             )
 
-        reference = run()
-        sharded = run(
-            shards=4, fault_plan=plan, spool=str(tmp / f"spool-{name}")
-        )
-        e = sharded.extras
+        reference = run(1)
+        forked = run(3, fault_plan=plan)
+        e = forked.extras
         check(
-            f"sharded sweep bitwise equals single-process on {name} ({mode})",
-            np.array_equal(reference.matrix, sharded.matrix)
-            and np.array_equal(
-                reference.single_losses, sharded.single_losses
-            )
-            and reference.base_loss == sharded.base_loss,
-            f"parts={e.get('merged_parts')}",
+            f"fork-worker sweep bitwise equals in-process on {name} ({mode})",
+            np.array_equal(reference.matrix, forked.matrix)
+            and np.array_equal(reference.single_losses, forked.single_losses)
+            and reference.base_loss == forked.base_loss,
+            f"workers={e.get('workers')}",
         )
         check(
-            f"every recovery path attributed in extras on {name}",
-            e.get("strategy") == "distributed"
-            and e.get("leases_expired", 0) >= 1
-            and e.get("parts_quarantined", 0) >= 1
-            and e.get("duplicate_completions", 0) >= 1
-            and e.get("workers_respawned", 0) >= 1,
-            f"expired={e.get('leases_expired')} "
-            f"quarantined={e.get('parts_quarantined')} "
-            f"dups={e.get('duplicate_completions')} "
-            f"respawned={e.get('workers_respawned')}",
+            f"crash + retries attributed in extras on {name}",
+            e.get("workers") == 3
+            and e.get("worker_crashes", 0) >= 1
+            and e.get("group_retries", 0) >= 1,
+            f"crashes={e.get('worker_crashes')} "
+            f"retries={e.get('group_retries')}",
         )
 
 
@@ -655,7 +638,7 @@ def main() -> int:
         tmp = Path(tmpdir)
         sweep_chaos(tmp)
         ladder_chaos(tmp)
-        distrib_chaos(tmp)
+        fork_chaos()
         measurement_chaos(tmp)
         cli_health_chaos(tmp)
         store_chaos(tmp)

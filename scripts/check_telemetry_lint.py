@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """AST lint: enforce the telemetry conventions inside ``src/repro/``.
 
-Twelve rules (see docs/observability.md and docs/robustness.md):
+Thirteen rules (see docs/observability.md and docs/robustness.md):
 
 1. No ``time.time()`` — wall-clock arithmetic must use
    ``telemetry.monotonic()`` (an alias of ``time.perf_counter``) so spans
@@ -34,8 +34,7 @@ Twelve rules (see docs/observability.md and docs/robustness.md):
    ``.join()``, ``.wait(...)`` without a ``timeout=`` keyword, and
    ``.poll(None)`` are rejected.  A coordinator or supervisor parked on
    an indefinite wait turns a crashed peer into a hung process, which is
-   exactly the failure mode the lease/reaper protocol
-   (``repro.distrib``) and the sweep supervisor exist to survive; every
+   exactly the failure mode the sweep supervisor exists to survive; every
    blocking call must carry a timeout so liveness decisions stay with
    the caller.  Zero-argument ``.poll()`` (``subprocess.Popen.poll`` is
    non-blocking) and string/path ``.join(parts)`` are fine.  A site
@@ -48,7 +47,7 @@ Twelve rules (see docs/observability.md and docs/robustness.md):
    :mod:`repro.atomicio`, the one sanctioned writer.  A plain write can
    be killed half-done and leave a visible, truncated artifact; the
    atomic helper's tmp + ``os.replace`` discipline is what makes
-   checkpoints, spools, caches, and store entries crash-safe, so every
+   checkpoints, caches, and store entries crash-safe, so every
    byte on disk must flow through it.  A site whose write is itself part
    of an atomic discipline (the helper's own tmp write, an in-memory
    ``BytesIO`` serialization, an ``O_EXCL``-created lock file) carries a
@@ -94,9 +93,18 @@ Twelve rules (see docs/observability.md and docs/robustness.md):
     nested in a method) may appear only in ``__init__``.  Every execution
     option is resolved once from the frozen ``SensitivityConfig`` when a
     session opens; a method that stashed a knob or a fault flag on
-    ``self`` would leak it into the next sweep, into forked workers that
-    inherit the object, and into shard sessions that must reproduce the
-    coordinator's losses bitwise.  Pass such values as arguments.
+    ``self`` would leak it into the next sweep and into the forked workers
+    that inherit the object.  Pass such values as arguments.
+13. One module starts worker processes — ``import multiprocessing`` and
+    ``from multiprocessing ...`` are allowed only in
+    ``repro/core/sensitivity.py`` (the sweep's fork supervisor), and
+    ``import subprocess`` / ``from subprocess ...`` only in
+    ``repro/telemetry/manifest.py`` (which runs ``git rev-parse``).  The
+    supervisor is the sweep's one multi-process transport, with one
+    failure model: pipe EOF for a crashed worker, a per-group deadline
+    for a hung one, bounded retries, then serial fallback.  A second
+    module starting workers would bring its own failure model, its own
+    fault kinds and its own telemetry path.
 
 Exit status 0 when clean, 1 with a ``path:line: message`` listing per
 violation.  Run via ``make lint`` (part of the default ``make`` target).
@@ -162,6 +170,12 @@ INPUT_WRITE_DIRS = (TARGET / "nn", TARGET / "models")
 
 #: Rule 12: classes whose instance attributes are set only in ``__init__``.
 INIT_ONLY_STATE_CLASSES = {"SensitivityEngine", "SweepSession"}
+
+#: Rule 13: the one module allowed to import each process-starting module.
+PROCESS_MODULES = {
+    "multiprocessing": TARGET / "core" / "sensitivity.py",
+    "subprocess": TARGET / "telemetry" / "manifest.py",
+}
 
 
 def _is_hot_path(func: ast.AST) -> bool:
@@ -424,8 +438,8 @@ def _im2col_violations(tree: ast.AST):
     yield from visit(tree, None)
 
 
-def _scipy_violations(tree: ast.AST):
-    """Rule 10: no scipy import anywhere in ``src/repro``."""
+def _imported_packages(tree: ast.AST):
+    """``(lineno, top-level package)`` of every absolute import."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -433,13 +447,34 @@ def _scipy_violations(tree: ast.AST):
             names = [node.module or ""]
         else:
             continue
-        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+        for name in names:
+            yield node.lineno, name.split(".")[0]
+
+
+def _scipy_violations(tree: ast.AST):
+    """Rule 10: no scipy import anywhere in ``src/repro``."""
+    lines = sorted({line for line, pkg in _imported_packages(tree) if pkg == "scipy"})
+    for lineno in lines:
+        yield (
+            lineno,
+            "scipy import in src/repro: node bounds must be certified "
+            "(an NLP solver's objective is not a lower bound) and "
+            "scipy.optimize costs every allocation process ~44 MiB; "
+            "use the active-set QP in repro.solvers.qp_relax",
+        )
+
+
+def _process_import_violations(path: Path, tree: ast.AST):
+    """Rule 13: process-starting modules imported outside their one owner."""
+    for lineno, pkg in _imported_packages(tree):
+        owner = PROCESS_MODULES.get(pkg)
+        if owner is not None and path != owner:
             yield (
-                node.lineno,
-                "scipy import in src/repro: node bounds must be certified "
-                "(an NLP solver's objective is not a lower bound) and "
-                "scipy.optimize costs every allocation process ~44 MiB; "
-                "use the active-set QP in repro.solvers.qp_relax",
+                lineno,
+                f"{pkg} imported outside {owner.relative_to(TARGET).as_posix()}: "
+                "the fork supervisor in core/sensitivity.py is the one "
+                "multi-process transport, and subprocess only runs git in "
+                "telemetry/manifest.py",
             )
 
 
@@ -552,6 +587,7 @@ def _violations(path: Path, tree: ast.AST, source_lines):
     yield from _swallow_violations(path, tree, source_lines)
     yield from _instance_state_violations(tree)
     yield from _scipy_violations(tree)
+    yield from _process_import_violations(path, tree)
     yield from _power_violations(path, tree)
     yield from _im2col_violations(tree)
     yield from _input_write_violations(path, tree)

@@ -2,8 +2,8 @@
 
 Extracted from :mod:`repro.quant.export` (which re-exports these names for
 its original callers) so the packed-weights exporter, the sweep
-checkpointer, the sharded-sweep spool, the model-zoo cache, and the Ĝ
-artifact store (:mod:`repro.store`) all share one write discipline:
+checkpointer, the model-zoo cache, and the Ĝ artifact store
+(:mod:`repro.store`) all share one write discipline:
 
 - **atomicity** — payloads are written to a sibling ``*.tmp`` file and
   moved over the final name with ``os.replace``, so readers only ever
@@ -14,8 +14,7 @@ artifact store (:mod:`repro.store`) all share one write discipline:
   read-mostly callers via :func:`reap_stale_tmp`), counted in
   ``export.stale_tmp_reaped``.
 - **integrity** — :func:`payload_checksum` embeds a SHA-256 over an npz
-  payload's keys, dtypes, shapes, and bytes under :data:`CHECKSUM_KEY`;
-  :func:`file_sha256` hashes whole files for cross-process validation.
+  payload's keys, dtypes, shapes, and bytes under :data:`CHECKSUM_KEY`.
 
 Telemetry lint rule 7 (``scripts/check_telemetry_lint.py``) forbids raw
 ``open(..., "w"/"wb")`` / ``np.save*`` / ``json.dump`` writes elsewhere in
@@ -44,7 +43,6 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_npz",
-    "file_sha256",
     "payload_checksum",
     "reap_stale_tmp",
     "wall_now",
@@ -68,7 +66,7 @@ def wall_now() -> float:
 
     The telemetry lint forbids ``time.time()`` so span arithmetic stays on
     the monotonic clock — but cross-process freshness checks (stale tmp
-    files, work-queue lease expiry, writer-lock takeover) compare against
+    files, writer-lock takeover) compare against
     ``os.stat`` mtimes, which *are* wall-clock.  This is the one
     sanctioned wall-clock source.
     """
@@ -80,7 +78,7 @@ def reap_stale_tmp(directory, ttl: float = STALE_TMP_TTL) -> int:
 
     A writer killed between writing ``foo.tmp`` and ``os.replace`` leaks
     the tmp file forever; callers of the atomic-write machinery invoke
-    this on save/load so spool and artifact directories self-clean.  Young
+    this on save/load so checkpoint and artifact directories self-clean.  Young
     tmp files (a concurrent writer mid-save) are left alone.  Returns the
     number of files reaped (counted in ``export.stale_tmp_reaped``).
     """
@@ -137,15 +135,6 @@ def atomic_write_json(path, doc: dict) -> None:
     atomic_write_bytes(
         path, (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
     )
-
-
-def file_sha256(path) -> str:
-    """SHA-256 hex digest of a file's bytes."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def payload_checksum(payload: Dict[str, np.ndarray]) -> str:

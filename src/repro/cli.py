@@ -9,14 +9,13 @@ Commands
 - ``store``               inspect/verify/reap an artifact store
 - ``experiment <name>``   regenerate one paper table/figure
 - ``report <manifest>``   pretty-print a telemetry run manifest
-- ``sweep-worker``        internal: one sharded-sweep worker process
 
 ``--trace`` (on ``allocate``/``allocate-cached``/``experiment``) records
 the run into a JSON manifest under ``reports/runs/`` (override with
 ``--manifest-dir`` or ``REPRO_MANIFEST_DIR``); ``report`` renders one.
 
-Failure exit codes are typed; the full contract (codes 2-7 and 130) is
-the table in docs/robustness.md.
+Failure exit codes are typed; the full contract (codes 2-5, 7 and 130)
+is the table in docs/robustness.md.
 """
 
 from __future__ import annotations
@@ -76,19 +75,6 @@ def _allocate_body(args, run) -> int:
     x_sens, y_sens = sensitivity_set(dataset, size=args.set_size)
     degraded_exit = 0  # flips to 3 when the allocation came from a fallback rung
 
-    model_spec = None
-    if args.shards > 1:
-        # Spawned shard workers rebuild the model from scratch (no fork):
-        # the builder spec plus the serialized weights in the spool is
-        # everything a worker needs to reproduce the sweep bitwise.
-        model_spec = {
-            "import": "repro.models.registry:build_model",
-            "kwargs": {
-                "name": args.model,
-                "num_classes": dataset.config.num_classes,
-            },
-            "act_bits": config.act_bits,
-        }
     sens_config = SensitivityConfig(
         num_workers=args.workers,
         checkpoint_path=args.sweep_checkpoint,
@@ -97,10 +83,6 @@ def _allocate_body(args, run) -> int:
         health=args.health,
         health_rounds=args.health_rounds,
         health_repair=not args.no_health_repair,
-        shards=args.shards,
-        lease_ttl=args.lease_ttl,
-        spool_dir=args.spool,
-        model_spec=model_spec,
     )
     ctx = ExperimentContext()
     algo = ctx.make_algorithm(
@@ -127,17 +109,6 @@ def _allocate_body(args, run) -> int:
                 f"(width mean {float(e['batch_width_mean']):.1f}, "
                 f"max {e['batch_width_max']}, cap {e['eval_batch_k']})"
             )
-    if raw is not None and raw.extras.get("strategy") == "distributed":
-        e = raw.extras
-        emit(
-            f"  sharded sweep: {e['shards']} shard(s) on {e['workers']} "
-            f"spawned worker(s), {e['merged_parts']} part(s) merged; "
-            f"{e['leases_expired']} lease(s) expired, "
-            f"{e['shards_stolen']} stolen, "
-            f"{e['duplicate_completions']} duplicate completion(s), "
-            f"{e['parts_quarantined']} part(s) quarantined, "
-            f"{e['workers_respawned']} worker(s) respawned"
-        )
     health_record = getattr(algo, "health_record", None)
     if health_record is not None:
         emit(
@@ -216,11 +187,10 @@ def _cmd_allocate(args) -> int:
     authoritative table lives in docs/robustness.md ("Exit-code
     contract").  In brief: 0 success, 2 infeasible budget, 3 degraded
     (fallback rung), 4 sweep failure, 5 unhealthy matrix under
-    ``--health strict``, 6 shard-protocol failure, 7 store refusal
-    (``allocate-cached --offline``), 130 interrupted.
+    ``--health strict``, 7 store refusal (``allocate-cached --offline``),
+    130 interrupted.
     """
     from .core import InfeasibleBudgetError
-    from .distrib import SHARD_EXIT_CODE, ShardProtocolError
     from .robustness import DeadlineExpired, SweepFailure, UnhealthyMatrixError
 
     run = None
@@ -261,12 +231,6 @@ def _cmd_allocate(args) -> int:
                  f"{exc.record.get('flagged_final')} entries still flagged "
                  "(see the health record in the run manifest)")
         return 5
-    except ShardProtocolError as exc:
-        emit(f"error: sharded sweep could not complete — {exc}")
-        if exc.shard >= 0:
-            emit(f"  shard {exc.shard}; inspect the spool's quarantine/ and "
-                 "logs/ directories for attribution")
-        return SHARD_EXIT_CODE
     except KeyboardInterrupt:
         # The sweep engine flushes its checkpoint in a finally-block before
         # this propagates, so an interrupted run resumes cleanly.
@@ -530,13 +494,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_sweep_worker(args) -> int:
-    """Body of one spawned shard worker (started by the coordinator)."""
-    from .distrib import run_worker
-
-    return run_worker(args.spool, args.worker_id, poll=args.poll)
-
-
 def _cmd_report(args) -> int:
     doc = telemetry.load_manifest(args.manifest)
     emit(telemetry.format_manifest(doc))
@@ -592,27 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for the sensitivity sweep (0 = all cores)",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="split the sweep into this many crash-tolerant shards run by "
-        "spawned worker processes (0/1 = single process); see docs/distrib.md",
-    )
-    p.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        help="seconds without a heartbeat before a shard lease is revoked "
-        "and the shard re-queued (default 30)",
-    )
-    p.add_argument(
-        "--spool",
-        default=None,
-        help="spool directory for the sharded-sweep work queue "
-        "(default: a private temp dir, removed on success)",
+        help="fork worker processes for the sensitivity sweep (0 = one per "
+        "CPU this process may run on)",
     )
     p.add_argument(
         "--sweep-checkpoint",
@@ -733,17 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="manifest output directory (default reports/runs/)",
     )
     p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser(
-        "sweep-worker",
-        help="internal: one sharded-sweep worker process "
-        "(spawned by allocate --shards)",
-    )
-    p.add_argument("--spool", required=True, help="spool directory to serve")
-    p.add_argument("--worker-id", required=True)
-    p.add_argument("--poll", type=float, default=0.02,
-                   help="idle queue poll interval (s)")
-    p.set_defaults(func=_cmd_sweep_worker)
 
     p = sub.add_parser("report", help="pretty-print a telemetry run manifest")
     p.add_argument("manifest", help="path to a reports/runs/*.json manifest")

@@ -41,7 +41,6 @@ __all__ = [
     "AllocationResult",
     "DEFAULT_CACHE_BUDGET",
     "DEFAULT_MAX_RETRIES",
-    "DEFAULT_LEASE_TTL",
     "InfeasibleBudgetError",
     "ALGORITHM_KINDS",
     "algorithm_specs",
@@ -54,12 +53,6 @@ DEFAULT_CACHE_BUDGET = 16
 #: Times a failed group is re-queued (to surviving workers, then serially)
 #: before the sweep gives up with :class:`repro.robustness.SweepFailure`.
 DEFAULT_MAX_RETRIES = 2
-
-#: Wall-clock seconds a sharded-sweep lease may go without a heartbeat
-#: before the coordinator's reaper revokes it (see ``repro.distrib``).
-#: Lives here rather than in ``repro.distrib`` so config layers can name
-#: the default without importing the (subprocess-spawning) subsystem.
-DEFAULT_LEASE_TTL = 30.0
 
 
 @dataclass(frozen=True)
@@ -92,16 +85,15 @@ class SensitivityConfig:
     health: str = "off"  # "off" | "warn" | "strict"
     health_rounds: int = 2  # quarantine re-measure rounds
     health_repair: bool = True  # structural repair ladder after quarantine
-    # Sharded execution (see docs/distrib.md); 0/1 shards = single process
-    shards: int = 0
-    lease_ttl: Optional[float] = None  # None = DEFAULT_LEASE_TTL
-    spool_dir: Optional[str] = None  # None = private temp spool
-    model_spec: Optional[dict] = None  # worker-side model builder spec
     # HAWQ (Hutchinson trace estimation)
     probes: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.num_workers < 0:
+            raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
         if self.eval_batch_k < 0:
             raise ValueError(f"eval_batch_k must be >= 0, got {self.eval_batch_k}")
         if self.max_retries < 0:

@@ -35,10 +35,9 @@ Eq. 12 evaluation), and each pair ``(i, j)`` replays only from layer
 replays once with its candidates stacked on the batch axis, a width-1
 chunk is a plain perturbed replay.  A model whose segments do not cover
 every searched layer runs as the single segment ``[model]``, where every
-replay is a full forward.  Groups can fan out across fork-based worker
-processes or spool-sharded ones (:mod:`repro.distrib`); the measured
-matrix is bitwise identical across worker counts and transports because
-losses are keyed by their plan index before assembly.
+replay is a full forward.  Groups can fan out across supervised fork
+workers; the measured matrix is bitwise identical across worker counts
+because losses are keyed by their plan index before assembly.
 
 Every forward the engine runs is a no-grad forward
 (:meth:`repro.nn.Module.no_grad`): no layer keeps a backward cache, and
@@ -248,11 +247,10 @@ def build_pair_list(
 ) -> List[Tuple[int, int]]:
     """The deterministic ``(i, j)`` cross-term list for a sweep ``mode``.
 
-    Every :class:`SweepSession` derives its plan from it: the sharded
-    coordinator and its spawned workers must derive the identical pair
-    list (hence the identical :class:`~repro.core.sweep.EvalPlan`) from
-    the same layer set, or the plan fingerprints — and the shard merge —
-    disagree.
+    Every :class:`SweepSession` derives its plan from it, so two sweeps
+    over the same layer set build the identical
+    :class:`~repro.core.sweep.EvalPlan` — and a resume checkpoint's plan
+    fingerprint matches.
     """
     if mode not in ("full", "diagonal", "block"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -281,9 +279,8 @@ def assemble_from_losses(
     """Assemble ``(matrix, single)`` from plan-indexed losses.
 
     Deterministic reassembly: entries depend only on plan indices, so the
-    matrix is independent of execution order, worker count, and of whether
-    the losses came from one process or were merged from shard partials —
-    the property the distributed sweep's bitwise-equality gate rests on.
+    matrix is independent of execution order, worker count, and of which
+    losses were resumed from a checkpoint.
 
     ``fault_plan`` applies the measurement-corruption faults: ``outlier_loss``
     poisons the loss dict (in plan-index order) *before* assembly so
@@ -349,9 +346,18 @@ def _check_finite(loss: float, poison: bool = False) -> float:
     return loss
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset``, a cpuset container), else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _resolve_workers(num_workers: int) -> int:
-    """Worker processes for a sweep: ``0`` = all cores, serial without fork."""
-    workers = num_workers or os.cpu_count() or 1
+    """Worker processes for a sweep: ``0`` = every usable CPU, serial
+    without fork."""
+    workers = num_workers or _usable_cpus()
     if workers > 1 and "fork" not in mp.get_all_start_methods():
         return 1  # no COW sharing available (e.g. Windows): run serial
     return max(1, workers)
@@ -633,11 +639,10 @@ class SensitivityEngine:
         ----------
         config:
             Every execution knob (batching, workers, caches, resume,
-            stack width, retries, faults, health checks, sharding); the
-            defaults when omitted.  ``config.shards > 1`` routes the sweep
-            through the crash-tolerant work-queue protocol of
-            :mod:`repro.distrib` (see ``docs/distrib.md``); the merged
-            matrix is bitwise identical to the single-process sweep.
+            stack width, retries, faults, health checks); the defaults
+            when omitted.  ``config.num_workers > 1`` fans the groups out
+            across supervised fork workers; the matrix is bitwise
+            identical to the single-process sweep.
         mode:
             ``"full"`` — all pairwise cross terms (CLADO);
             ``"diagonal"`` — layer-specific terms only (CLADO* ablation);
@@ -648,23 +653,6 @@ class SensitivityEngine:
             Optional callback ``(done, total)`` for long sweeps.
         """
         config = config or SensitivityConfig()
-        if config.shards > 1:
-            from ..distrib import measure_sharded
-
-            return measure_sharded(
-                self, x, y, config, mode=mode, blocks=blocks, progress=progress
-            )
-        return self._measure_segmented(x, y, config, mode, blocks, progress)
-
-    def _measure_segmented(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        config: SensitivityConfig,
-        mode: str,
-        blocks: Optional[Sequence[str]],
-        progress: Optional[Callable[[int, int], None]],
-    ) -> SensitivityResult:
         t0 = telemetry.monotonic()
         session = SweepSession(self, x, y, config, mode=mode, blocks=blocks)
         plan = session.plan
@@ -742,7 +730,7 @@ class SensitivityEngine:
             t_evals = telemetry.monotonic() - t_eval_start
 
             # Injected measurement corruption (round 0 = the sweep itself)
-            # and deterministic reassembly, shared with the sharded merge.
+            # and deterministic reassembly.
             matrix, single = session.assemble(losses)
             if config.health != "off":
                 with telemetry.span("sweep.health"):
@@ -827,23 +815,20 @@ class SensitivityEngine:
 class SweepSession:
     """The state of one sensitivity sweep, and the code that runs it.
 
-    :meth:`SensitivityEngine.measure` opens one per sweep (its fork
-    workers inherit it), and so does each side of :mod:`repro.distrib`:
-    the sharded coordinator for the prefix pass, the fingerprint, the
-    assembly and the health pass, and every spawned worker for the plan
-    groups of the shards it claims.  Plan construction, the prefix pass
-    and group execution are deterministic functions of (weights, data,
-    config), so every session over the same job measures
-    bitwise-identical losses — which is what makes resume and shard
-    merges sound and the matrix independent of the transport.
+    :meth:`SensitivityEngine.measure` opens one per sweep, and its fork
+    workers inherit it.  Plan construction, the prefix pass and group
+    execution are deterministic functions of (weights, data, config), so
+    every session over the same job measures bitwise-identical losses —
+    which is what makes resume sound and the matrix independent of the
+    worker count.
 
-    The constructor resolves every option once — the stack width (auto
-    when ``config.eval_batch_k`` is 0), the chunk waste factor, the worker
-    count and the fault plan (``REPRO_FAULT_PLAN`` included) — builds the
-    plan and runs the clean prefix pass; nothing on the session changes
-    afterwards.  Group execution expects the caller to hold
-    :meth:`no_grad`; :meth:`run_groups` and :meth:`health_pass` enter it
-    themselves.
+    The constructor validates the sensitivity set, resolves every option
+    once — the stack width (auto when ``config.eval_batch_k`` is 0), the
+    chunk waste factor, the worker count and the fault plan
+    (``REPRO_FAULT_PLAN`` included) — builds the plan and runs the clean
+    prefix pass; nothing on the session changes afterwards.  Group
+    execution and the health pass expect the caller to hold
+    :meth:`no_grad`, as :meth:`SensitivityEngine.measure` does.
     """
 
     def __init__(
@@ -856,7 +841,10 @@ class SweepSession:
         mode: str,
         blocks: Optional[Sequence[str]] = None,
     ) -> None:
+        from .evaluate import _check_eval_set  # evaluate imports this module
+
         t0 = telemetry.monotonic()
+        batch_size = _check_eval_set(x, config.batch_size)
         table = engine.table
         self.engine = engine
         self.config = config
@@ -881,7 +869,6 @@ class SweepSession:
         # Clean prefix pass: one full forward per batch, checkpointing the
         # cuts replays start from; the final outputs give the base loss.
         engine.model.eval()
-        batch_size = config.batch_size
         self.n = len(x)
         self.batches = [
             (x[s : s + batch_size], y[s : s + batch_size])
@@ -919,7 +906,7 @@ class SweepSession:
             yield
 
     def fingerprint(self) -> str:
-        """Hash every resume checkpoint and shard part must match.
+        """Hash every resume checkpoint must match.
 
         Covers what a measured loss depends on: the data, the original
         weights of the searched layers, the batching, the quantizer scheme,
@@ -965,8 +952,8 @@ class SweepSession:
         forwards spent, and stacked-replay statistics.
 
         This is the fault-injection point for sweep faults: it runs
-        identically in fork workers, spool workers and serial execution,
-        and it sees the ``(group, attempt)`` pair the schedule is keyed by.
+        identically in fork workers and serial execution, and it sees the
+        ``(group, attempt)`` pair the schedule is keyed by.
         An armed ``nonfinite_loss`` fault poisons the group's diagonal loss.
         """
         poison = False
@@ -1016,21 +1003,6 @@ class SweepSession:
             group=group_idx,
             attempts=attempts,
         ) from last_exc
-
-    def run_groups(
-        self,
-        group_indices: Iterable[int],
-        heartbeat: Optional[Callable[[], None]] = None,
-    ) -> Dict[int, float]:
-        """Execute several plan groups, invoking ``heartbeat`` after each."""
-        losses: Dict[int, float] = {}
-        with self.no_grad():
-            for gi in group_indices:
-                results, _, _ = self.run_group(gi)
-                losses.update(results)
-                if heartbeat is not None:
-                    heartbeat()
-        return losses
 
     def assemble(self, losses: Dict[int, float]) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble ``(matrix, single)`` from complete plan-indexed losses,
@@ -1302,37 +1274,34 @@ class SweepSession:
                 matrix[p.i * nb + p.m, p.j * nb + p.n] = omega
                 matrix[p.j * nb + p.n, p.i * nb + p.m] = omega
 
-        # Its own no-grad scope: the sharded coordinator calls the health
-        # pass outside measure().
-        with self.no_grad():
-            for round_ in range(1, policy.remeasure_rounds + 1):
-                if not active:
-                    break
-                with telemetry.span("sweep.remeasure", round=round_):
-                    # Diagonal suspects first (sort key: pairs compare
-                    # False < True), so corrected singles propagate before
-                    # the pair agreement checks of the same round.
-                    for key in sorted(active, key=lambda rc: (rc[0] != rc[1], rc)):
-                        specs = entry_specs(key)
-                        if not specs:
-                            # Nothing measurable behind this entry (cannot
-                            # happen for plan-built matrices; defensive).
-                            active.discard(key)
-                            persistent[key] = 0.0
-                            continue
-                        samples.setdefault(key, [losses[specs[0].index]])
-                        agree = True
-                        for spec in specs:
-                            new = self._remeasure_loss(spec, round_)
-                            remeasured += 1
-                            if not policy.agrees(new, losses[spec.index]):
-                                agree = False
-                                losses[spec.index] = new
-                        samples[key].append(losses[specs[0].index])
-                        recompute(key)
-                        if agree:
-                            confirmed.add(key)
-                            active.discard(key)
+        for round_ in range(1, policy.remeasure_rounds + 1):
+            if not active:
+                break
+            with telemetry.span("sweep.remeasure", round=round_):
+                # Diagonal suspects first (sort key: pairs compare
+                # False < True), so corrected singles propagate before
+                # the pair agreement checks of the same round.
+                for key in sorted(active, key=lambda rc: (rc[0] != rc[1], rc)):
+                    specs = entry_specs(key)
+                    if not specs:
+                        # Nothing measurable behind this entry (cannot
+                        # happen for plan-built matrices; defensive).
+                        active.discard(key)
+                        persistent[key] = 0.0
+                        continue
+                    samples.setdefault(key, [losses[specs[0].index]])
+                    agree = True
+                    for spec in specs:
+                        new = self._remeasure_loss(spec, round_)
+                        remeasured += 1
+                        if not policy.agrees(new, losses[spec.index]):
+                            agree = False
+                            losses[spec.index] = new
+                    samples[key].append(losses[specs[0].index])
+                    recompute(key)
+                    if agree:
+                        confirmed.add(key)
+                        active.discard(key)
 
         for key in sorted(active):
             persistent[key] = float(np.var(np.asarray(samples.get(key, [0.0]))))

@@ -50,8 +50,6 @@ __all__ = [
     "select_cuts",
     "PrefixCache",
     "SweepCheckpoint",
-    "CheckpointMergeConflict",
-    "merge_loss_maps",
 ]
 
 
@@ -560,62 +558,3 @@ class SweepCheckpoint:
                 with open(self.path, "r+b") as fh:
                     fh.truncate(max(1, int(size * keep)))
 
-
-# ---------------------------------------------------------------------------
-# Partial-checkpoint merge
-# ---------------------------------------------------------------------------
-
-#: Duplicate (index, loss) pairs collapsed idempotently during merges.
-_MERGE_DUPLICATES = telemetry.counter("checkpoint.merge_duplicates")
-
-
-class CheckpointMergeConflict(ValueError):
-    """Two sources disagree on the loss for the same plan index.
-
-    Identical duplicate values are legal (work stealing makes them
-    routine); a *different* value for the same index means two workers ran
-    the same evaluation against different models/data — merging either one
-    silently would corrupt the matrix, so both sources are attributed.
-    """
-
-    def __init__(self, index: int, first_source: str, first_value: float,
-                 second_source: str, second_value: float) -> None:
-        super().__init__(
-            f"conflicting losses for plan index {index}: "
-            f"{first_source} measured {first_value!r}, "
-            f"{second_source} measured {second_value!r}"
-        )
-        self.index = int(index)
-        self.sources = (str(first_source), str(second_source))
-        self.values = (float(first_value), float(second_value))
-
-
-def merge_loss_maps(
-    sources: Sequence[Tuple[str, Mapping[int, float]]],
-) -> Dict[int, float]:
-    """Fold per-source ``{plan index: loss}`` maps into one losses dict.
-
-    Losses are keyed by the deterministic :class:`EvalSpec` plan index, so
-    a correct sweep measures the same value for an index no matter which
-    worker (or how many workers) ran it — duplicates from work stealing
-    merge idempotently by bitwise value identity.  A conflicting value
-    raises :class:`CheckpointMergeConflict` attributing both sources.
-    """
-    merged: Dict[int, float] = {}
-    owner: Dict[int, str] = {}
-    for name, losses in sources:
-        for index, loss in losses.items():
-            index = int(index)
-            loss = float(loss)
-            if index in merged:
-                # Bitwise identity, not tolerance: the whole protocol is
-                # pinned on duplicates being *exactly* reproducible.
-                if merged[index] == loss:
-                    _MERGE_DUPLICATES.add()
-                    continue
-                raise CheckpointMergeConflict(
-                    index, owner[index], merged[index], str(name), loss
-                )
-            merged[index] = loss
-            owner[index] = str(name)
-    return merged

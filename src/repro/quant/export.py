@@ -28,7 +28,6 @@ from ..atomicio import (
     STALE_TMP_TTL,
     atomic_write_bytes,
     atomic_write_npz,
-    file_sha256,
     payload_checksum as _payload_checksum,
     reap_stale_tmp,
     wall_now,
@@ -37,12 +36,11 @@ from .calibration import affine_minmax_params, mse_optimal_scale
 from .quantizers import _qrange
 
 # The atomic-write machinery was born here and moved to repro.atomicio so
-# the checkpointer, spool, zoo cache, and Ĝ store share it; the names stay
-# re-exported for the original import paths (distrib, tests).
+# the checkpointer, zoo cache, and Ĝ store share it; the names stay
+# re-exported for their original import path.
 __all__ = ["PackedTensor", "pack_tensor", "unpack_tensor", "export_assignment",
            "save_packed", "load_packed", "CorruptArtifactError",
-           "atomic_write_bytes", "file_sha256", "reap_stale_tmp",
-           "wall_now", "STALE_TMP_TTL"]
+           "atomic_write_bytes", "reap_stale_tmp", "wall_now", "STALE_TMP_TTL"]
 
 
 class CorruptArtifactError(RuntimeError):

@@ -26,10 +26,6 @@ JSON schema::
        {"kind": "outlier_loss",      "at": 7, "times": 1},
        {"kind": "asymmetric_pair",   "at": 9, "times": 1},
        {"kind": "solver_deadline",   "rung": "bb"},
-       {"kind": "shard_loss",            "at": 0, "times": 1},
-       {"kind": "stale_lease",           "at": 1, "times": 1},
-       {"kind": "duplicate_completion",  "at": 2, "times": 1},
-       {"kind": "torn_partial",          "at": 3, "times": 1},
        {"kind": "truncated_artifact",    "at": 0, "times": 1},
        {"kind": "checksum_flip",         "at": 1, "times": 1},
        {"kind": "stale_writer_lock",     "at": 0, "times": 1},
@@ -39,15 +35,12 @@ JSON schema::
 ``at`` is the plan-group index for process faults (``worker_crash``,
 ``nonfinite_loss``), the plan *spec* index for measurement faults
 (``outlier_loss``, ``asymmetric_pair``), the flush ordinal for
-checkpoint faults, the shard id for distributed faults
-(``shard_loss``, ``stale_lease``, ``duplicate_completion``,
-``torn_partial``), and the store publish ordinal for artifact-store
+checkpoint faults, and the store publish ordinal for artifact-store
 faults (``truncated_artifact``, ``checksum_flip``, ``stale_writer_lock``,
-``fingerprint_mismatch``); ``times`` is how many *attempts* fail before the fault
-stops firing (so bounded retries — and, for measurement faults, bounded
-quarantine re-measure rounds; for shard faults, lease generations —
-deterministically recover); ``rung`` names the ladder rung whose deadline
-is forced to expire.
+``fingerprint_mismatch``); ``times`` is how many *attempts* fail before
+the fault stops firing (so bounded retries — and, for measurement faults,
+bounded quarantine re-measure rounds — deterministically recover);
+``rung`` names the ladder rung whose deadline is forced to expire.
 
 Faults fire through the same code paths real failures take: an injected
 crash is an ``os._exit`` inside a fork worker (the supervisor sees a dead
@@ -83,10 +76,6 @@ FAULT_KINDS = (
     "solver_deadline",
     "outlier_loss",
     "asymmetric_pair",
-    "shard_loss",
-    "stale_lease",
-    "duplicate_completion",
-    "torn_partial",
     "truncated_artifact",
     "checksum_flip",
     "stale_writer_lock",
@@ -227,47 +216,6 @@ class FaultPlan:
         magnitude = 4.0 + 28.0 * (state / float(2**31))
         sign = 1.0 if state & 1 else -1.0
         return sign * magnitude
-
-    # -- distributed (shard) faults --------------------------------------------
-    def shard_loss_now(self, shard: int, generation: int) -> bool:
-        """Should the worker holding ``shard`` (lease ``generation``) die?
-
-        Fires as a hard ``os._exit`` in the spawned sweep worker after it
-        claims the lease — the coordinator sees a silent lease expiry and
-        a dead process, exactly like a box loss.
-        """
-        return self._fires("shard_loss", shard, generation)
-
-    def stale_lease_now(self, shard: int, generation: int) -> bool:
-        """Should the worker on ``shard`` stop heartbeating and stall?
-
-        The worker keeps running but its lease mtime freezes, so the
-        coordinator's reaper revokes it — the straggler/GC-pause/network
-        -partition case as opposed to the crash case above.
-        """
-        return self._fires("stale_lease", shard, generation)
-
-    def duplicate_completion_now(self, shard: int, generation: int) -> bool:
-        """Should the worker publish ``shard``'s completion twice?
-
-        Exercises first-valid-completion-wins: the second publish must be
-        discarded idempotently (identical losses keyed by plan index).
-        """
-        return self._fires("duplicate_completion", shard, generation)
-
-    def torn_partial_fraction(self, shard: int, generation: int) -> Optional[float]:
-        """Fraction of the shard partial file to keep, or ``None``.
-
-        Mirrors :meth:`checkpoint_truncation`: seeded in ``(0.1, 0.9)``
-        so the torn partial looks plausible but fails checksum/parse and
-        gets quarantined with attribution.
-        """
-        if not self._fires("torn_partial", shard, generation):
-            return None
-        state = (
-            1103515245 * (self.seed + 17 * shard + generation + 1) + 12345
-        ) % (2**31)
-        return 0.1 + 0.8 * (state / float(2**31))
 
     # -- artifact-store faults -------------------------------------------------
     def artifact_truncation(self, publish_ordinal: int) -> Optional[float]:

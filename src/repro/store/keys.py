@@ -20,9 +20,9 @@ What goes into each fingerprint:
   measurement mode, ``symmetric_diag``, ``batch_size``, and
   ``eval_batch_k`` (stacked replays are allclose but not bitwise equal
   to sequential ones, so they address different entries).  Execution
-  knobs proven bitwise-invariant — worker count and sharding — are
-  deliberately *excluded*, so a sweep sharded across 8 boxes and a
-  single-process sweep share one entry.
+  knobs proven bitwise-invariant — the worker count — are deliberately
+  *excluded*, so a sweep on 8 fork workers and a single-process sweep
+  share one entry.
 """
 
 from __future__ import annotations

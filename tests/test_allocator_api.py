@@ -53,6 +53,18 @@ class TestSensitivityConfig:
         with pytest.raises(TypeError):
             SensitivityConfig().with_overrides(bogus=1)
 
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_rejects_nonpositive_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            SensitivityConfig(batch_size=batch_size)
+        with pytest.raises(ValueError, match="batch_size"):
+            SensitivityConfig().with_overrides(batch_size=batch_size)
+
+    def test_rejects_negative_workers(self):
+        with pytest.raises(ValueError, match="num_workers"):
+            SensitivityConfig(num_workers=-3)
+        assert SensitivityConfig(num_workers=0).num_workers == 0  # auto
+
 
 class TestSolverConfig:
     def test_defaults(self):

@@ -220,3 +220,57 @@ class TestInstanceStateRule:
         for path in sorted(lint.TARGET.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             assert list(lint._instance_state_violations(tree)) == [], path
+
+
+def _process_lines(source: str, module: str):
+    path = lint.TARGET / module
+    return sorted(
+        line for line, _ in lint._process_import_violations(path, ast.parse(source))
+    )
+
+
+class TestProcessImportRule:
+    def test_rejects_a_second_transport(self):
+        # The import block of the on-disk work-queue coordinator that once
+        # spawned sweep workers next to the fork supervisor.
+        source = (
+            "import json\n"
+            "import os\n"
+            "import shutil\n"
+            "import subprocess\n"
+            "import sys\n"
+        )
+        assert _process_lines(source, "distrib/queue.py") == [4]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import multiprocessing\n",
+            "import multiprocessing as mp\n",
+            "import multiprocessing.connection\n",
+            "from multiprocessing import connection as mp_connection\n",
+            "from multiprocessing.pool import Pool\n",
+            "import subprocess\n",
+            "from subprocess import Popen\n",
+            "def f():\n    import subprocess\n",
+        ],
+    )
+    def test_rejects_every_import_form_elsewhere(self, source):
+        assert len(_process_lines(source, "core/clado.py")) == 1
+
+    def test_each_module_has_one_owner(self):
+        mp_source = "import multiprocessing as mp\n"
+        sp_source = "import subprocess\n"
+        assert _process_lines(mp_source, "core/sensitivity.py") == []
+        assert _process_lines(sp_source, "telemetry/manifest.py") == []
+        assert _process_lines(sp_source, "core/sensitivity.py") == [1]
+        assert _process_lines(mp_source, "telemetry/manifest.py") == [1]
+
+    def test_allows_relative_and_lookalike_imports(self):
+        source = "from .subprocess import run\nimport multiprocessingx\n"
+        assert _process_lines(source, "core/clado.py") == []
+
+    def test_tree_passes(self):
+        for path in sorted(lint.TARGET.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            assert list(lint._process_import_violations(path, tree)) == [], path

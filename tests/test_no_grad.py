@@ -190,8 +190,8 @@ class TestSweepLeavesNoState:
         assert all(np.isfinite(g).all() and g.any() for g in grads)
 
     def test_shard_session_and_coordinator_health_pass(self):
-        """The spool workers' session and the sharded coordinator's health
-        pass (which runs outside ``measure``) replay without state too."""
+        """A health pass that re-measures an outlier (stacked sweep, plain
+        suffix replays off the clean cache) replays without state too."""
         model, layers, table, x, y = _engine_setup("vit_s")
         engine = SensitivityEngine(model, table)
         probe = SweepSession(
@@ -199,16 +199,18 @@ class TestSweepLeavesNoState:
         )
         diag = probe.plan.groups[0].diag.index
         plan = FaultPlan(seed=3, faults=(FaultSpec("outlier_loss", at=diag),))
-        session = SweepSession(
-            engine, x, y,
-            SensitivityConfig(batch_size=4, eval_batch_k=4, fault_plan=plan),
+        seen = _recording_segments(engine)
+        result = engine.measure(
+            x, y,
+            SensitivityConfig(
+                batch_size=4, eval_batch_k=4, fault_plan=plan, health="warn"
+            ),
             mode="full",
         )
-        losses = session.run_groups(range(len(session.plan.groups)))
-        matrix, single = session.assemble(losses)
-        _, extras = session.health_pass(matrix, single, losses)
+        extras = result.extras["health"]
         assert extras["remeasured"] > 0
-        roots = (model, *session.segments)
+        (segments,) = seen
+        roots = (model, *segments)
         assert _cached(*roots) == []
         assert all(m.grad_enabled for m in _modules(*roots))
 

@@ -2,6 +2,8 @@
 Algorithm 1, plan/cache/checkpoint machinery, segmented-forward model
 support."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core import (
     select_cuts,
     setup_activation_quant,
 )
+from repro.core.sensitivity import SweepSession, _resolve_workers, _usable_cpus
 from repro.models import MODEL_REGISTRY, build_model, quantizable_layers
 from repro.nn import (
     BatchNorm2d,
@@ -235,41 +238,41 @@ class TestStrategySelection:
 
 class TestResume:
     def test_checkpoint_resume_skips_completed_groups(self, mlp_setup, tmp_path):
+        """Abort a sweep halfway, in-process and with two fork workers in
+        flight; the rerun resumes the checkpointed losses to the same Ĝ."""
         model, layers, table, x, y = mlp_setup
-        path = str(tmp_path / "sweep.ckpt")
         engine = SensitivityEngine(model, table)
+        clean = engine.measure(x, y, SensitivityConfig(batch_size=8))
+        naive = naive_sweep(model, table, x, y, batch_size=8)
 
         class _Abort(Exception):
             pass
 
-        ticks = 0
-
         def aborting(done, total):
-            nonlocal ticks
-            ticks = done
             if done >= total // 2:
                 raise _Abort
 
-        with pytest.raises(_Abort):
-            engine.measure(
-                x, y,
-                SensitivityConfig(
-                    batch_size=8, checkpoint_path=path, checkpoint_every=4
-                ),
-                progress=aborting,
+        for workers in (1, 2):
+            path = str(tmp_path / f"sweep-{workers}.ckpt")
+            config = SensitivityConfig(
+                batch_size=8, num_workers=workers, checkpoint_path=path
             )
-        table.restore_all()
+            with pytest.raises(_Abort):
+                engine.measure(
+                    x, y, config.with_overrides(checkpoint_every=4),
+                    progress=aborting,
+                )
+            table.restore_all()
 
-        resumed = engine.measure(
-            x, y, SensitivityConfig(batch_size=8, checkpoint_path=path)
-        )
-        assert resumed.extras["resumed_evals"] > 0
-        assert (
-            resumed.extras["resumed_evals"] + resumed.extras["executed_evals"]
-            == resumed.extras["plan_evals"]
-        )
-        naive = naive_sweep(model, table, x, y, batch_size=8)
-        np.testing.assert_allclose(resumed.matrix, naive.matrix, atol=1e-6)
+            resumed = engine.measure(x, y, config)
+            assert resumed.extras["workers"] == workers
+            assert resumed.extras["resumed_evals"] > 0
+            assert (
+                resumed.extras["resumed_evals"] + resumed.extras["executed_evals"]
+                == resumed.extras["plan_evals"]
+            )
+            np.testing.assert_allclose(resumed.matrix, naive.matrix, atol=1e-6)
+            np.testing.assert_array_equal(resumed.matrix, clean.matrix)
 
     def test_checkpoint_ignored_when_plan_changes(self, mlp_setup, tmp_path):
         model, layers, table, x, y = mlp_setup
@@ -331,6 +334,72 @@ class TestResume:
             mode="diagonal",
         )
         assert result.extras["resumed_evals"] == 0
+
+
+class TestSweepSession:
+    def test_assemble_rejects_incomplete_losses(self, mlp_setup):
+        model, layers, table, x, y = mlp_setup
+        engine = SensitivityEngine(model, table)
+        config = SensitivityConfig(batch_size=8)
+        session = SweepSession(engine, x, y, config, mode="diagonal")
+        groups = range(len(session.plan.groups))
+        losses = {}
+        with session.no_grad():
+            for gi in groups[: len(groups) // 2]:
+                losses.update(session.run_group(gi)[0])
+            with pytest.raises(ValueError, match="unmeasured"):
+                session.assemble(dict(losses))
+            for gi in groups[len(groups) // 2 :]:
+                losses.update(session.run_group(gi)[0])
+        matrix, single = session.assemble(losses)
+        reference = engine.measure(x, y, config, mode="diagonal")
+        np.testing.assert_array_equal(matrix, reference.matrix)
+        np.testing.assert_array_equal(single, reference.single_losses)
+
+
+class TestSweepInputs:
+    """Malformed sweep inputs raise instead of returning a meaningless Ĝ."""
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_nonpositive_batch_size_rejected(self, mlp_setup, batch_size):
+        model, layers, table, x, y = mlp_setup
+        with pytest.raises(ValueError, match="batch_size"):
+            SensitivityEngine(model, table).measure(
+                x, y, SensitivityConfig(batch_size=batch_size)
+            )
+
+    def test_empty_sensitivity_set_rejected(self, mlp_setup):
+        model, layers, table, x, y = mlp_setup
+        engine = SensitivityEngine(model, table)
+        with pytest.raises(ValueError, match="empty"):
+            engine.measure(x[:0], y[:0], SensitivityConfig(batch_size=8))
+        with pytest.raises(ValueError, match="empty"):
+            SweepSession(engine, x[:0], y[:0], SensitivityConfig(), mode="full")
+
+    def test_negative_workers_rejected(self, mlp_setup):
+        model, layers, table, x, y = mlp_setup
+        with pytest.raises(ValueError, match="num_workers"):
+            SensitivityEngine(model, table).measure(
+                x, y, SensitivityConfig(batch_size=8, num_workers=-3)
+            )
+
+    def test_auto_workers_follow_the_affinity_mask(self, mlp_setup, monkeypatch):
+        """``num_workers=0`` counts the CPUs this process may run on (a
+        ``taskset``/cpuset mask), not every core of the host."""
+        model, layers, table, x, y = mlp_setup
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _resolve_workers(0) == 1
+        result = SensitivityEngine(model, table).measure(
+            x, y, SensitivityConfig(batch_size=8, num_workers=0), mode="diagonal"
+        )
+        assert result.extras["workers"] == 1
+        assert _resolve_workers(3) == 3  # an explicit count is kept
+
+    def test_auto_workers_without_affinity_support(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _usable_cpus() == 3
 
 
 class TestEvalPlan:
