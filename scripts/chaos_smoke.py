@@ -291,7 +291,7 @@ def measurement_chaos(tmp: Path) -> None:
         (i, j) for i in range(num_layers) for j in range(i + 1, num_layers)
     ]
     plan = build_eval_plan(
-        num_layers, bits, pair_list, layer_segments, len(segments), False, "full"
+        num_layers, bits, pair_list, layer_segments, len(segments), "full"
     )
     diag_index = plan.groups[1].diag.index
     pair_index = next(p.index for g in plan.groups for p in g.pairs)

@@ -42,8 +42,9 @@ Thirteen rules (see docs/observability.md and docs/robustness.md):
    worker parked on its task pipe whose parent owns liveness) carries a
    ``lint-allow-blocking`` comment just above explaining why.
 7. No raw artifact writes — ``open(..., "w"/"wb"/"a"/...)``,
-   ``np.save``/``np.savez``/``np.savez_compressed``, and ``json.dump``
-   are forbidden everywhere in ``src/repro`` except
+   ``np.save``/``np.savez``/``np.savez_compressed``, ``json.dump`` and
+   ``Path.write_text``/``write_bytes`` are forbidden everywhere in
+   ``src/repro`` except
    :mod:`repro.atomicio`, the one sanctioned writer.  A plain write can
    be killed half-done and leave a visible, truncated artifact; the
    atomic helper's tmp + ``os.replace`` discipline is what makes
@@ -155,6 +156,9 @@ ALLOWED_RAW_WRITE = {TARGET / "atomicio.py"}
 
 #: ``np.*`` savers rule 7 rejects outside the atomic writer.
 NP_SAVE_NAMES = {"save", "savez", "savez_compressed"}
+
+#: ``pathlib.Path`` writers rule 7 rejects outside the atomic writer.
+PATH_WRITE_NAMES = {"write_text", "write_bytes"}
 
 #: Rule 8: the packages whose elementwise kernels may not call libm pow.
 POWER_DIRS = (TARGET / "nn", TARGET / "quant")
@@ -362,6 +366,8 @@ def _raw_write_violations(path: Path, tree: ast.AST, source_lines):
             and fn.value.id == "json"
         ):
             message = "raw json.dump()"
+        elif isinstance(fn, ast.Attribute) and fn.attr in PATH_WRITE_NAMES:
+            message = f"raw .{fn.attr}()"
         if message is not None and not marked(node.lineno):
             yield (
                 node.lineno,

@@ -21,6 +21,7 @@ is the table in docs/robustness.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -56,13 +57,92 @@ def _cmd_models(args) -> int:
     return 0
 
 
-def _allocate_body(args, run) -> int:
-    from .core import (
-        SensitivityConfig,
-        SolverConfig,
-        evaluate_assignment,
-        setup_activation_quant,
+def _allocate_sensitivity(args):
+    """``allocate``'s sweep options as one config (raises ``ValueError``)."""
+    from .core import SensitivityConfig
+
+    return SensitivityConfig(
+        num_workers=args.workers,
+        checkpoint_path=args.sweep_checkpoint,
+        eval_batch_k=args.eval_batch_k,
+        max_retries=args.max_retries,
+        health=args.health,
+        health_rounds=args.health_rounds,
+        health_repair=not args.no_health_repair,
     )
+
+
+def _allocate_cached_sensitivity(args):
+    """``allocate-cached``'s sweep options as one config."""
+    from .core import SensitivityConfig
+
+    return SensitivityConfig(health=args.health, health_rounds=args.health_rounds)
+
+
+def _run_allocation(args, body, run_name: str, run_config: dict) -> int:
+    """Run an allocation command's ``body`` under the exit-code contract.
+
+    The single authoritative table lives in docs/robustness.md
+    ("Exit-code contract").  In brief: 0 success, 2 infeasible budget (or
+    a usage error, raised before this runs), 3 degraded (fallback rung),
+    4 sweep failure, 5 unhealthy matrix under ``--health strict``, 7 store
+    refusal (``allocate-cached --offline``), 130 interrupted.
+    """
+    from .core import InfeasibleBudgetError
+    from .robustness import DeadlineExpired, SweepFailure, UnhealthyMatrixError
+    from .store import STORE_EXIT_CODE, StoreMissError
+
+    run = None
+    if args.trace:
+        run = telemetry.start_run(
+            run_name, config=run_config, manifest_dir=args.manifest_dir
+        )
+    try:
+        with run if run is not None else contextlib.nullcontext():
+            code = body(args, run)
+    except InfeasibleBudgetError as exc:
+        emit(f"error: infeasible budget — {exc}")
+        if exc.min_size_bits is not None:
+            emit(f"  smallest representable model: {exc.min_size_bits} bits; "
+                 "raise --avg-bits")
+        return 2
+    except DeadlineExpired as exc:
+        emit(f"error: solver deadline expired without a feasible result — {exc}")
+        return 3
+    except SweepFailure as exc:
+        emit(f"error: unrecoverable sweep failure — {exc}")
+        if exc.group >= 0:
+            emit(f"  plan group {exc.group} failed {exc.attempts} attempts "
+                 "(workers, then serial); see sweep.* counters in the manifest")
+        return 4
+    except UnhealthyMatrixError as exc:
+        emit(f"error: sensitivity matrix failed integrity checks — {exc}")
+        if exc.record:
+            emit(f"  repair rung reached: {exc.record.get('rung')!r}; "
+                 f"{exc.record.get('flagged_final')} entries still flagged "
+                 "(see the health record in the run manifest)")
+        return 5
+    except StoreMissError as exc:
+        emit(f"error: store cannot serve this request — {exc}")
+        emit("  drop --offline to measure and publish, or warm the store "
+             "with a non-offline run")
+        return STORE_EXIT_CODE
+    except KeyboardInterrupt:
+        # The sweep engine flushes its checkpoint in a finally-block before
+        # this propagates, so an interrupted run resumes cleanly.
+        if getattr(args, "sweep_checkpoint", None):
+            emit("interrupted — sweep checkpoint flushed; re-run with the "
+                 "same --sweep-checkpoint to resume")
+        else:
+            emit("interrupted")
+        return 130
+    if run is not None and run.path is not None:
+        emit(f"run manifest: {run.path}")
+    return code
+
+
+def _allocate_body(args, run) -> int:
+    from .core import SolverConfig, evaluate_assignment, setup_activation_quant
     from .data import make_dataset, sensitivity_set
     from .experiments import model_quant_config
     from .experiments.runner import ExperimentContext
@@ -75,19 +155,10 @@ def _allocate_body(args, run) -> int:
     x_sens, y_sens = sensitivity_set(dataset, size=args.set_size)
     degraded_exit = 0  # flips to 3 when the allocation came from a fallback rung
 
-    sens_config = SensitivityConfig(
-        num_workers=args.workers,
-        checkpoint_path=args.sweep_checkpoint,
-        eval_batch_k=args.eval_batch_k,
-        max_retries=args.max_retries,
-        health=args.health,
-        health_rounds=args.health_rounds,
-        health_repair=not args.no_health_repair,
-    )
     ctx = ExperimentContext()
     algo = ctx.make_algorithm(
         args.algorithm, args.model, model=model, config=config,
-        sensitivity=sens_config,
+        sensitivity=args.sensitivity,
     )
     setup_activation_quant(model, algo.layers, x_sens, bits=config.act_bits)
     emit(f"preparing {algo.name} sensitivities on {args.set_size} samples...")
@@ -181,82 +252,23 @@ def _allocate_body(args, run) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    """Run one allocation.
-
-    Exit codes follow the repository-wide contract — the single
-    authoritative table lives in docs/robustness.md ("Exit-code
-    contract").  In brief: 0 success, 2 infeasible budget, 3 degraded
-    (fallback rung), 4 sweep failure, 5 unhealthy matrix under
-    ``--health strict``, 7 store refusal (``allocate-cached --offline``),
-    130 interrupted.
-    """
-    from .core import InfeasibleBudgetError
-    from .robustness import DeadlineExpired, SweepFailure, UnhealthyMatrixError
-
-    run = None
-    if args.trace:
-        run = telemetry.start_run(
-            f"allocate.{args.algorithm}",
-            config={
-                "model": args.model,
-                "algorithm": args.algorithm,
-                "avg_bits": args.avg_bits,
-                "set_size": args.set_size,
-                "workers": args.workers,
-            },
-            manifest_dir=args.manifest_dir,
-        )
-    try:
-        with run if run is not None else _null_context():
-            code = _allocate_body(args, run)
-    except InfeasibleBudgetError as exc:
-        emit(f"error: infeasible budget — {exc}")
-        if exc.min_size_bits is not None:
-            emit(f"  smallest representable model: {exc.min_size_bits} bits; "
-                 "raise --avg-bits")
-        return 2
-    except DeadlineExpired as exc:
-        emit(f"error: solver deadline expired without a feasible result — {exc}")
-        return 3
-    except SweepFailure as exc:
-        emit(f"error: unrecoverable sweep failure — {exc}")
-        if exc.group >= 0:
-            emit(f"  plan group {exc.group} failed {exc.attempts} attempts "
-                 "(workers, then serial); see sweep.* counters in the manifest")
-        return 4
-    except UnhealthyMatrixError as exc:
-        emit(f"error: sensitivity matrix failed integrity checks — {exc}")
-        if exc.record:
-            emit(f"  repair rung reached: {exc.record.get('rung')!r}; "
-                 f"{exc.record.get('flagged_final')} entries still flagged "
-                 "(see the health record in the run manifest)")
-        return 5
-    except KeyboardInterrupt:
-        # The sweep engine flushes its checkpoint in a finally-block before
-        # this propagates, so an interrupted run resumes cleanly.
-        emit("interrupted — sweep checkpoint flushed; re-run with the same "
-             "--sweep-checkpoint to resume")
-        return 130
-    if run is not None and run.path is not None:
-        emit(f"run manifest: {run.path}")
-    return code
-
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
+    """Run one allocation (exit codes: see :func:`_run_allocation`)."""
+    return _run_allocation(
+        args,
+        _allocate_body,
+        f"allocate.{args.algorithm}",
+        {
+            "model": args.model,
+            "algorithm": args.algorithm,
+            "avg_bits": args.avg_bits,
+            "set_size": args.set_size,
+            "workers": args.workers,
+        },
+    )
 
 
 def _allocate_cached_body(args, run) -> int:
-    from .core import (
-        SensitivityConfig,
-        SolverConfig,
-        evaluate_assignment,
-        setup_activation_quant,
-    )
+    from .core import SolverConfig, evaluate_assignment, setup_activation_quant
     from .data import make_dataset, sensitivity_set
     from .experiments import model_quant_config
     from .experiments.runner import ExperimentContext
@@ -268,14 +280,10 @@ def _allocate_cached_body(args, run) -> int:
     model, _ = get_pretrained(args.model, dataset, verbose=True)
     config = model_quant_config(args.model)
     x_sens, y_sens = sensitivity_set(dataset, size=args.set_size)
-    sens_config = SensitivityConfig(
-        health=args.health,
-        health_rounds=args.health_rounds,
-    )
     ctx = ExperimentContext()
     algo = ctx.make_algorithm(
         args.algorithm, args.model, model=model, config=config,
-        sensitivity=sens_config,
+        sensitivity=args.sensitivity,
     )
     setup_activation_quant(model, algo.layers, x_sens, bits=config.act_bits)
     store = ArtifactStore(args.store)
@@ -328,52 +336,24 @@ def _allocate_cached_body(args, run) -> int:
 def _cmd_allocate_cached(args) -> int:
     """Serve allocations from the Ĝ artifact store (docs/store.md).
 
-    Exit codes follow the contract table in docs/robustness.md; the code
-    specific to this command is ``7`` — the store could not serve the
-    request under ``--offline`` (miss, or an entry quarantined after
-    failing integrity verification).
+    Exit codes: see :func:`_run_allocation`; the code specific to this
+    command is ``7`` — the store could not serve the request under
+    ``--offline`` (miss, or an entry quarantined after failing integrity
+    verification).
     """
-    from .core import InfeasibleBudgetError
-    from .robustness import DeadlineExpired, SweepFailure, UnhealthyMatrixError
-    from .store import STORE_EXIT_CODE, StoreMissError
-
-    run = None
-    if args.trace:
-        run = telemetry.start_run(
-            f"allocate-cached.{args.algorithm}",
-            config={
-                "model": args.model,
-                "algorithm": args.algorithm,
-                "avg_bits": list(args.avg_bits),
-                "set_size": args.set_size,
-                "store": args.store,
-                "offline": bool(args.offline),
-            },
-            manifest_dir=args.manifest_dir,
-        )
-    try:
-        with run if run is not None else _null_context():
-            code = _allocate_cached_body(args, run)
-    except InfeasibleBudgetError as exc:
-        emit(f"error: infeasible budget — {exc}")
-        return 2
-    except DeadlineExpired as exc:
-        emit(f"error: solver deadline expired without a feasible result — {exc}")
-        return 3
-    except SweepFailure as exc:
-        emit(f"error: unrecoverable sweep failure — {exc}")
-        return 4
-    except UnhealthyMatrixError as exc:
-        emit(f"error: sensitivity matrix failed integrity checks — {exc}")
-        return 5
-    except StoreMissError as exc:
-        emit(f"error: store cannot serve this request — {exc}")
-        emit("  drop --offline to measure and publish, or warm the store "
-             "with a non-offline run")
-        return STORE_EXIT_CODE
-    if run is not None and run.path is not None:
-        emit(f"run manifest: {run.path}")
-    return code
+    return _run_allocation(
+        args,
+        _allocate_cached_body,
+        f"allocate-cached.{args.algorithm}",
+        {
+            "model": args.model,
+            "algorithm": args.algorithm,
+            "avg_bits": list(args.avg_bits),
+            "set_size": args.set_size,
+            "store": args.store,
+            "offline": bool(args.offline),
+        },
+    )
 
 
 def _cmd_store(args) -> int:
@@ -593,7 +573,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="manifest output directory (default reports/runs/)",
     )
-    p.set_defaults(func=_cmd_allocate)
+    p.set_defaults(
+        func=_cmd_allocate,
+        build_sensitivity=_allocate_sensitivity,
+        usage_error=p.error,
+    )
 
     p = sub.add_parser(
         "allocate-cached",
@@ -650,7 +634,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true",
                    help="record counters/spans and write a run manifest")
     p.add_argument("--manifest-dir", default=None)
-    p.set_defaults(func=_cmd_allocate_cached)
+    p.set_defaults(
+        func=_cmd_allocate_cached,
+        build_sensitivity=_allocate_cached_sensitivity,
+        usage_error=p.error,
+    )
 
     p = sub.add_parser("store", help="inspect/verify/reap an artifact store")
     p.add_argument("action", choices=("list", "verify", "reap"))
@@ -681,6 +669,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    build_sensitivity = getattr(args, "build_sensitivity", None)
+    if build_sensitivity is not None:
+        # Invalid sweep options are usage errors (exit 2), reported before
+        # a model is loaded or trained.
+        try:
+            args.sensitivity = build_sensitivity(args)
+        except ValueError as exc:
+            args.usage_error(str(exc))
     return args.func(args)
 
 

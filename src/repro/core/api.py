@@ -72,9 +72,6 @@ class SensitivityConfig:
     cache_budget: Optional[int] = DEFAULT_CACHE_BUDGET  # None = unbounded
     checkpoint_path: Optional[str] = None  # periodic resume checkpoint
     checkpoint_every: int = 32
-    # Extension beyond the paper: diagonals by the symmetric second
-    # difference L(w+Δ) + L(w-Δ) - 2L(w), at |B|I extra evaluations.
-    symmetric_diag: bool = False
     eval_batch_k: int = 0  # candidate configs per stacked replay; 0 = auto
     # Fault tolerance (see docs/robustness.md)
     cache_bytes: Optional[int] = None  # prefix-cache byte cap; None = off

@@ -7,7 +7,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..models import evaluate_model
-from ..nn import fold_candidates, folded_accuracy, folded_cross_entropy
+from ..nn import (
+    BatchedWeightOverlay,
+    fold_candidates,
+    folded_accuracy,
+    folded_cross_entropy,
+)
 from ..quant import QuantizedWeightTable, calibrate_activations
 from .sensitivity import auto_eval_batch_k
 
@@ -83,12 +88,14 @@ def evaluate_assignments(
     """Score many bit-width assignments in stacked batched forwards.
 
     Each chunk of up to ``eval_batch_k`` assignments is evaluated in one
-    pass per mini-batch: every searched layer gets a ``(K, *w.shape)``
-    candidate-weight overlay (row ``k`` holding ``Q(w, a_k)``) and the
-    mini-batch is folded candidate-major, so the pass computes all ``K``
-    candidates' logits in stacked GEMMs.  Per-candidate loss and accuracy
-    reduce over the same slices the sequential :func:`evaluate_assignment`
-    sees, giving results equal to the one-by-one loop.
+    pass per mini-batch: every searched layer gets a
+    :class:`~repro.nn.BatchedWeightOverlay` with a row for every candidate
+    (row ``k`` holding ``Q(w, a_k)``) and the mini-batch is folded
+    candidate-major, so the pass computes all ``K`` candidates' logits in
+    one forward, each slice by one GEMM under its own weight.
+    Per-candidate loss and accuracy reduce over the same slices the
+    sequential :func:`evaluate_assignment` sees, giving results equal to
+    the one-by-one loop.
 
     ``eval_batch_k=0`` picks a memory-aware width; ``1`` degenerates to
     the sequential loop.  Every forward runs in no-grad mode.  Returns
@@ -119,8 +126,13 @@ def evaluate_assignments(
         chunk = assignments[start : start + max_k]
         width = len(chunk)
         overrides = {
-            layer_idx: np.stack(
-                [table.quantized(layer_idx, a[layer_idx]) for a in chunk]
+            layer_idx: BatchedWeightOverlay(
+                width,
+                table.layers[layer_idx].weight.data,
+                {
+                    k: table.quantized(layer_idx, a[layer_idx])
+                    for k, a in enumerate(chunk)
+                },
             )
             for layer_idx in range(table.num_layers)
         }

@@ -302,11 +302,7 @@ def assemble_from_losses(
     for g in plan.groups:
         loss = losses[g.diag.index]
         single[g.i, g.m] = loss
-        if g.mirror is not None:
-            omega_ii = loss + losses[g.mirror.index] - 2.0 * base_loss
-        else:
-            omega_ii = 2.0 * (loss - base_loss)
-        matrix[g.i * nb + g.m, g.i * nb + g.m] = omega_ii
+        matrix[g.i * nb + g.m, g.i * nb + g.m] = 2.0 * (loss - base_loss)
     for g in plan.groups:
         for p in g.pairs:
             omega = (
@@ -734,8 +730,8 @@ class SensitivityEngine:
             matrix, single = session.assemble(losses)
             if config.health != "off":
                 with telemetry.span("sweep.health"):
-                    health_report, health_extras = session.health_pass(
-                        matrix, single, losses
+                    matrix, single, health_report, health_extras = (
+                        session.health_pass(matrix, single, losses)
                     )
                 if checkpoint is not None:
                     # Accepted re-measurements supersede the checkpointed
@@ -855,8 +851,7 @@ class SweepSession:
             self.plan = build_eval_plan(
                 len(table.layers), table.config.bits,
                 build_pair_list(table.layers, mode, blocks),
-                self.layer_segments, len(self.segments),
-                config.symmetric_diag, mode,
+                self.layer_segments, len(self.segments), mode,
             )
         self.eval_batch_k = config.eval_batch_k or auto_eval_batch_k(
             x, config.batch_size
@@ -876,7 +871,7 @@ class SweepSession:
         ]
         clean_freq: Counter = Counter()
         for g in self.plan.groups:
-            clean_freq[g.segment] += 2 if g.mirror is not None else 1
+            clean_freq[g.segment] += 1
             for p in g.pairs:
                 if p.start_segment < g.segment:
                     clean_freq[p.start_segment] += 1
@@ -1099,15 +1094,6 @@ class SweepSession:
                         (chunk.width - 1) * (nseg - chunk.cut) * nbatch
                     )
 
-        if g.mirror is not None:
-            with telemetry.span("sweep.mirror", i=g.i), table.mirrored(
-                g.i, bits[g.m]
-            ):
-                loss = self._replay(g.segment, self._clean_acts(g.segment))
-                out.append((g.mirror.index, _check_finite(loss)))
-            _FORWARD_EVALS.add()
-            work += (nseg - g.segment) * nbatch
-
         work += self.clean.recomputed_segments - clean_work0
         work += group_cache.recomputed_segments
         _SEGMENT_FORWARDS.add(work)
@@ -1140,8 +1126,8 @@ class SweepSession:
         source = group_cache if cut >= g.segment else self.clean
         acts = [source.activation(b, cut) for b in range(len(self.batches))]
         if width == 1:
-            # A width-1 overlay would run the base GEMM and then the row
-            # GEMM over the same slice: twice the cost of a plain replay.
+            # A lone candidate needs no fold and no overlay: a plain
+            # perturbed replay, the forward a sequential sweep runs.
             spec = chunk.specs[0]
             with table.perturbed((spec.j, bits[spec.n])):
                 loss = self._replay(cut, acts)
@@ -1186,48 +1172,51 @@ class SweepSession:
         matrix: np.ndarray,
         single: np.ndarray,
         losses: Dict[int, float],
-    ) -> Tuple[GMatrixHealth, Dict[str, object]]:
+    ) -> Tuple[np.ndarray, np.ndarray, GMatrixHealth, Dict[str, object]]:
         """Diagnose the assembled Ĝ and quarantine-and-remeasure suspects.
 
-        Flagged entries are re-evaluated in place — suffix replays off the
-        *clean* prefix cache, not full sweeps — for up to
-        ``config.health_rounds`` rounds.  A re-measurement that agrees
-        with the entry's current value (bitwise for plain replays)
-        confirms it; a disagreement replaces the value and leaves the
-        entry active so the replacement itself must repeat before being
-        trusted.  Diagonals are processed before pairs within each round
-        because a corrected single cascades into every dependent pair
-        difference.  Mutates ``matrix`` / ``single`` / ``losses`` and
-        returns the post-quarantine report plus the JSON-safe
-        ``extras["health"]`` summary.
+        Flagged entries are re-evaluated — suffix replays off the *clean*
+        prefix cache, not full sweeps — for up to ``config.health_rounds``
+        rounds.  A re-measurement that agrees with the entry's current
+        loss (bitwise for plain replays) confirms it; a disagreement
+        replaces the loss and leaves the entry active so the replacement
+        itself must repeat before being trusted.  After each round the
+        matrix is rebuilt from the healed loss table by
+        :func:`assemble_from_losses`, so a corrected single reaches every
+        pair difference that reads it, and damage done to the assembled
+        matrix rather than to a loss is gone.  Updates ``losses`` in place
+        and returns ``(matrix, single)``, the post-quarantine report and
+        the JSON-safe ``extras["health"]`` summary.
         """
         plan = self.plan
         base_loss = self.base_loss
         policy = HealthPolicy(remeasure_rounds=self.config.health_rounds)
         nb = len(plan.bits)
-        diag_groups: Dict[int, GroupPlan] = {
-            g.i * nb + g.m: g for g in plan.groups
-        }
+        # Each measured entry of Ĝ and the one evaluation behind it.
+        entry_spec: Dict[Tuple[int, int], EvalSpec] = {}
         pair_specs: Dict[Tuple[int, int], EvalSpec] = {}
         for g in plan.groups:
+            entry_spec[(g.i * nb + g.m,) * 2] = g.diag
             for p in g.pairs:
                 key = _health.canonical_entry(p.i * nb + p.m, p.j * nb + p.n)
-                pair_specs[key] = p
+                entry_spec[key] = pair_specs[key] = p
 
-        def quads() -> list:
-            return [
+        def diagnose(**frozen) -> GMatrixHealth:
+            quads = [
                 (key, losses[p.index], base_loss, single[p.i, p.m], single[p.j, p.n])
                 for key, p in pair_specs.items()
             ]
+            return _health.diagnose_matrix(
+                matrix,
+                tuple(pair_specs),
+                policy,
+                cancellation=_health.cancellation_flags(
+                    quads, policy.cancellation_eps
+                ),
+                **frozen,
+            )
 
-        report = _health.diagnose_matrix(
-            matrix,
-            tuple(pair_specs),
-            policy,
-            cancellation=_health.cancellation_flags(
-                quads(), policy.cancellation_eps
-            ),
-        )
+        report = diagnose()
         report.quarantined = len(report.flagged)
         _health.QUARANTINED.add(report.quarantined)
         pre_summary = report.to_dict(policy.max_listed)
@@ -1238,70 +1227,28 @@ class SweepSession:
         remeasured = 0
         active = set(report.flagged)
 
-        def entry_specs(key: Tuple[int, int]) -> List[EvalSpec]:
-            r, c = key
-            if r == c:
-                g = diag_groups.get(r)
-                if g is None:
-                    return []
-                return [g.diag] + ([g.mirror] if g.mirror is not None else [])
-            p = pair_specs.get(key)
-            return [] if p is None else [p]
-
-        def recompute(key: Tuple[int, int]) -> None:
-            """Rewrite the entry (and its dependents) from current losses.
-
-            Always runs after a re-measurement — even a confirming one —
-            because asymmetry damage lives in the assembled matrix, not in
-            the loss dict, and a symmetric rewrite is what heals it.
-            """
-            r, c = key
-            if r == c:
-                g = diag_groups[r]
-                loss = losses[g.diag.index]
-                single[g.i, g.m] = loss
-                if g.mirror is not None:
-                    omega = loss + losses[g.mirror.index] - 2.0 * base_loss
-                else:
-                    omega = 2.0 * (loss - base_loss)
-                matrix[r, r] = omega
-                self._recompute_dependent_pairs(matrix, single, losses, g.i, g.m)
-            else:
-                p = pair_specs[key]
-                omega = (
-                    losses[p.index] + base_loss - single[p.i, p.m] - single[p.j, p.n]
-                )
-                matrix[p.i * nb + p.m, p.j * nb + p.n] = omega
-                matrix[p.j * nb + p.n, p.i * nb + p.m] = omega
-
         for round_ in range(1, policy.remeasure_rounds + 1):
             if not active:
                 break
             with telemetry.span("sweep.remeasure", round=round_):
-                # Diagonal suspects first (sort key: pairs compare
-                # False < True), so corrected singles propagate before
-                # the pair agreement checks of the same round.
-                for key in sorted(active, key=lambda rc: (rc[0] != rc[1], rc)):
-                    specs = entry_specs(key)
-                    if not specs:
+                for key in sorted(active):
+                    spec = entry_spec.get(key)
+                    if spec is None:
                         # Nothing measurable behind this entry (cannot
                         # happen for plan-built matrices; defensive).
                         active.discard(key)
                         persistent[key] = 0.0
                         continue
-                    samples.setdefault(key, [losses[specs[0].index]])
-                    agree = True
-                    for spec in specs:
-                        new = self._remeasure_loss(spec, round_)
-                        remeasured += 1
-                        if not policy.agrees(new, losses[spec.index]):
-                            agree = False
-                            losses[spec.index] = new
-                    samples[key].append(losses[specs[0].index])
-                    recompute(key)
-                    if agree:
+                    samples.setdefault(key, [losses[spec.index]])
+                    new = self._remeasure_loss(spec, round_)
+                    remeasured += 1
+                    if policy.agrees(new, losses[spec.index]):
                         confirmed.add(key)
                         active.discard(key)
+                    else:
+                        losses[spec.index] = new
+                    samples[key].append(losses[spec.index])
+                matrix, single = assemble_from_losses(plan, losses, base_loss)
 
         for key in sorted(active):
             persistent[key] = float(np.var(np.asarray(samples.get(key, [0.0]))))
@@ -1312,16 +1259,7 @@ class SweepSession:
         # Re-diagnose the (possibly healed) matrix against the *frozen*
         # initial robust scale: the quarantine must not be able to shift
         # the reference distribution under its own feet.
-        final = _health.diagnose_matrix(
-            matrix,
-            tuple(pair_specs),
-            policy,
-            cancellation=_health.cancellation_flags(
-                quads(), policy.cancellation_eps
-            ),
-            scale=report.scale,
-            confirmed=frozenset(confirmed),
-        )
+        final = diagnose(scale=report.scale, confirmed=frozenset(confirmed))
         final.persistent = persistent
         final.quarantined = report.quarantined
         final.remeasured = remeasured
@@ -1334,7 +1272,7 @@ class SweepSession:
             "persistent": len(persistent),
             "rounds": policy.remeasure_rounds,
         }
-        return final, extras
+        return matrix, single, final, extras
 
     def _remeasure_loss(self, spec: EvalSpec, round_: int) -> float:
         """One quarantine re-evaluation of ``spec`` — a suffix replay.
@@ -1350,9 +1288,6 @@ class SweepSession:
         if spec.kind == "pair":
             start = min(self.layer_segments[spec.i], self.layer_segments[spec.j])
             ctx = table.perturbed((spec.i, bits[spec.m]), (spec.j, bits[spec.n]))
-        elif spec.kind == "mirror":
-            start = spec.start_segment
-            ctx = table.mirrored(spec.i, bits[spec.m])
         else:
             start = spec.start_segment
             ctx = table.perturbed((spec.i, bits[spec.m]))
@@ -1366,30 +1301,3 @@ class SweepSession:
             if delta is not None:
                 loss += delta * (1.0 + abs(loss))
         return loss
-
-    def _recompute_dependent_pairs(
-        self,
-        matrix: np.ndarray,
-        single: np.ndarray,
-        losses: Dict[int, float],
-        i: int,
-        m: int,
-    ) -> None:
-        """Rewrite every Ω entry whose finite difference reads ``single[i, m]``.
-
-        A corrected diagonal loss silently heals the pair entries it
-        poisoned — they were assembled from the same corrupted single, not
-        independently measured wrong.
-        """
-        nb = len(self.plan.bits)
-        for g in self.plan.groups:
-            for p in g.pairs:
-                if (p.i, p.m) == (i, m) or (p.j, p.n) == (i, m):
-                    omega = (
-                        losses[p.index]
-                        + self.base_loss
-                        - single[p.i, p.m]
-                        - single[p.j, p.n]
-                    )
-                    matrix[p.i * nb + p.m, p.j * nb + p.n] = omega
-                    matrix[p.j * nb + p.n, p.i * nb + p.m] = omega

@@ -81,7 +81,7 @@ class EvalSpec:
     """
 
     index: int
-    kind: str  # "diag" | "mirror" | "pair"
+    kind: str  # "diag" | "pair"
     i: int  # anchor layer
     m: int  # anchor bit-choice index
     j: int = -1  # partner layer (pairs only)
@@ -103,13 +103,10 @@ class GroupPlan:
     m: int
     segment: int
     diag: EvalSpec
-    mirror: Optional[EvalSpec]
     pairs: Tuple[EvalSpec, ...]
 
     def specs(self) -> Iterator[EvalSpec]:
         yield self.diag
-        if self.mirror is not None:
-            yield self.mirror
         yield from self.pairs
 
 
@@ -123,7 +120,6 @@ class EvalPlan:
     layer_segments: Tuple[int, ...]
     bits: Tuple[int, ...]
     mode: str
-    symmetric_diag: bool
 
     def specs(self) -> Iterator[EvalSpec]:
         for group in self.groups:
@@ -132,10 +128,7 @@ class EvalPlan:
     @property
     def num_evals(self) -> int:
         """Loss evaluations in the plan (the base evaluation not included)."""
-        return sum(
-            1 + (1 if g.mirror is not None else 0) + len(g.pairs)
-            for g in self.groups
-        )
+        return sum(1 + len(g.pairs) for g in self.groups)
 
     @property
     def planned_segment_cost(self) -> int:
@@ -153,7 +146,6 @@ class EvalPlan:
             {
                 "mode": self.mode,
                 "bits": list(self.bits),
-                "symmetric_diag": self.symmetric_diag,
                 "num_segments": self.num_segments,
                 "layer_segments": list(self.layer_segments),
                 "evals": [
@@ -172,7 +164,6 @@ def build_eval_plan(
     pair_list: Sequence[Tuple[int, int]],
     layer_segments: Sequence[int],
     num_segments: int,
-    symmetric_diag: bool,
     mode: str,
 ) -> EvalPlan:
     """Schedule every evaluation of Algorithm 1 for segmented execution.
@@ -201,13 +192,6 @@ def build_eval_plan(
                 start_segment=seg_i, cost=num_segments - seg_i,
             )
             index += 1
-            mirror = None
-            if symmetric_diag:
-                mirror = EvalSpec(
-                    index, "mirror", i, m,
-                    start_segment=seg_i, cost=num_segments - seg_i,
-                )
-                index += 1
             pair_specs: List[EvalSpec] = []
             for j in sorted(partners.get(i, ())):
                 seg_j = layer_segments[j]
@@ -222,7 +206,7 @@ def build_eval_plan(
             groups.append(
                 GroupPlan(
                     i=i, m=m, segment=seg_i,
-                    diag=diag, mirror=mirror, pairs=tuple(pair_specs),
+                    diag=diag, pairs=tuple(pair_specs),
                 )
             )
     return EvalPlan(
@@ -232,7 +216,6 @@ def build_eval_plan(
         layer_segments=tuple(layer_segments),
         bits=tuple(int(b) for b in bits),
         mode=mode,
-        symmetric_diag=symmetric_diag,
     )
 
 

@@ -1,23 +1,23 @@
 """Experiment orchestration with on-disk caching.
 
 Sensitivity sweeps are the expensive part of every figure/table, and they
-are pure functions of ``(model, sensitivity set, bit candidates, scheme,
-mode)``.  ``ExperimentContext`` caches them (and the trained models) under
-``.cache/`` so that re-running a benchmark re-uses everything that has not
-changed — the same "measure once, re-solve for every budget" workflow the
-paper highlights for sensitivity-based methods.
+are pure functions of ``(weights, sensitivity set, quantizer config,
+mode)``.  ``ExperimentContext`` keeps them in the content-addressed Ĝ
+artifact store (:mod:`repro.store`) and the trained models under
+``.cache/``, so that re-running a benchmark re-uses everything that has
+not changed — the same "measure once, re-solve for every budget" workflow
+the paper highlights for sensitivity-based methods.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..atomicio import atomic_write_npz
+from ..atomicio import atomic_write_json
 from ..core import (
     CLADO,
     SensitivityConfig,
@@ -30,6 +30,7 @@ from ..core.clado import MPQAlgorithm, MPQAssignment
 from ..data import SyntheticImageNet, make_dataset, sensitivity_set
 from ..models import cache_dir, get_pretrained, quantizable_layers
 from ..quant import QuantConfig, budget_for_average_bits
+from ..store import ArtifactStore, prepare_cached
 from .config import Scale, get_scale, model_quant_config
 
 __all__ = ["ExperimentContext"]
@@ -114,33 +115,6 @@ class ExperimentContext:
         )
 
     # -- sensitivity caching -----------------------------------------------------------
-    def _sensitivity_cache_path(
-        self,
-        model_name: str,
-        config: QuantConfig,
-        mode: str,
-        set_size: int,
-        replicate: int,
-    ) -> Path:
-        key = json.dumps(
-            {
-                "model": model_name,
-                "bits": list(config.bits),
-                "scheme": config.scheme,
-                "act_bits": config.act_bits,
-                "mode": mode,
-                "set_size": set_size,
-                "replicate": replicate,
-                "dataset_seed": self.dataset.config.seed,
-                "classes": self.dataset.config.num_classes,
-            },
-            sort_keys=True,
-        )
-        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-        root = cache_dir() / "sensitivity"
-        root.mkdir(parents=True, exist_ok=True)
-        return root / f"{model_name}-{mode}-{set_size}-r{replicate}-{digest}.npz"
-
     def measured_sensitivity(
         self,
         model_name: str,
@@ -150,23 +124,10 @@ class ExperimentContext:
         config: Optional[QuantConfig] = None,
         algorithm: Optional[CLADO] = None,
     ) -> SensitivityResult:
-        """Load a cached sensitivity matrix or measure and cache it."""
+        """The sensitivity measurement, served from the artifact store
+        under ``cache_dir()/store`` or measured and published there."""
         config = config or model_quant_config(model_name)
         set_size = set_size or self.scale.sensitivity_set_size
-        path = self._sensitivity_cache_path(
-            model_name, config, mode, set_size, replicate
-        )
-        if path.exists():
-            blob = np.load(path)
-            return SensitivityResult(
-                matrix=blob["matrix"],
-                base_loss=float(blob["base_loss"][()]),
-                single_losses=blob["single_losses"],
-                num_evals=int(blob["num_evals"][()]),
-                wall_time=float(blob["wall_time"][()]),
-                mode=mode,
-                bits=tuple(int(b) for b in blob["bits"]),
-            )
         algo = algorithm or self.make_algorithm(
             {"full": "clado", "diagonal": "clado_star", "block": "clado_block"}[mode],
             model_name,
@@ -174,20 +135,8 @@ class ExperimentContext:
         )
         x, y = self.sensitivity_data(set_size, replicate)
         self.attach_activation_quant(model_name, algo.layers, x, config)
-        algo.prepare(x, y)
-        result = algo.raw
-        atomic_write_npz(
-            path,
-            {
-                "matrix": result.matrix,
-                "base_loss": np.float64(result.base_loss),
-                "single_losses": result.single_losses,
-                "num_evals": np.int64(result.num_evals),
-                "wall_time": np.float64(result.wall_time),
-                "bits": np.asarray(result.bits, dtype=np.int64),
-            },
-        )
-        return result
+        prepare_cached(algo, x, y, ArtifactStore(cache_dir() / "store"))
+        return algo.raw
 
     # -- activation quantization --------------------------------------------------------
     def attach_activation_quant(
@@ -232,4 +181,4 @@ class ExperimentContext:
         return None
 
     def save_result(self, name: str, payload: dict) -> None:
-        self.result_path(name).write_text(json.dumps(payload, indent=2))
+        atomic_write_json(self.result_path(name), payload)

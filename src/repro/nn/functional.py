@@ -5,10 +5,10 @@ zero-copy ``numpy.lib.stride_tricks.as_strided`` view, and the convolution
 becomes one BLAS GEMM per ``(sample, group)`` over the gathered patches,
 which is the only way to get acceptable CPU throughput for the
 ``O((|B|I)^2)`` forward sweeps CLADO performs.  A 3x3 patch matrix is 9x
-its input, so every forward path (:func:`conv2d_forward`, the stacked
-:func:`conv2d_forward_batched` and the sparse :func:`conv2d_forward_overlay`)
-goes through :func:`_conv_into`, which gathers the patches of one
-cache-sized block of samples at a time instead of the whole batch.
+its input, so both forward paths (:func:`conv2d_forward` and the
+candidate-overlay :func:`conv2d_forward_overlay`) go through
+:func:`_conv_into`, which gathers the patches of one cache-sized block of
+samples at a time instead of the whole batch.
 Backward rebuilds the full patch matrix with :func:`im2col` from the cached
 input.
 """
@@ -24,8 +24,6 @@ __all__ = [
     "col2im",
     "conv2d_forward",
     "conv2d_backward",
-    "linear_forward_batched",
-    "conv2d_forward_batched",
     "BatchedWeightOverlay",
     "linear_forward_overlay",
     "conv2d_forward_overlay",
@@ -241,73 +239,17 @@ def conv2d_backward(
     return dx, dw, dbias
 
 
-def linear_forward_batched(
-    x: np.ndarray, weights: np.ndarray, bias: np.ndarray
-) -> np.ndarray:
-    """Affine map under ``K`` stacked weight candidates.
-
-    ``x`` carries the candidate axis *folded* candidate-major into the batch
-    dimension — shape ``(K*N, ..., in_features)`` — and ``weights`` has shape
-    ``(K, out_features, in_features)``.  Candidate ``k`` sees samples
-    ``x[k*N:(k+1)*N]``.  The whole evaluation is one stacked matmul: numpy
-    dispatches it as ``K*N`` independent BLAS GEMMs over the trailing two
-    axes, so each candidate's slice is bitwise identical to the sequential
-    ``x @ weights[k].T`` it replaces.
-    """
-    k = weights.shape[0]
-    kn = x.shape[0]
-    if kn % k:
-        raise ValueError(
-            f"folded batch {kn} not divisible by candidate count {k}"
-        )
-    n = kn // k
-    xk = x.reshape(k, n, *x.shape[1:])
-    # (K, out, in) -> (K, 1..., in, out) broadcasting over the middle dims.
-    w_t = weights.swapaxes(-1, -2)
-    w_t = w_t.reshape(k, *([1] * (xk.ndim - 3)), *w_t.shape[1:])
-    out = np.matmul(xk, w_t)
-    if bias is not None:
-        out += bias
-    return out.reshape(kn, *out.shape[2:])
-
-
-def conv2d_forward_batched(
-    x: np.ndarray,
-    weights: np.ndarray,
-    bias: np.ndarray,
-    stride: int,
-    pad: int,
-    groups: int,
-) -> np.ndarray:
-    """Grouped convolution under ``K`` stacked weight candidates.
-
-    ``x`` is folded candidate-major, shape ``(K*N, C_in, H, W)``; ``weights``
-    has shape ``(K, C_out, C_in // groups, kh, kw)``.  Candidate ``k``'s
-    slice runs the same per-``(sample, group)`` GEMMs as the sequential
-    :func:`conv2d_forward` with ``weights[k]``, so it is bitwise identical
-    to that.
-    """
-    n = _fold_slices(x.shape[0], weights.shape[0])
-    out = _empty_conv_out(x, weights, stride, pad, groups)
-    for i in range(weights.shape[0]):
-        sl = slice(i * n, (i + 1) * n)
-        _conv_into(out[sl], x[sl], weights[i], stride, pad, groups)
-    if bias is not None:
-        out += bias.reshape(1, -1, 1, 1)
-    return out
-
-
 class BatchedWeightOverlay:
-    """Sparse candidate-axis weight stack: ``base`` everywhere but ``rows``.
+    """Candidate-axis weight stack: ``base`` everywhere but ``rows``.
 
-    Semantically equivalent to the dense ``(width, *base.shape)`` stack
-    built by ``materialize()``, but the overlay kernels exploit the
-    structure (``rows`` maps candidate index → full weight array).  The
-    sweep's chunks are exactly this shape — each candidate perturbs one
-    layer, so at any given layer all but a few candidate rows equal the
-    in-context weight.  :func:`linear_forward_overlay` runs one tall GEMM
-    with ``base`` plus a small per-slice fixup for each row, far cheaper
-    than ``width`` sliced GEMMs when the slices are tiny;
+    Candidate ``k`` of ``width`` sees ``rows[k]`` when it has a row and
+    ``base`` otherwise.  The sweep's chunks are sparse — each candidate
+    perturbs one layer, so at any given layer all but a few candidate
+    rows equal the in-context weight — while ``evaluate_assignments``
+    gives every candidate a row.  :func:`linear_forward_overlay` runs one
+    tall GEMM with ``base`` plus a small per-slice fixup for each row, far
+    cheaper than ``width`` sliced GEMMs when the slices are tiny, and only
+    the fixups when every slice has a row;
     :func:`conv2d_forward_overlay`, whose GEMMs are per sample anyway,
     computes each slice once under its own weight.
     """
@@ -333,13 +275,6 @@ class BatchedWeightOverlay:
     def shape(self) -> Tuple[int, ...]:
         return (self.width, *self.base.shape)
 
-    def materialize(self) -> np.ndarray:
-        """Dense ``(width, *base.shape)`` stack with the rows applied."""
-        stack = np.repeat(self.base[None], self.width, axis=0)
-        for k, w in self.rows.items():
-            stack[k] = w
-        return stack
-
 
 def _fold_slices(kn: int, width: int) -> int:
     if kn % width:
@@ -352,16 +287,24 @@ def _fold_slices(kn: int, width: int) -> int:
 def linear_forward_overlay(
     x: np.ndarray, overlay: BatchedWeightOverlay, bias: np.ndarray
 ) -> np.ndarray:
-    """Affine map under a sparse candidate-weight overlay.
+    """Affine map under a candidate-weight overlay.
 
     ``x`` is folded candidate-major (``(K*N, ..., in_features)``).  The
     base weight runs over the whole folded batch in one GEMM; each distinct
-    row then recomputes only its own candidate slice.
+    row then recomputes only its own candidate slice.  When every slice
+    has a row the fixups overwrite all of the base GEMM, so it is skipped.
     """
     n = _fold_slices(x.shape[0], overlay.width)
-    out = x @ overlay.base.T
-    if bias is not None:
-        out += bias
+    base = overlay.base
+    if len(overlay.rows) == overlay.width:
+        out = np.empty(
+            (*x.shape[:-1], base.shape[0]),
+            dtype=np.result_type(x.dtype, base.dtype),
+        )
+    else:
+        out = x @ base.T
+        if bias is not None:
+            out += bias
     for k, w in overlay.rows.items():
         fix = x[k * n : (k + 1) * n] @ w.T
         if bias is not None:
@@ -378,7 +321,7 @@ def conv2d_forward_overlay(
     pad: int,
     groups: int,
 ) -> np.ndarray:
-    """Grouped convolution under a sparse candidate-weight overlay.
+    """Grouped convolution under a candidate-weight overlay.
 
     ``x`` is folded candidate-major (``(K*N, C, H, W)``).  The candidate
     slices are walked once: each run of consecutive slices without a row

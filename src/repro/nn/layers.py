@@ -85,9 +85,9 @@ class Conv2d(Module, _CacheMixin):
         # Optional activation fake-quantizer (set by repro.quant); callable
         # applied to the input in forward, treated as identity in backward.
         self.act_quant = None
-        # Optional stacked candidate weights (K, *weight.shape): when set,
+        # Optional F.BatchedWeightOverlay of K candidate weights: when set,
         # forward expects a candidate-major folded batch (K*N, ...) and
-        # evaluates all K candidates in one call.  Eval-only — the batched
+        # evaluates all K candidates in one call.  Eval-only — the overlay
         # path drops any backward cache, so a backward after it raises
         # instead of using an earlier forward's input.
         self.weight_batch = None
@@ -100,16 +100,7 @@ class Conv2d(Module, _CacheMixin):
         bias = self.bias.data if self.bias is not None else None
         if self.weight_batch is not None:
             self._cache = None
-            if isinstance(self.weight_batch, F.BatchedWeightOverlay):
-                return F.conv2d_forward_overlay(
-                    x,
-                    self.weight_batch,
-                    bias,
-                    self.stride,
-                    self.padding,
-                    self.groups,
-                )
-            return F.conv2d_forward_batched(
+            return F.conv2d_forward_overlay(
                 x, self.weight_batch, bias, self.stride, self.padding, self.groups
             )
         out, cache = F.conv2d_forward(
@@ -145,7 +136,7 @@ class Linear(Module, _CacheMixin):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
         # Optional activation fake-quantizer, see Conv2d.act_quant.
         self.act_quant = None
-        # Optional stacked candidate weights, see Conv2d.weight_batch.
+        # Optional candidate-weight overlay, see Conv2d.weight_batch.
         self.weight_batch = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -154,9 +145,7 @@ class Linear(Module, _CacheMixin):
         if self.weight_batch is not None:
             self._cache = None
             bias = self.bias.data if self.bias is not None else None
-            if isinstance(self.weight_batch, F.BatchedWeightOverlay):
-                return F.linear_forward_overlay(x, self.weight_batch, bias)
-            return F.linear_forward_batched(x, self.weight_batch, bias)
+            return F.linear_forward_overlay(x, self.weight_batch, bias)
         self._stash(x)
         out = x @ self.weight.data.T
         if self.bias is not None:

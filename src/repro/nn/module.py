@@ -20,7 +20,7 @@ and avoids the machinery of a general autograd engine.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -152,54 +152,6 @@ class Module:
         weighted leaves with a ``weight_batch`` overlay unfold it.
         """
         return None
-
-    def forward_from(self, cut: int, x: np.ndarray) -> np.ndarray:
-        """Replay ``forward`` from segment ``cut`` given that cut's input.
-
-        ``forward_from(0, x)`` is equivalent to ``forward(x)`` for any
-        module implementing :meth:`segments`.  ``x`` may carry a folded
-        candidate axis (see :meth:`segments`); the replay is then ``K``
-        candidate evaluations in one pass.
-        """
-        segs = self.segments()
-        if segs is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} does not expose forward segments"
-            )
-        if not 0 <= cut <= len(segs):
-            raise IndexError(f"cut {cut} out of range for {len(segs)} segments")
-        for seg in segs[cut:]:
-            x = seg.forward(x)
-        return x
-
-    def checkpoint_activations(
-        self, x: np.ndarray, cuts: Sequence[int]
-    ) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
-        """One forward pass capturing the activations entering each cut.
-
-        Returns ``(checkpoints, output)`` where ``checkpoints[k]`` is the
-        input of segment ``k`` (``k == len(segments)`` yields the final
-        output).  The pass costs exactly one full forward; the checkpoints
-        are the raw activation arrays (not copies), so callers must treat
-        them as read-only.
-        """
-        segs = self.segments()
-        if segs is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} does not expose forward segments"
-            )
-        wanted = set(cuts)
-        bad = [k for k in wanted if not 0 <= k <= len(segs)]
-        if bad:
-            raise IndexError(f"cuts {sorted(bad)} out of range for {len(segs)} segments")
-        checkpoints: Dict[int, np.ndarray] = {}
-        for k, seg in enumerate(segs):
-            if k in wanted:
-                checkpoints[k] = x
-            x = seg.forward(x)
-        if len(segs) in wanted:
-            checkpoints[len(segs)] = x
-        return checkpoints, x
 
     # -- traversal ---------------------------------------------------------
     def _direct_parameters(self) -> Iterator[Tuple[str, Parameter]]:

@@ -25,22 +25,15 @@ import numpy as np
 
 from ..atomicio import (
     CHECKSUM_KEY as _CHECKSUM_KEY,
-    STALE_TMP_TTL,
-    atomic_write_bytes,
     atomic_write_npz,
     payload_checksum as _payload_checksum,
     reap_stale_tmp,
-    wall_now,
 )
 from .calibration import affine_minmax_params, mse_optimal_scale
 from .quantizers import _qrange
 
-# The atomic-write machinery was born here and moved to repro.atomicio so
-# the checkpointer, zoo cache, and Ĝ store share it; the names stay
-# re-exported for their original import path.
 __all__ = ["PackedTensor", "pack_tensor", "unpack_tensor", "export_assignment",
-           "save_packed", "load_packed", "CorruptArtifactError",
-           "atomic_write_bytes", "reap_stale_tmp", "wall_now", "STALE_TMP_TTL"]
+           "save_packed", "load_packed", "CorruptArtifactError"]
 
 
 class CorruptArtifactError(RuntimeError):

@@ -17,6 +17,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
+from ..nn import BatchedWeightOverlay
 from .qconfig import QuantConfig
 from .quantizers import PerChannelAffineQuantizer, UniformSymmetricQuantizer
 
@@ -172,52 +173,34 @@ class QuantizedWeightTable:
             for layer_idx, _ in pairs:
                 self.set_layer(layer_idx, None)
 
-    def mirror(self, layer_idx: int, bits: int) -> np.ndarray:
-        """Mirror point ``w - Δ = 2w - Q(w, b)`` of one layer's perturbation.
-
-        Used by the symmetric second-difference diagonal measurement:
-        evaluating at ``w + Δ`` and ``w - Δ`` cancels odd Taylor orders.
-        """
-        original = self.original[layer_idx]
-        return (2.0 * original - self.quantized(layer_idx, bits)).astype(
-            original.dtype
-        )
-
     @contextmanager
-    def mirrored(self, layer_idx: int, bits: int) -> Iterator[None]:
-        """Context manager swapping in the mirror point; restores on exit."""
-        try:
-            self.layers[layer_idx].weight.data = self.mirror(layer_idx, bits)
-            yield
-        finally:
-            self.set_layer(layer_idx, None)
+    def batched(
+        self, overrides: Dict[int, BatchedWeightOverlay]
+    ) -> Iterator[None]:
+        """Install candidate-weight overlays on the given layers.
 
-    @contextmanager
-    def batched(self, overrides: Dict[int, np.ndarray]) -> Iterator[None]:
-        """Install stacked candidate-weight overlays on the given layers.
-
-        ``overrides[layer_idx]`` is a ``(K, *weight.shape)`` stack or a
-        sparse :class:`repro.nn.functional.BatchedWeightOverlay`; while
-        the context is open, each overlaid layer's forward expects a
+        ``overrides[layer_idx]`` is a
+        :class:`repro.nn.functional.BatchedWeightOverlay` of width ``K``;
+        while the context is open, each overlaid layer's forward expects a
         candidate-major folded batch ``(K*N, ...)`` and evaluates all
-        ``K`` candidates in one stacked GEMM (see
-        ``repro.nn.functional.linear_forward_batched``).  Non-overlaid
+        ``K`` candidates in one call (see
+        ``repro.nn.functional.linear_forward_overlay``).  Non-overlaid
         layers keep their current (possibly perturbed) weights, which
         apply identically to every candidate row.  Overlays always come
         off on exit, so plain forwards resume untouched.
         """
         installed: List[int] = []
         try:
-            for layer_idx, stack in overrides.items():
+            for layer_idx, overlay in overrides.items():
                 module = self.layers[layer_idx].module
                 expected = self.layers[layer_idx].weight.data.shape
-                shape = stack.shape
+                shape = overlay.shape
                 if len(shape) != len(expected) + 1 or shape[1:] != expected:
                     raise ValueError(
                         f"overlay for layer {layer_idx} has shape {shape}, "
                         f"expected (K, {', '.join(map(str, expected))})"
                     )
-                module.weight_batch = stack
+                module.weight_batch = overlay
                 installed.append(layer_idx)
             yield
         finally:

@@ -201,8 +201,9 @@ class FaultPlan:
         Fires at assembly time against the pair spec at plan index
         ``index``: ``G[r, c]`` is perturbed while ``G[c, r]`` keeps the
         measured value, breaking the symmetry the assembler guarantees.
-        Re-measured entries are written symmetrically, so the fault only
-        corrupts assembly rounds (``round_`` semantics as above).
+        The health pass rebuilds the matrix from the loss table, which
+        the fault never touches, so it only corrupts assembly rounds
+        (``round_`` semantics as above).
         """
         if not self._fires("asymmetric_pair", index, round_):
             return None

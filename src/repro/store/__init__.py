@@ -33,7 +33,7 @@ from .keys import (
     request_key,
     weights_fingerprint,
 )
-from .serve import STORE_EXIT_CODE, StoreMissError, allocate_cached
+from .serve import STORE_EXIT_CODE, StoreMissError, allocate_cached, prepare_cached
 from .store import DEFAULT_LOCK_TTL, ArtifactStore
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "data_fingerprint",
     "health_from_doc",
     "health_to_doc",
+    "prepare_cached",
     "quantizer_fingerprint",
     "request_key",
     "weights_fingerprint",

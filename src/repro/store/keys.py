@@ -17,7 +17,7 @@ What goes into each fingerprint:
   ``(x, y)``.
 - **quant** — the quantizer config (candidate bits, scheme, activation
   bits) plus every measurement knob that changes Ĝ's *numerics*:
-  measurement mode, ``symmetric_diag``, ``batch_size``, and
+  measurement mode, ``batch_size``, and
   ``eval_batch_k`` (stacked replays are allclose but not bitwise equal
   to sequential ones, so they address different entries).  Execution
   knobs proven bitwise-invariant — the worker count — are deliberately
@@ -72,7 +72,6 @@ def quantizer_fingerprint(
     config,
     mode: str,
     *,
-    symmetric_diag: bool = False,
     batch_size: int = 256,
     eval_batch_k: int = 0,
 ) -> str:
@@ -82,7 +81,6 @@ def quantizer_fingerprint(
         "scheme": str(config.scheme),
         "act_bits": int(config.act_bits),
         "mode": str(mode),
-        "symmetric_diag": bool(symmetric_diag),
         "batch_size": int(batch_size),
         "eval_batch_k": int(eval_batch_k),
     }
@@ -143,7 +141,6 @@ def request_key(algo, x: np.ndarray, y: np.ndarray, config) -> StoreKey:
         quant=quantizer_fingerprint(
             algo.config,
             algo.mode,
-            symmetric_diag=config.symmetric_diag,
             batch_size=config.batch_size,
             eval_batch_k=config.eval_batch_k,
         ),

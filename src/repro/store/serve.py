@@ -27,7 +27,7 @@ incumbent, never change a tie (cold solves stay bitwise reproducible).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .artifact import GhatArtifact, StaleArtifactError
 from .keys import StoreKey, request_key
 from .store import ArtifactStore
 
-__all__ = ["STORE_EXIT_CODE", "StoreMissError", "allocate_cached"]
+__all__ = ["STORE_EXIT_CODE", "StoreMissError", "allocate_cached", "prepare_cached"]
 
 #: CLI exit code for a request the store cannot serve in ``--offline``
 #: mode (miss, or an integrity failure with remeasurement forbidden).
@@ -65,16 +65,26 @@ class StoreMissError(RuntimeError):
         self.key = key
 
 
-def _install_sensitivities(
+def prepare_cached(
     algo,
     x: np.ndarray,
     y: np.ndarray,
-    config: SensitivityConfig,
     store: ArtifactStore,
-    key: StoreKey,
-    offline: bool,
-) -> str:
-    """Cache-hit / quarantine / fresh-sweep ladder; returns the source tag."""
+    sensitivity: Optional[SensitivityConfig] = None,
+    offline: bool = False,
+) -> Tuple[StoreKey, str]:
+    """Prepare ``algo``'s sensitivities from the store when possible.
+
+    Runs the cache-hit / quarantine / fresh-sweep ladder for the request
+    ``(algo, x, y, sensitivity)``: a verified entry is installed with
+    ``set_sensitivity``, anything else (under ``offline=False``) runs
+    ``algo.prepare`` and publishes the result.  ``sensitivity`` defaults
+    to ``algo.sensitivity_config``.  Returns the request's
+    :class:`StoreKey` and the source tag (``store`` / ``sweep`` /
+    ``quarantine_remeasure``).
+    """
+    config = sensitivity or algo.sensitivity_config
+    key = request_key(algo, x, y, config)
     integrity: Optional[str] = None
     try:
         artifact = store.load(key)
@@ -93,7 +103,7 @@ def _install_sensitivities(
     if artifact is not None:
         algo.set_sensitivity(artifact.to_result())
         _SERVED_CACHED.add()
-        return "store"
+        return key, "store"
     if offline:
         _OFFLINE_REFUSALS.add()
         raise StoreMissError(
@@ -116,7 +126,7 @@ def _install_sensitivities(
         ),
     )
     _SERVED_FRESH.add()
-    return "quarantine_remeasure" if integrity else "sweep"
+    return key, "quarantine_remeasure" if integrity else "sweep"
 
 
 def _warm_eligible(algo, solver: SolverConfig) -> bool:
@@ -154,12 +164,8 @@ def allocate_cached(
             "(no set_sensitivity); use a CLADO-family algorithm"
         )
     solver = solver or SolverConfig()
-    config = sensitivity or algo.sensitivity_config
-    key = request_key(algo, x, y, config)
     with telemetry.span("store.serve"):
-        source = _install_sensitivities(
-            algo, x, y, config, store, key, offline
-        )
+        key, source = prepare_cached(algo, x, y, store, sensitivity, offline)
         results: List[AllocationResult] = []
         prev_choice: Optional[np.ndarray] = None
         chain = warm_chain and _warm_eligible(algo, solver)

@@ -9,7 +9,6 @@ around, and ``python -m repro report <manifest>`` pretty-prints one.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
@@ -157,16 +156,16 @@ class Run:
     def finish(self, **extra_results) -> Path:
         """Write the manifest atomically and return its path."""
         global _CURRENT_RUN
+        # repro.atomicio imports this package: import at call time.
+        from ..atomicio import atomic_write_json
+
         if self._finished:
             assert self.path is not None
             return self.path
         self.results.update(extra_results)
-        doc = self.document()
         self.manifest_dir.mkdir(parents=True, exist_ok=True)
         path = self.manifest_dir / f"{self.run_id}.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-        os.replace(tmp, path)
+        atomic_write_json(path, self.document())
         self.path = path
         self._finished = True
         if not self._was_enabled:

@@ -29,13 +29,12 @@ def naive_sweep(
     mode: str = "full",
     blocks=None,
     batch_size: int = 256,
-    symmetric_diag: bool = False,
 ) -> SensitivityResult:
     """The literal Algorithm 1, the oracle for the sweep's equivalence.
 
-    One full forward per evaluation under ``table.perturbed`` (or
-    ``table.mirrored`` for the symmetric diagonal), with no prefix caches
-    and no chunks, and the per-batch loss reduction the sweep uses.
+    One full forward per evaluation under ``table.perturbed``, with no
+    prefix caches and no chunks, and the per-batch loss reduction the
+    sweep uses.
     """
     criterion = CrossEntropyLoss()
     model.eval()
@@ -60,14 +59,7 @@ def naive_sweep(
                 with table.perturbed((i, b)):
                     single[i, m] = loss()
                 evals += 1
-                if symmetric_diag:
-                    with table.mirrored(i, b):
-                        minus = loss()
-                    evals += 1
-                    omega = single[i, m] + minus - 2.0 * base
-                else:
-                    omega = 2.0 * (single[i, m] - base)
-                matrix[i * nb + m, i * nb + m] = omega
+                matrix[i * nb + m, i * nb + m] = 2.0 * (single[i, m] - base)
         for i, j in build_pair_list(table.layers, mode, blocks):
             for m, bm in enumerate(bits):
                 for n, bn in enumerate(bits):

@@ -81,8 +81,24 @@ def resnet_setup():
     return model, layers, table, images, labels
 
 
+def _every_row(ws):
+    """An overlay giving each candidate ``k`` its own weight ``ws[k]``."""
+    return F.BatchedWeightOverlay(len(ws), np.zeros_like(ws[0]), dict(enumerate(ws)))
+
+
+class _NoMatmul(np.ndarray):
+    """A weight view that fails any matrix product it takes part in."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("multiplied by the overlay's base weight")
+        inputs = [np.asarray(v) for v in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 class TestBatchedKernels:
-    """Stacked-weight kernels equal the per-candidate loop bit for bit."""
+    """Overlay kernels with a row for every candidate equal the
+    per-candidate loop bit for bit."""
 
     def test_linear_matches_per_candidate(self):
         rng = np.random.default_rng(0)
@@ -90,7 +106,7 @@ class TestBatchedKernels:
         x = rng.normal(size=(n, d_in)).astype(np.float32)
         ws = rng.normal(size=(k, d_out, d_in)).astype(np.float32)
         b = rng.normal(size=d_out).astype(np.float32)
-        out = F.linear_forward_batched(fold_candidates(x, k), ws, b)
+        out = F.linear_forward_overlay(fold_candidates(x, k), _every_row(ws), b)
         out = unfold_candidates(out, k)
         for i in range(k):
             np.testing.assert_array_equal(out[i], x @ ws[i].T + b)
@@ -101,10 +117,34 @@ class TestBatchedKernels:
         x = rng.normal(size=(n, t, d_in)).astype(np.float32)
         ws = rng.normal(size=(k, d_out, d_in)).astype(np.float32)
         out = unfold_candidates(
-            F.linear_forward_batched(fold_candidates(x, k), ws, None), k
+            F.linear_forward_overlay(fold_candidates(x, k), _every_row(ws), None),
+            k,
         )
         for i in range(k):
             np.testing.assert_array_equal(out[i], x @ ws[i].T)
+
+    @pytest.mark.parametrize("kind", ["conv", "linear"])
+    def test_every_row_never_multiplies_by_base(self, kind):
+        rng = np.random.default_rng(7)
+        k, n = 3, 2
+        if kind == "conv":
+            x = rng.normal(size=(n, 2, 5, 5)).astype(np.float32)
+            ws = rng.normal(size=(k, 3, 2, 3, 3)).astype(np.float32)
+        else:
+            x = rng.normal(size=(n, 4)).astype(np.float32)
+            ws = rng.normal(size=(k, 3, 4)).astype(np.float32)
+        overlay = _every_row(ws)
+        overlay.base = overlay.base.view(_NoMatmul)
+        folded = fold_candidates(x, k)
+        if kind == "conv":
+            out = F.conv2d_forward_overlay(folded, overlay, None, 1, 1, 1)
+            want = [F.conv2d_forward(x, w, None, 1, 1, 1)[0] for w in ws]
+        else:
+            out = F.linear_forward_overlay(folded, overlay, None)
+            want = [x @ w.T for w in ws]
+        assert type(out) is np.ndarray
+        for i, expected in enumerate(want):
+            np.testing.assert_array_equal(unfold_candidates(out, k)[i], expected)
 
     @pytest.mark.parametrize("groups", [1, 2])
     def test_conv_matches_per_candidate(self, groups):
@@ -114,7 +154,10 @@ class TestBatchedKernels:
         ws = rng.normal(size=(k, c_out, c_in // groups, 3, 3)).astype(np.float32)
         b = rng.normal(size=c_out).astype(np.float32)
         out = unfold_candidates(
-            F.conv2d_forward_batched(fold_candidates(x, k), ws, b, 1, 1, groups), k
+            F.conv2d_forward_overlay(
+                fold_candidates(x, k), _every_row(ws), b, 1, 1, groups
+            ),
+            k,
         )
         conv = Conv2d(c_in, c_out, 3, stride=1, padding=1, groups=groups)
         conv.eval()
@@ -127,7 +170,7 @@ class TestBatchedKernels:
         x = np.zeros((7, 4), dtype=np.float32)
         ws = np.zeros((3, 2, 4), dtype=np.float32)
         with pytest.raises(ValueError, match="not divisible"):
-            F.linear_forward_batched(x, ws, None)
+            F.linear_forward_overlay(x, _every_row(ws), None)
 
     def test_fold_unfold_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -146,7 +189,7 @@ class TestBatchedKernels:
         lin.eval()
         x = rng.normal(size=(2, 4)).astype(np.float32)
         ws = rng.normal(size=(3, 3, 4)).astype(np.float32)
-        lin.weight_batch = ws
+        lin.weight_batch = _every_row(ws)
         try:
             out = unfold_candidates(lin.forward(fold_candidates(x, 3)), 3)
         finally:
@@ -154,11 +197,12 @@ class TestBatchedKernels:
         for i in range(3):
             np.testing.assert_array_equal(out[i], x @ ws[i].T + lin.bias.data)
 
-    @pytest.mark.parametrize("overlay", [False, True])
+    @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("kind", ["conv", "linear"])
-    def test_stacked_forward_drops_backward_cache(self, kind, overlay):
+    def test_stacked_forward_drops_backward_cache(self, kind, sparse):
         """A backward after a stacked forward raises; it must not use the
-        cache an earlier plain forward left behind."""
+        cache an earlier plain forward left behind.  ``sparse`` overlays
+        one row; the other kind gives every candidate a row."""
         rng = np.random.default_rng(5)
         if kind == "conv":
             layer = Conv2d(2, 3, 3, padding=1, rng=rng)
@@ -170,8 +214,8 @@ class TestBatchedKernels:
         out = layer.forward(x)
         w = layer.weight.data
         layer.weight_batch = (
-            F.BatchedWeightOverlay(3, w, {1: 2 * w}) if overlay
-            else np.stack([w, 2 * w, w])
+            F.BatchedWeightOverlay(3, w, {1: 2 * w}) if sparse
+            else _every_row(np.stack([w, 2 * w, w]))
         )
         try:
             layer.forward(fold_candidates(x, 3))

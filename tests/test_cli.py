@@ -27,6 +27,35 @@ class TestParser:
             build_parser().parse_args(["experiment", "fig99"])
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["allocate", "--workers", "-3"],
+            ["allocate", "--eval-batch-k", "-1"],
+            ["allocate", "--health-rounds", "-1"],
+            ["allocate", "--max-retries", "-1"],
+            ["allocate-cached", "--health-rounds", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_invalid_sweep_option_exits_2_before_loading(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        import repro.models
+
+        def loaded(*args, **kwargs):
+            raise AssertionError("model loaded before the options were checked")
+
+        monkeypatch.setattr(repro.models, "get_pretrained", loaded)
+        if argv[0] == "allocate-cached":
+            argv = [*argv, "--store", str(tmp_path / "store")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_models_command(self, capsys):
         assert main(["models"]) == 0

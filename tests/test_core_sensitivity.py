@@ -3,18 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    SensitivityConfig,
-    SensitivityEngine,
-    block_id_from_name,
-    psd_project,
-)
+from repro.core import SensitivityEngine, block_id_from_name, psd_project
 from repro.hessian import cross_vhv, exact_hessian_block, vhv
 from repro.models import build_model, quantizable_layers
 from repro.nn import CrossEntropyLoss, Linear, Module
 from repro.quant import QuantConfig, QuantizedWeightTable
-
-_SYMMETRIC = SensitivityConfig(symmetric_diag=True)
 
 
 class ThreeLinear(Module):
@@ -228,90 +221,3 @@ class TestBlockId:
     )
     def test_block_grouping(self, name, expected):
         assert block_id_from_name(name) == expected
-
-
-class TestSymmetricDiagonal:
-    """Extension: symmetric second-difference diagonal measurement."""
-
-    def test_eval_count_includes_mirror_points(self, setup):
-        model, layers, table, x, y = setup
-        engine = SensitivityEngine(model, table)
-        asym = engine.measure(x, y, mode="diagonal")
-        sym = engine.measure(x, y, _SYMMETRIC, mode="diagonal")
-        assert sym.num_evals == asym.num_evals + 3 * 2  # one mirror per (i, m)
-
-    def test_symmetric_matches_second_difference_formula(self, setup):
-        model, layers, table, x, y = setup
-        engine = SensitivityEngine(model, table)
-        result = engine.measure(x, y, _SYMMETRIC, mode="diagonal")
-        crit = CrossEntropyLoss()
-
-        def loss_with_weight(i, w):
-            old = layers[i].weight.data
-            try:
-                layers[i].weight.data = w.astype(old.dtype)
-                return crit(model.forward(x), y)
-            finally:
-                layers[i].weight.data = old
-
-        bits = table.config.bits
-        nb = len(bits)
-        base = crit(model.forward(x), y)
-        for i in range(3):
-            for m, b in enumerate(bits):
-                plus = loss_with_weight(i, table.quantized(i, b))
-                minus = loss_with_weight(i, 2.0 * table.original[i] - table.quantized(i, b))
-                expected = plus + minus - 2.0 * base
-                assert result.matrix[i * nb + m, i * nb + m] == pytest.approx(
-                    expected, abs=1e-9
-                )
-
-    def test_weights_restored(self, setup):
-        model, layers, table, x, y = setup
-        before = [layer.weight.data.copy() for layer in layers]
-        SensitivityEngine(model, table).measure(x, y, _SYMMETRIC)
-        for layer, b in zip(layers, before):
-            np.testing.assert_array_equal(layer.weight.data, b)
-
-    def test_closer_to_exact_vhv_on_trained_model(self):
-        """On a briefly trained model the symmetric diagonal should be at
-        least as close to the exact vHv as the one-sided estimate, for the
-        dominant entries."""
-        model = ThreeLinear(seed=9)
-        model.eval()
-        layers = [
-            _QLayer(0, "fc1", model.fc1),
-            _QLayer(1, "fc2", model.fc2),
-            _QLayer(2, "fc3", model.fc3),
-        ]
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(48, 4)).astype(np.float32)
-        y = rng.integers(0, 3, size=48)
-        from repro.nn import CrossEntropyLoss, SGD
-
-        crit = CrossEntropyLoss()
-        opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
-        for _ in range(60):  # partially trained: gradient term is nonzero
-            loss = crit(model.forward(x), y)
-            opt.zero_grad()
-            model.backward(crit.backward())
-            opt.step()
-        config = QuantConfig(bits=(6, 8))
-        table = QuantizedWeightTable(layers, config)
-        engine = SensitivityEngine(model, table)
-        one_sided = engine.measure(x, y, mode="diagonal")
-        symmetric = engine.measure(x, y, _SYMMETRIC, mode="diagonal")
-        wins = 0
-        total = 0
-        for i in range(3):
-            delta = table.delta(i, 6).astype(np.float64).ravel()
-            exact = vhv(model, crit, layers, x, y, i, delta)
-            if abs(exact) < 1e-6:
-                continue
-            err_one = abs(one_sided.matrix[i * 2, i * 2] - exact)
-            err_sym = abs(symmetric.matrix[i * 2, i * 2] - exact)
-            total += 1
-            if err_sym <= err_one + 1e-12:
-                wins += 1
-        assert total > 0
-        assert wins >= total - 1  # symmetric at least ties nearly everywhere

@@ -106,13 +106,40 @@ class TestExperimentContext:
         assert r1.bits == r2.bits
 
     def test_sensitivity_cache_key_distinguishes_replicates(self, ctx):
-        p1 = ctx._sensitivity_cache_path(
-            "resnet_s20", model_quant_config("resnet_s20"), "full", 8, 0
+        from repro.store import request_key
+
+        algo = ctx.make_algorithm("clado", "resnet_s20")
+        k0, k1 = (
+            request_key(
+                algo, *ctx.sensitivity_data(8, replicate), algo.sensitivity_config
+            )
+            for replicate in (0, 1)
         )
-        p2 = ctx._sensitivity_cache_path(
-            "resnet_s20", model_quant_config("resnet_s20"), "full", 8, 1
-        )
-        assert p1 != p2
+        assert k0 != k1
+        assert k0.mismatches(k1) == ("data",)
+
+    def test_sensitivity_cache_sees_weight_changes(self, ctx):
+        from repro.models import quantizable_layers
+
+        ctx.measured_sensitivity("resnet_s20", "diagonal", set_size=8)
+        layer = quantizable_layers(ctx.model("resnet_s20"), "resnet_s20")[0]
+        layer.weight.data = layer.weight.data * 0.5
+        served = ctx.measured_sensitivity("resnet_s20", "diagonal", set_size=8)
+        fresh = ctx.make_algorithm("clado_star", "resnet_s20")
+        x, y = ctx.sensitivity_data(8)
+        ctx.attach_activation_quant("resnet_s20", fresh.layers, x)
+        fresh.prepare(x, y)
+        np.testing.assert_array_equal(served.matrix, fresh.raw.matrix)
+
+    def test_sensitivity_cache_survives_a_truncated_entry(self, ctx):
+        from repro.models import cache_dir
+        from repro.store import ArtifactStore
+
+        first = ctx.measured_sensitivity("resnet_s20", "diagonal", set_size=8)
+        (entry,) = ArtifactStore(cache_dir() / "store").entries()
+        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+        again = ctx.measured_sensitivity("resnet_s20", "diagonal", set_size=8)
+        np.testing.assert_array_equal(again.matrix, first.matrix)
 
     def test_result_save_load(self, ctx):
         assert ctx.load_result("nothing") is None

@@ -368,7 +368,7 @@ def _pair_spec_index(setup):
         (i, j) for i in range(num_layers) for j in range(i + 1, num_layers)
     ]
     plan = build_eval_plan(
-        num_layers, (4, 8), pair_list, layer_segments, len(segments), False, "full"
+        num_layers, (4, 8), pair_list, layer_segments, len(segments), "full"
     )
     return next(p.index for g in plan.groups for p in g.pairs)
 

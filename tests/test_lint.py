@@ -274,3 +274,39 @@ class TestProcessImportRule:
         for path in sorted(lint.TARGET.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             assert list(lint._process_import_violations(path, tree)) == [], path
+
+
+def _raw_write_lines(source: str, module: str = "experiments/runner.py"):
+    path = lint.TARGET / module
+    return sorted(
+        line
+        for line, _ in lint._raw_write_violations(
+            path, ast.parse(source), source.splitlines()
+        )
+    )
+
+
+class TestRawWriteRule:
+    def test_rejects_path_writers(self):
+        # ExperimentContext.save_result before it went through atomicio:
+        # a run killed mid-write left a torn JSON file for load_result.
+        source = (
+            "def save_result(self, name, payload):\n"
+            "    self.result_path(name).write_text(json.dumps(payload, indent=2))\n"
+        )
+        assert _raw_write_lines(source) == [2]
+        assert _raw_write_lines("path.write_bytes(blob)\n") == [1]
+
+    def test_allows_atomicio_and_marked_sites(self):
+        source = "path.write_text(text)\n"
+        assert _raw_write_lines(source, module="atomicio.py") == []
+        marked = "# lint-allow-raw-write: in-memory only\npath.write_text(text)\n"
+        assert _raw_write_lines(marked) == []
+
+    def test_tree_passes(self):
+        for path in sorted(lint.TARGET.rglob("*.py")):
+            source = path.read_text()
+            tree = ast.parse(source, filename=str(path))
+            assert list(
+                lint._raw_write_violations(path, tree, source.splitlines())
+            ) == [], path

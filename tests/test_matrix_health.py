@@ -315,7 +315,7 @@ def _plan_indices(setup):
         (i, j) for i in range(num_layers) for j in range(i + 1, num_layers)
     ]
     plan = build_eval_plan(
-        num_layers, (4, 8), pair_list, layer_segments, len(segments), False, "full"
+        num_layers, (4, 8), pair_list, layer_segments, len(segments), "full"
     )
     diag_index = plan.groups[0].diag.index
     pair_index = next(p.index for g in plan.groups for p in g.pairs)
@@ -377,6 +377,42 @@ class TestEngineQuarantine:
         np.testing.assert_array_equal(clean.matrix, injected.matrix)
         assert injected.health.healthy
         assert injected.health.quarantined >= 1
+
+    def test_health_pass_matrix_is_assembled_from_its_losses(self, health_mlp):
+        """The health pass writes no Ω entry itself: its Ĝ is the one
+        assembler's output on the healed loss table, bit for bit."""
+        from repro.core.sensitivity import SweepSession, assemble_from_losses
+
+        model, _layers, table, x, y = health_mlp
+        diag_index, pair_index = _plan_indices(health_mlp)
+        plan = FaultPlan(
+            seed=3,
+            faults=(
+                FaultSpec("outlier_loss", at=diag_index),
+                FaultSpec("asymmetric_pair", at=pair_index),
+            ),
+        )
+        config = SensitivityConfig(
+            batch_size=8, eval_batch_k=1, fault_plan=plan, health="warn"
+        )
+        session = SweepSession(
+            SensitivityEngine(model, table), x, y, config, mode="full"
+        )
+        losses = {}
+        with session.no_grad():
+            for gi in range(len(session.plan.groups)):
+                losses.update(session.run_group(gi)[0])
+            assembled, single = session.assemble(losses)
+            matrix, single, report, _ = session.health_pass(
+                assembled, single, losses
+            )
+        assert not np.array_equal(assembled, assembled.T)
+        assert report.remeasured >= 2 and report.healthy
+        want, want_single = assemble_from_losses(
+            session.plan, losses, session.base_loss
+        )
+        np.testing.assert_array_equal(matrix, want)
+        np.testing.assert_array_equal(single, want_single)
 
     def test_undetected_without_health_pass(self, health_mlp):
         """Sanity inverse: the same fault silently corrupts Ĝ when the

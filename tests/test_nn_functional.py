@@ -211,7 +211,8 @@ class TestBlockedConvBitwise:
         ws = (rng.normal(size=(k, *w.shape)) * w).astype(dtype)
         xs = np.concatenate([x, x[::-1], 2 * x])
         before = xs.copy()
-        out = F.conv2d_forward_batched(xs, ws, b, stride, pad, groups)
+        overlay = F.BatchedWeightOverlay(k, w, dict(enumerate(ws)))
+        out = F.conv2d_forward_overlay(xs, overlay, b, stride, pad, groups)
         for i in range(k):
             sl = slice(i * n, (i + 1) * n)
             expected, _ = full_batch_conv2d(xs[sl], ws[i], b, stride, pad, groups)

@@ -145,12 +145,12 @@ class TestArtifactIntegrity:
     """save/load must be atomic and the payload checksum-verified."""
 
     def test_checksum_embedded_and_verified(self, tmp_path):
-        from repro.quant.export import _CHECKSUM_KEY
+        from repro.atomicio import CHECKSUM_KEY
 
         path = tmp_path / "weights.npz"
         save_packed(path, _small_packed())
         with np.load(path, allow_pickle=False) as blob:
-            assert _CHECKSUM_KEY in blob.files
+            assert CHECKSUM_KEY in blob.files
         loaded = load_packed(path)
         assert set(loaded) == {"conv1", "fc"}
 
@@ -255,14 +255,14 @@ class TestStaleTmpReap:
     def _backdate(path, age):
         import os
 
-        from repro.quant.export import wall_now
+        from repro.atomicio import wall_now
 
         old = wall_now() - age
         os.utime(path, (old, old))
 
     def test_save_reaps_stale_sibling(self, tmp_path):
         from repro import telemetry
-        from repro.quant.export import STALE_TMP_TTL
+        from repro.atomicio import STALE_TMP_TTL
 
         stale = tmp_path / "orphan.npz.tmp"
         stale.write_bytes(b"dead writer leftovers")
@@ -278,7 +278,7 @@ class TestStaleTmpReap:
         assert after > before
 
     def test_load_reaps_stale_sibling(self, tmp_path):
-        from repro.quant.export import STALE_TMP_TTL
+        from repro.atomicio import STALE_TMP_TTL
 
         path = tmp_path / "weights.npz"
         save_packed(path, _small_packed())
@@ -298,7 +298,7 @@ class TestStaleTmpReap:
         assert young.exists()
 
     def test_reap_counts_and_ignores_missing_dir(self, tmp_path):
-        from repro.quant.export import STALE_TMP_TTL, reap_stale_tmp
+        from repro.atomicio import STALE_TMP_TTL, reap_stale_tmp
 
         assert reap_stale_tmp(tmp_path / "nope") == 0
         a = tmp_path / "a.tmp"

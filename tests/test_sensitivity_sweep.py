@@ -106,20 +106,16 @@ class TestNaiveSegmentedEquivalence:
     Algorithm 1 (``helpers.naive_sweep``)."""
 
     @pytest.mark.parametrize("mode", ["full", "diagonal", "block"])
-    @pytest.mark.parametrize("symmetric_diag", [False, True])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_matrix_matches_naive(self, mlp_setup, mode, symmetric_diag, workers):
+    def test_matrix_matches_naive(self, mlp_setup, mode, workers):
         model, layers, table, x, y = mlp_setup
         blocks = ["a", "a", "a", "b", "b", "b", "c", "c"] if mode == "block" else None
         naive = naive_sweep(
-            model, table, x, y, mode=mode, blocks=blocks, batch_size=8,
-            symmetric_diag=symmetric_diag,
+            model, table, x, y, mode=mode, blocks=blocks, batch_size=8
         )
         fast = SensitivityEngine(model, table).measure(
             x, y,
-            SensitivityConfig(
-                batch_size=8, symmetric_diag=symmetric_diag, num_workers=workers
-            ),
+            SensitivityConfig(batch_size=8, num_workers=workers),
             mode=mode, blocks=blocks,
         )
         assert fast.extras["strategy"] == "segmented"
@@ -407,8 +403,7 @@ class TestEvalPlan:
         pair_list = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         plan = build_eval_plan(
             num_layers=4, bits=(4, 8), pair_list=pair_list,
-            layer_segments=(0, 1, 1, 2), num_segments=3,
-            symmetric_diag=False, mode="full",
+            layer_segments=(0, 1, 1, 2), num_segments=3, mode="full",
         )
         assert isinstance(plan, EvalPlan)
         assert plan.num_evals == 4 * 2 + len(pair_list) * 4
@@ -424,12 +419,10 @@ class TestEvalPlan:
             num_layers=2, bits=(4, 8), pair_list=[(0, 1)],
             layer_segments=(0, 1), num_segments=2, mode="full",
         )
-        a = build_eval_plan(symmetric_diag=False, **kwargs)
-        b = build_eval_plan(symmetric_diag=True, **kwargs)
+        a = build_eval_plan(**kwargs)
+        b = build_eval_plan(**dict(kwargs, layer_segments=(1, 1)))
         assert a.fingerprint() != b.fingerprint()
-        assert a.fingerprint() == build_eval_plan(
-            symmetric_diag=False, **kwargs
-        ).fingerprint()
+        assert a.fingerprint() == build_eval_plan(**kwargs).fingerprint()
         assert a.fingerprint("data1") != a.fingerprint("data2")
 
 
@@ -517,22 +510,6 @@ class TestSegmentedForward:
         for seg in segments:
             a = seg.forward(a)
         np.testing.assert_allclose(a, full, atol=1e-6)
-        np.testing.assert_allclose(model.forward_from(0, x), full, atol=1e-6)
-
-    def test_checkpoint_activations_match_manual_replay(self):
-        model = build_model("resnet_s20", num_classes=4)
-        model.eval()
-        segments = model.segments()
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        cuts = [1, len(segments) - 1, len(segments)]
-        acts, out = model.checkpoint_activations(x, cuts)
-        np.testing.assert_allclose(out, model.forward(x), atol=1e-6)
-        for cut in cuts[:-1]:
-            np.testing.assert_allclose(
-                model.forward_from(cut, acts[cut]), out, atol=1e-6
-            )
-        np.testing.assert_allclose(acts[len(segments)], out)
 
     def test_segments_cover_all_searched_layers(self):
         for name in sorted(MODEL_REGISTRY):
@@ -544,20 +521,3 @@ class TestSegmentedForward:
                     owned.add(id(mod))
             for layer in quantizable_layers(model, name):
                 assert id(layer.module) in owned, (name, layer.name)
-
-
-class TestMirroredTable:
-    def test_mirrored_swaps_and_restores(self, mlp_setup):
-        _, layers, table, _, _ = mlp_setup
-        original = table.original[0].copy()
-        with table.mirrored(0, 4):
-            np.testing.assert_allclose(
-                layers[0].weight.data, 2.0 * original - table.quantized(0, 4)
-            )
-        np.testing.assert_array_equal(layers[0].weight.data, original)
-
-    def test_mirror_point_is_reflection(self, mlp_setup):
-        _, _, table, _, _ = mlp_setup
-        # w is the midpoint of Q(w) and its mirror: (Q + mirror)/2 == w.
-        midpoint = 0.5 * (table.mirror(1, 8) + table.quantized(1, 8))
-        np.testing.assert_allclose(midpoint, table.original[1], atol=1e-6)

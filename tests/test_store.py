@@ -161,7 +161,6 @@ class TestStoreKey:
         assert quantizer_fingerprint(CFG, "diagonal") != base
         assert quantizer_fingerprint(CFG, "full", batch_size=8) != base
         assert quantizer_fingerprint(CFG, "full", eval_batch_k=1) != base
-        assert quantizer_fingerprint(CFG, "full", symmetric_diag=True) != base
 
     def test_key_roundtrip_and_mismatch_attribution(self):
         assert StoreKey.from_dict(KEY.to_dict()) == KEY
