@@ -96,16 +96,19 @@ Thirteen rules (see docs/observability.md and docs/robustness.md):
     session opens; a method that stashed a knob or a fault flag on
     ``self`` would leak it into the next sweep and into the forked workers
     that inherit the object.  Pass such values as arguments.
-13. One module starts worker processes — ``import multiprocessing`` and
-    ``from multiprocessing ...`` are allowed only in
-    ``repro/core/sensitivity.py`` (the sweep's fork supervisor), and
+13. One module per process-level import — ``import multiprocessing`` /
+    ``from multiprocessing ...`` and ``import ctypes`` /
+    ``from ctypes ...`` are allowed only in ``repro/core/sensitivity.py``
+    (the sweep's fork supervisor, and its one allocator setting), and
     ``import subprocess`` / ``from subprocess ...`` only in
     ``repro/telemetry/manifest.py`` (which runs ``git rev-parse``).  The
     supervisor is the sweep's one multi-process transport, with one
     failure model: pipe EOF for a crashed worker, a per-group deadline
     for a hung one, bounded retries, then serial fallback.  A second
     module starting workers would bring its own failure model, its own
-    fault kinds and its own telemetry path.
+    fault kinds and its own telemetry path.  ``ctypes`` changes the
+    whole process (the sweep sets two glibc ``mallopt`` thresholds that
+    fork workers inherit); a second caller could silently undo them.
 
 Exit status 0 when clean, 1 with a ``path:line: message`` listing per
 violation.  Run via ``make lint`` (part of the default ``make`` target).
@@ -175,9 +178,10 @@ INPUT_WRITE_DIRS = (TARGET / "nn", TARGET / "models")
 #: Rule 12: classes whose instance attributes are set only in ``__init__``.
 INIT_ONLY_STATE_CLASSES = {"SensitivityEngine", "SweepSession"}
 
-#: Rule 13: the one module allowed to import each process-starting module.
+#: Rule 13: the one module allowed to import each process-level module.
 PROCESS_MODULES = {
     "multiprocessing": TARGET / "core" / "sensitivity.py",
+    "ctypes": TARGET / "core" / "sensitivity.py",
     "subprocess": TARGET / "telemetry" / "manifest.py",
 }
 
@@ -471,7 +475,7 @@ def _scipy_violations(tree: ast.AST):
 
 
 def _process_import_violations(path: Path, tree: ast.AST):
-    """Rule 13: process-starting modules imported outside their one owner."""
+    """Rule 13: process-level modules imported outside their one owner."""
     for lineno, pkg in _imported_packages(tree):
         owner = PROCESS_MODULES.get(pkg)
         if owner is not None and path != owner:
@@ -479,7 +483,8 @@ def _process_import_violations(path: Path, tree: ast.AST):
                 lineno,
                 f"{pkg} imported outside {owner.relative_to(TARGET).as_posix()}: "
                 "the fork supervisor in core/sensitivity.py is the one "
-                "multi-process transport, and subprocess only runs git in "
+                "multi-process transport and sets the one allocator "
+                "setting through ctypes, and subprocess only runs git in "
                 "telemetry/manifest.py",
             )
 

@@ -43,12 +43,15 @@ Every forward the engine runs is a no-grad forward
 (:meth:`repro.nn.Module.no_grad`): no layer keeps a backward cache, and
 the sweep freezes (``writeable = False``) every activation it checkpoints,
 so a layer writing into its input would raise instead of corrupting the
-replays that share the checkpoint.
+replays that share the checkpoint.  Each session also keeps the heap
+pages a replay frees mapped for the next one (:func:`_retain_freed_heap`),
+so replays do not fault their activation pages in again.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import multiprocessing as mp
@@ -59,6 +62,11 @@ from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # non-POSIX: sweeps report no page faults
+    resource = None
 
 from .. import telemetry
 from ..nn import (
@@ -118,6 +126,25 @@ _DISPATCH_BOUND_FLOATS = 4096
 _WASTE_FACTOR_DISPATCH = 2.0
 _WASTE_FACTOR_COMPUTE = 1.0
 
+#: How far a plain re-measurement may sit from a loss a stacked chunk
+#: measured and still confirm it: stacked pair losses match plain replays
+#: only to the numerics contract of docs/algorithm.md §3b
+#: (``np.allclose(atol=1e-6)``), and a pair loss enters its Ω entry with
+#: coefficient one.
+_STACKED_AGREE_ATOL = 1e-6
+
+#: The C library, for its allocator settings (``mallopt`` exists in glibc).
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
+if hasattr(_LIBC, "mallopt"):  # int mallopt(int param, int value)
+    _LIBC.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _LIBC.mallopt.restype = ctypes.c_int
+#: glibc ``mallopt`` parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: Requests at or above this size are mmapped: the ceiling glibc's own
+#: dynamic mmap threshold climbs to on 64-bit hosts.
+_MMAP_THRESHOLD = 32 * 1024 * 1024
+
 #: Loss evaluations actually executed (resumed-from-checkpoint losses do
 #: not count).
 _FORWARD_EVALS = telemetry.counter("sensitivity.forward_evals")
@@ -145,6 +172,8 @@ _GROUP_RETRIES = telemetry.counter("sweep.group_retries")
 _DEADLINE_KILLS = telemetry.counter("sweep.deadline_kills")
 #: Groups the pool could not finish that degraded to serial execution.
 _SERIAL_FALLBACK = telemetry.counter("sweep.serial_fallback_groups")
+#: Minor page faults of a sweep: this process plus its reaped fork workers.
+_MINOR_FAULTS = telemetry.counter("sweep.minor_faults")
 
 
 @dataclass
@@ -317,7 +346,7 @@ def assemble_from_losses(
     if fault_plan is not None:
         for g in plan.groups:
             for p in g.pairs:
-                delta = fault_plan.asymmetry_delta(p.index, 0)
+                delta = fault_plan.asymmetry_delta(p.index)
                 if delta is not None:
                     r, c = p.i * nb + p.m, p.j * nb + p.n
                     matrix[r, c] += delta * (1.0 + abs(matrix[r, c]))
@@ -340,6 +369,38 @@ def _check_finite(loss: float, poison: bool = False) -> float:
             "(model diverged or inputs are corrupt)"
         )
     return loss
+
+
+def _retain_freed_heap() -> bool:
+    """Keep the heap pages a replay frees for the next replay.
+
+    Every replay frees all it allocates.  By default glibc serves each
+    request above a threshold with its own mapping (the threshold starts
+    at 128 KiB and climbs with the mappings freed) and returns a free heap
+    top larger than twice that threshold to the OS, so each replay faulted
+    the same activation pages in again.  Two ``mallopt`` calls stop that:
+    requests below 32 MiB come from the heap, and up to
+    ``_BATCH_MEMORY_BUDGET`` of free heap top stays mapped.  Setting
+    either one alone switches glibc's adjustment off and leaves the other
+    at its 128 KiB default.  Fork workers inherit the setting.  Returns
+    whether it was applied; a C library without ``mallopt`` is left as it
+    is.
+    """
+    if not hasattr(_LIBC, "mallopt"):
+        return False
+    mmap_set = _LIBC.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    trim_set = _LIBC.mallopt(_M_TRIM_THRESHOLD, _BATCH_MEMORY_BUDGET)
+    return bool(mmap_set and trim_set)
+
+
+def _fault_usage() -> Tuple[int, float]:
+    """``(minor page faults, system CPU seconds)`` used so far by this
+    process and its reaped children."""
+    if resource is None:
+        return 0, 0.0
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_minflt + kids.ru_minflt, own.ru_stime + kids.ru_stime
 
 
 def _usable_cpus() -> int:
@@ -650,6 +711,7 @@ class SensitivityEngine:
         """
         config = config or SensitivityConfig()
         t0 = telemetry.monotonic()
+        faults0, system0 = _fault_usage()
         session = SweepSession(self, x, y, config, mode=mode, blocks=blocks)
         plan = session.plan
         total_evals = 1 + plan.num_evals
@@ -742,6 +804,8 @@ class SensitivityEngine:
                     checkpoint.flush()
 
         wall = telemetry.monotonic() - t0
+        faults1, system1 = _fault_usage()
+        _MINOR_FAULTS.add(faults1 - faults0)
         nseg = len(session.segments)
         num_batches = len(session.batches)
         prefix_work = nseg * num_batches
@@ -792,6 +856,8 @@ class SensitivityEngine:
             "time_evals": t_evals,
             "time_total": wall,
             "evals_per_sec": executed / t_evals if t_evals > 0 else float("inf"),
+            "minor_faults": faults1 - faults0,
+            "system_s": system1 - system0,
         }
         if health_extras is not None:
             extras["health"] = health_extras
@@ -859,6 +925,7 @@ class SweepSession:
         self.waste_factor = auto_waste_factor(x, config.batch_size)
         self.num_workers = _resolve_workers(config.num_workers)
         self.fault_plan = resolve_fault_plan(config.fault_plan)
+        _retain_freed_heap()
         self.time_plan = telemetry.monotonic() - t0
 
         # Clean prefix pass: one full forward per batch, checkpointing the
@@ -938,6 +1005,14 @@ class SweepSession:
     def group_indices(self, group_idx: int) -> List[int]:
         """Plan-spec indices measured by plan group ``group_idx``."""
         return [s.index for s in self.plan.groups[group_idx].specs()]
+
+    def group_chunks(self, g: GroupPlan) -> List[BatchChunk]:
+        """The chunks group ``g``'s pairs replay as: one width-``K`` chunk
+        per stacked replay, one width-1 chunk per plain replay."""
+        return build_batch_chunks(
+            g.pairs, self.plan.num_segments, self.eval_batch_k,
+            waste_factor=self.waste_factor,
+        )
 
     # -- group execution ----------------------------------------------------------
     def run_group(
@@ -1060,9 +1135,7 @@ class SweepSession:
         clean_work0 = self.clean.recomputed_segments
         stats = {"evals": 0, "chunks": 0, "width_max": 0, "extra_flops": 0}
 
-        chunks = build_batch_chunks(
-            g.pairs, nseg, self.eval_batch_k, waste_factor=self.waste_factor
-        )
+        chunks = self.group_chunks(g)
         group_freq = Counter(c.cut for c in chunks if c.cut > g.segment)
         group_cache = PrefixCache(
             self.segments,
@@ -1175,13 +1248,15 @@ class SweepSession:
     ) -> Tuple[np.ndarray, np.ndarray, GMatrixHealth, Dict[str, object]]:
         """Diagnose the assembled Ĝ and quarantine-and-remeasure suspects.
 
-        Flagged entries are re-evaluated — suffix replays off the *clean*
-        prefix cache, not full sweeps — for up to ``config.health_rounds``
-        rounds.  A re-measurement that agrees with the entry's current
-        loss (bitwise for plain replays) confirms it; a disagreement
-        replaces the loss and leaves the entry active so the replacement
-        itself must repeat before being trusted.  After each round the
-        matrix is rebuilt from the healed loss table by
+        Flagged entries are re-evaluated — plain suffix replays off the
+        *clean* prefix cache, not full sweeps — for up to
+        ``config.health_rounds`` rounds.  A re-measurement that agrees with
+        the entry's current loss confirms it: bitwise for a loss a plain
+        replay measured, within :data:`_STACKED_AGREE_ATOL` while the
+        entry still holds the loss a stacked chunk measured.  A
+        disagreement replaces the loss and leaves the entry active so the
+        replacement itself must repeat before being trusted.  After each
+        round the matrix is rebuilt from the healed loss table by
         :func:`assemble_from_losses`, so a corrected single reaches every
         pair difference that reads it, and damage done to the assembled
         matrix rather than to a loss is gone.  Updates ``losses`` in place
@@ -1195,11 +1270,16 @@ class SweepSession:
         # Each measured entry of Ĝ and the one evaluation behind it.
         entry_spec: Dict[Tuple[int, int], EvalSpec] = {}
         pair_specs: Dict[Tuple[int, int], EvalSpec] = {}
+        # Plan indices whose loss is still the one a stacked chunk measured.
+        stacked: set = set()
         for g in plan.groups:
             entry_spec[(g.i * nb + g.m,) * 2] = g.diag
             for p in g.pairs:
                 key = _health.canonical_entry(p.i * nb + p.m, p.j * nb + p.n)
                 entry_spec[key] = pair_specs[key] = p
+            for chunk in self.group_chunks(g):
+                if chunk.width > 1:
+                    stacked.update(spec.index for spec in chunk.specs)
 
         def diagnose(**frozen) -> GMatrixHealth:
             quads = [
@@ -1239,14 +1319,20 @@ class SweepSession:
                         active.discard(key)
                         persistent[key] = 0.0
                         continue
-                    samples.setdefault(key, [losses[spec.index]])
+                    current = losses[spec.index]
+                    samples.setdefault(key, [current])
                     new = self._remeasure_loss(spec, round_)
                     remeasured += 1
-                    if policy.agrees(new, losses[spec.index]):
+                    if spec.index in stacked:
+                        agrees = abs(new - current) <= _STACKED_AGREE_ATOL
+                    else:
+                        agrees = policy.agrees(new, current)
+                    if agrees:
                         confirmed.add(key)
                         active.discard(key)
                     else:
                         losses[spec.index] = new
+                        stacked.discard(spec.index)
                     samples[key].append(losses[spec.index])
                 matrix, single = assemble_from_losses(plan, losses, base_loss)
 

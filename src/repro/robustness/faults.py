@@ -41,6 +41,8 @@ faults (``truncated_artifact``, ``checksum_flip``, ``stale_writer_lock``,
 the fault stops firing (so bounded retries — and, for measurement faults,
 bounded quarantine re-measure rounds — deterministically recover);
 ``rung`` names the ladder rung whose deadline is forced to expire.
+``asymmetric_pair`` strikes the sweep's one assembly of Ĝ, so its
+``times`` must be 1.
 
 Faults fire through the same code paths real failures take: an injected
 crash is an ``os._exit`` inside a fork worker (the supervisor sees a dead
@@ -129,6 +131,13 @@ class FaultSpec:
             )
         if self.times < 1:
             raise ValueError(f"fault times must be >= 1, got {self.times}")
+        if self.kind == "asymmetric_pair" and self.times != 1:
+            # Only the sweep's assembly applies it; the health pass
+            # rebuilds Ĝ from the loss table without faults.
+            raise ValueError(
+                f"asymmetric_pair strikes the sweep's one assembly: "
+                f"times must be 1, got {self.times}"
+            )
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "at": self.at, "times": self.times}
@@ -195,19 +204,19 @@ class FaultPlan:
         # corrupted value twice and wrongly confirm it as stable.
         return self._seeded_delta(2 * index + 1 + 1000003 * round_)
 
-    def asymmetry_delta(self, index: int, round_: int) -> Optional[float]:
+    def asymmetry_delta(self, index: int) -> Optional[float]:
         """Relative corruption for *one direction* of an assembled Ω entry.
 
-        Fires at assembly time against the pair spec at plan index
-        ``index``: ``G[r, c]`` is perturbed while ``G[c, r]`` keeps the
-        measured value, breaking the symmetry the assembler guarantees.
-        The health pass rebuilds the matrix from the loss table, which
-        the fault never touches, so it only corrupts assembly rounds
-        (``round_`` semantics as above).
+        Fires when the sweep assembles Ĝ, against the pair spec at plan
+        index ``index``: ``G[r, c]`` is perturbed while ``G[c, r]`` keeps
+        the measured value, breaking the symmetry the assembler
+        guarantees.  The health pass rebuilds the matrix from the loss
+        table, which the fault never touches, so there is one assembly
+        to strike and ``times`` is always 1.
         """
-        if not self._fires("asymmetric_pair", index, round_):
+        if not self._fires("asymmetric_pair", index, 0):
             return None
-        return self._seeded_delta(3 * index + 2 + 1000003 * round_)
+        return self._seeded_delta(3 * index + 2)
 
     def _seeded_delta(self, salt: int) -> float:
         """Seeded signed magnitude in ``±[4, 32)`` (same LCG family as

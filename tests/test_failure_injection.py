@@ -380,7 +380,7 @@ class TestMeasurementFaults:
 
     def test_new_kinds_accepted(self):
         FaultSpec("outlier_loss", at=3)
-        FaultSpec("asymmetric_pair", at=7, times=2)
+        FaultSpec("asymmetric_pair", at=7, times=1)
 
     def test_new_kinds_roundtrip_json(self):
         plan = FaultPlan(
@@ -396,19 +396,26 @@ class TestMeasurementFaults:
         """A fault poisoning several measurements must poison them
         *differently* — identical corruption would agree with itself on
         re-measure and be wrongly confirmed as stable."""
-        plan = FaultPlan(
-            seed=4,
-            faults=(
-                FaultSpec("outlier_loss", at=3, times=3),
-                FaultSpec("asymmetric_pair", at=7, times=3),
-            ),
-        )
+        plan = FaultPlan(seed=4, faults=(FaultSpec("outlier_loss", at=3, times=3),))
         outlier = [plan.outlier_delta(3, r) for r in range(3)]
-        asym = [plan.asymmetry_delta(7, r) for r in range(3)]
         assert len(set(outlier)) == 3
-        assert len(set(asym)) == 3
         assert plan.outlier_delta(3, 3) is None  # budget consumed
         assert plan.outlier_delta(4, 0) is None  # other specs untouched
+
+    @pytest.mark.parametrize("times", [2, 3])
+    def test_asymmetric_pair_rejects_more_than_one_time(self, times):
+        """Only the sweep's one assembly applies an asymmetry (the health
+        pass rebuilds Ĝ without faults), so a second time never fires."""
+        with pytest.raises(ValueError, match="asymmetric_pair"):
+            FaultSpec("asymmetric_pair", at=7, times=times)
+        with pytest.raises(ValueError, match="asymmetric_pair"):
+            FaultPlan.parse(
+                '{"faults": [{"kind": "asymmetric_pair", "at": 7, "times": %d}]}'
+                % times
+            )
+        plan = FaultPlan(seed=4, faults=(FaultSpec("asymmetric_pair", at=7),))
+        assert plan.asymmetry_delta(7) is not None
+        assert plan.asymmetry_delta(8) is None
 
     def test_outlier_corrupts_matrix_without_health_pass(self, fault_mlp):
         clean = _measure(fault_mlp, workers=1, eval_batch_k=1)

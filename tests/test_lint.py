@@ -253,10 +253,20 @@ class TestProcessImportRule:
             "import subprocess\n",
             "from subprocess import Popen\n",
             "def f():\n    import subprocess\n",
+            "import ctypes\n",
+            "import ctypes.util\n",
+            "from ctypes import CDLL\n",
         ],
     )
     def test_rejects_every_import_form_elsewhere(self, source):
         assert len(_process_lines(source, "core/clado.py")) == 1
+
+    def test_ctypes_belongs_to_the_sweep(self):
+        # A kernel module reaching for libc would change the process-wide
+        # allocator settings the sweep makes.
+        source = "import ctypes\n\nimport numpy as np\n"
+        assert _process_lines(source, "nn/functional.py") == [1]
+        assert _process_lines(source, "core/sensitivity.py") == []
 
     def test_each_module_has_one_owner(self):
         mp_source = "import multiprocessing as mp\n"

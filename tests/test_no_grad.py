@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import Unsegmented
-from repro.core import SensitivityConfig, SensitivityEngine
+from repro.core import SensitivityConfig, SensitivityEngine, sensitivity
 from repro.core.sensitivity import SweepSession
 from repro.hessian import loss_and_grads
 from repro.models import MODEL_REGISTRY, build_model, quantizable_layers
@@ -254,3 +254,54 @@ class TestReplayMemory:
         assert grad_kept > 8 * folded.nbytes  # the caches the sweep paid for
         assert kept < 64 * 1024  # small Python objects at most
         assert peak < 0.4 * grad_peak
+
+
+class _RecordingLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestHeapRetention:
+    """The sweep keeps the heap pages a replay frees (glibc ``mallopt``),
+    so later replays stop faulting them in again."""
+
+    @pytest.mark.skipif(
+        not hasattr(sensitivity._LIBC, "mallopt"),
+        reason="the C library has no mallopt",
+    )
+    def test_second_sweep_faults_no_pages_in(self):
+        # Block mode: stacked replays whose folded activations exceed
+        # glibc's default 128 KiB thresholds (diagonal replays of 16
+        # samples stay below them).
+        model, layers, x = _calibrated("vit_s", samples=16, seed=2)
+        y = np.random.default_rng(2).integers(0, 10, size=16)
+        table = QuantizedWeightTable(layers, QuantConfig(bits=(4, 8)))
+        engine = SensitivityEngine(model, table)
+        config = SensitivityConfig(batch_size=8)
+        first = engine.measure(x, y, config, mode="block")
+        second = engine.measure(x, y, config, mode="block")
+        assert second.extras["batched_chunks"] > 0
+        assert second.extras["minor_faults"] < 100
+        assert second.extras["system_s"] >= 0.0
+        np.testing.assert_array_equal(first.matrix, second.matrix)
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        libc = _RecordingLibc()
+        monkeypatch.setattr(sensitivity, "_LIBC", libc)
+        assert sensitivity._retain_freed_heap()
+        assert libc.calls == [
+            (sensitivity._M_MMAP_THRESHOLD, 32 * 1024 * 1024),
+            (sensitivity._M_TRIM_THRESHOLD, 128 * 1024 * 1024),
+        ]
+
+    @pytest.mark.parametrize("libc", [None, object()])
+    def test_no_mallopt_is_left_alone(self, monkeypatch, libc):
+        monkeypatch.setattr(sensitivity, "_LIBC", libc)
+        assert not sensitivity._retain_freed_heap()
+        model, layers, table, x, y = _engine_setup("resnet_s20")
+        result = SensitivityEngine(model, table).measure(x, y, mode="diagonal")
+        assert result.extras["minor_faults"] >= 0
