@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """AST lint: enforce the telemetry conventions inside ``src/repro/``.
 
-Thirteen rules (see docs/observability.md and docs/robustness.md):
+Fourteen rules (see docs/observability.md and docs/robustness.md):
 
 1. No ``time.time()`` — wall-clock arithmetic must use
    ``telemetry.monotonic()`` (an alias of ``time.perf_counter``) so spans
@@ -109,6 +109,13 @@ Thirteen rules (see docs/observability.md and docs/robustness.md):
     fault kinds and its own telemetry path.  ``ctypes`` changes the
     whole process (the sweep sets two glibc ``mallopt`` thresholds that
     fork workers inherit); a second caller could silently undo them.
+14. ``np.load`` only on an open handle — its first argument must be a
+    name bound by ``with open(...) as name``.  Given a path, ``np.load``
+    opens the file itself and, when the archive fails to parse (a
+    truncated checkpoint, a damaged store entry), raises with that file
+    still open; every loader in ``src/repro`` rejects such files and
+    carries on, so each rejection leaked a file descriptor until garbage
+    collection.  A handle from ``with open(...)`` is closed either way.
 
 Exit status 0 when clean, 1 with a ``path:line: message`` listing per
 violation.  Run via ``make lint`` (part of the default ``make`` target).
@@ -594,8 +601,40 @@ def _instance_state_violations(tree: ast.AST):
                         )
 
 
+def _np_load_violations(tree: ast.AST):
+    """Rule 14: ``np.load`` on anything but a ``with open(...)`` handle."""
+    handles = {
+        item.optional_vars.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.With)
+        for item in node.items
+        if isinstance(item.context_expr, ast.Call)
+        and isinstance(item.context_expr.func, ast.Name)
+        and item.context_expr.func.id == "open"
+        and isinstance(item.optional_vars, ast.Name)
+    }
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "load"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        ):
+            continue
+        source = node.args[0] if node.args else None
+        if not (isinstance(source, ast.Name) and source.id in handles):
+            yield (
+                node.lineno,
+                "np.load() on a path leaves the file open when the archive "
+                "fails to parse; pass it a handle from 'with open(path, "
+                "\"rb\") as fh'",
+            )
+
+
 def _violations(path: Path, tree: ast.AST, source_lines):
     yield from _swallow_violations(path, tree, source_lines)
+    yield from _np_load_violations(tree)
     yield from _instance_state_violations(tree)
     yield from _scipy_violations(tree)
     yield from _process_import_violations(path, tree)

@@ -8,7 +8,6 @@ import numpy as np
 
 from ..models import evaluate_model
 from ..nn import (
-    BatchedWeightOverlay,
     fold_candidates,
     folded_accuracy,
     folded_cross_entropy,
@@ -90,12 +89,13 @@ def evaluate_assignments(
     Each chunk of up to ``eval_batch_k`` assignments is evaluated in one
     pass per mini-batch: every searched layer gets a
     :class:`~repro.nn.BatchedWeightOverlay` with a row for every candidate
-    (row ``k`` holding ``Q(w, a_k)``) and the mini-batch is folded
-    candidate-major, so the pass computes all ``K`` candidates' logits in
-    one forward, each slice by one GEMM under its own weight.
+    (row ``k`` holding ``Q(w, a_k)``), every other ``Linear`` one with no
+    rows (:meth:`QuantizedWeightTable.batched`), and the mini-batch is
+    folded candidate-major, so the pass computes all ``K`` candidates'
+    logits in one forward, each slice by the GEMMs of its plain forward.
     Per-candidate loss and accuracy reduce over the same slices the
-    sequential :func:`evaluate_assignment` sees, giving results equal to
-    the one-by-one loop.
+    sequential :func:`evaluate_assignment` sees, giving results bitwise
+    equal to the one-by-one loop.
 
     ``eval_batch_k=0`` picks a memory-aware width; ``1`` degenerates to
     the sequential loop.  Every forward runs in no-grad mode.  Returns
@@ -125,20 +125,16 @@ def evaluate_assignments(
     for start in range(0, len(assignments), max_k):
         chunk = assignments[start : start + max_k]
         width = len(chunk)
-        overrides = {
-            layer_idx: BatchedWeightOverlay(
-                width,
-                table.layers[layer_idx].weight.data,
-                {
-                    k: table.quantized(layer_idx, a[layer_idx])
-                    for k, a in enumerate(chunk)
-                },
-            )
+        rows = {
+            layer_idx: {
+                k: table.quantized(layer_idx, a[layer_idx])
+                for k, a in enumerate(chunk)
+            }
             for layer_idx in range(table.num_layers)
         }
         loss_totals = np.zeros(width)
         correct_totals = np.zeros(width)
-        with table.batched(overrides), model.no_grad():
+        with table.batched([model], width, rows), model.no_grad():
             for s in range(0, n, batch_size):
                 xb = images[s : s + batch_size]
                 yb = labels[s : s + batch_size]

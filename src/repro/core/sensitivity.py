@@ -70,7 +70,6 @@ except ImportError:  # non-POSIX: sweeps report no page faults
 
 from .. import telemetry
 from ..nn import (
-    BatchedWeightOverlay,
     CrossEntropyLoss,
     fold_candidates,
     folded_cross_entropy,
@@ -125,13 +124,6 @@ _MAX_AUTO_BATCH_K_TINY = 128
 _DISPATCH_BOUND_FLOATS = 4096
 _WASTE_FACTOR_DISPATCH = 2.0
 _WASTE_FACTOR_COMPUTE = 1.0
-
-#: How far a plain re-measurement may sit from a loss a stacked chunk
-#: measured and still confirm it: stacked pair losses match plain replays
-#: only to the numerics contract of docs/algorithm.md §3b
-#: (``np.allclose(atol=1e-6)``), and a pair loss enters its Ω entry with
-#: coefficient one.
-_STACKED_AGREE_ATOL = 1e-6
 
 #: The C library, for its allocator settings (``mallopt`` exists in glibc).
 _LIBC = ctypes.CDLL(None) if os.name == "posix" else None
@@ -973,8 +965,9 @@ class SweepSession:
         Covers what a measured loss depends on: the data, the original
         weights of the searched layers, the batching, the quantizer scheme,
         each searched layer's activation quantizer (bits and calibrated
-        scale), the resolved stack width (stacked losses are allclose to
-        sequential ones, not bitwise equal), and the plan's structure.
+        scale), and the plan's structure.  The stack width is left out,
+        like the worker count: a stacked replay measures bitwise the
+        losses of the plain replays it stands for.
         """
         table = self.engine.table
         h = hashlib.sha256()
@@ -992,11 +985,7 @@ class SweepSession:
             )
         h.update(
             json.dumps(
-                {
-                    "scheme": str(table.config.scheme),
-                    "act_quant": act_quant,
-                    "eval_batch_k": self.eval_batch_k,
-                },
+                {"scheme": str(table.config.scheme), "act_quant": act_quant},
                 sort_keys=True,
             ).encode()
         )
@@ -1183,10 +1172,11 @@ class SweepSession:
         ``(j, b_n)`` applied.  In a wider chunk, candidate ``k`` overlays
         its partner layer ``j_k`` with ``Q(w, b_{n_k})``; every other
         overlaid layer shows candidate ``k`` its current in-context
-        weight, so each candidate row computes exactly the plain pair
-        evaluation it replaces.  When the chunk cut sits before the
-        anchor's segment the replay starts from the clean cache and
-        re-applies the anchor on the way.
+        weight, and every slice's GEMMs have the plain replay's shapes
+        (:meth:`QuantizedWeightTable.batched`), so each candidate row
+        computes bitwise the plain pair evaluation it replaces.  When the
+        chunk cut sits before the anchor's segment the replay starts from
+        the clean cache and re-applies the anchor on the way.
         """
         segments = self.segments
         nseg = len(segments)
@@ -1206,21 +1196,13 @@ class SweepSession:
                 loss = self._replay(cut, acts)
             _FORWARD_EVALS.add()
             return [(spec.index, _check_finite(loss))]
-        # Sparse overlays: at each partner layer, every candidate but the
-        # spec's own row sees the current in-context weight, so the layer
-        # runs one tall base GEMM plus a per-row slice fixup instead of
-        # `width` sliced GEMMs.
-        rows_by_layer: Dict[int, Dict[int, np.ndarray]] = {}
+        # Sparse rows: at each partner layer, every candidate but the
+        # spec's own row sees the current in-context weight.
+        rows: Dict[int, Dict[int, np.ndarray]] = {}
         for k, spec in enumerate(chunk.specs):
-            rows_by_layer.setdefault(spec.j, {})[k] = table.quantized(
-                spec.j, bits[spec.n]
-            )
-        overrides = {
-            j: BatchedWeightOverlay(width, table.layers[j].weight.data, rows)
-            for j, rows in rows_by_layer.items()
-        }
+            rows.setdefault(spec.j, {})[k] = table.quantized(spec.j, bits[spec.n])
         totals = [0.0] * width
-        with table.batched(overrides):
+        with table.batched(segments[cut:], width, rows):
             for b, (xb, yb) in enumerate(self.batches):
                 a = fold_candidates(acts[b], width)
                 for s in range(cut, nseg):
@@ -1251,9 +1233,9 @@ class SweepSession:
         Flagged entries are re-evaluated — plain suffix replays off the
         *clean* prefix cache, not full sweeps — for up to
         ``config.health_rounds`` rounds.  A re-measurement that agrees with
-        the entry's current loss confirms it: bitwise for a loss a plain
-        replay measured, within :data:`_STACKED_AGREE_ATOL` while the
-        entry still holds the loss a stacked chunk measured.  A
+        the entry's current loss (``HealthPolicy.agrees``) confirms it;
+        a clean entry always does, because a plain replay reproduces
+        every loss the sweep measured bitwise, stacked or not.  A
         disagreement replaces the loss and leaves the entry active so the
         replacement itself must repeat before being trusted.  After each
         round the matrix is rebuilt from the healed loss table by
@@ -1270,16 +1252,11 @@ class SweepSession:
         # Each measured entry of Ĝ and the one evaluation behind it.
         entry_spec: Dict[Tuple[int, int], EvalSpec] = {}
         pair_specs: Dict[Tuple[int, int], EvalSpec] = {}
-        # Plan indices whose loss is still the one a stacked chunk measured.
-        stacked: set = set()
         for g in plan.groups:
             entry_spec[(g.i * nb + g.m,) * 2] = g.diag
             for p in g.pairs:
                 key = _health.canonical_entry(p.i * nb + p.m, p.j * nb + p.n)
                 entry_spec[key] = pair_specs[key] = p
-            for chunk in self.group_chunks(g):
-                if chunk.width > 1:
-                    stacked.update(spec.index for spec in chunk.specs)
 
         def diagnose(**frozen) -> GMatrixHealth:
             quads = [
@@ -1323,16 +1300,11 @@ class SweepSession:
                     samples.setdefault(key, [current])
                     new = self._remeasure_loss(spec, round_)
                     remeasured += 1
-                    if spec.index in stacked:
-                        agrees = abs(new - current) <= _STACKED_AGREE_ATOL
-                    else:
-                        agrees = policy.agrees(new, current)
-                    if agrees:
+                    if policy.agrees(new, current):
                         confirmed.add(key)
                         active.discard(key)
                     else:
                         losses[spec.index] = new
-                        stacked.discard(spec.index)
                     samples[key].append(losses[spec.index])
                 matrix, single = assemble_from_losses(plan, losses, base_loss)
 

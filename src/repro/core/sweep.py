@@ -486,12 +486,15 @@ class SweepCheckpoint:
         if not os.path.exists(self.path):
             return {}
         try:
-            with np.load(self.path, allow_pickle=False) as blob:
-                if str(blob["fingerprint"][()]) != self.fingerprint:
-                    _CKPT_FINGERPRINT.add()
-                    return {}
-                indices = blob["indices"]
-                losses = blob["losses"]
+            # np.load opens a path itself and leaves that file open when
+            # the archive fails to parse; a handle of our own always closes.
+            with open(self.path, "rb") as fh:
+                with np.load(fh, allow_pickle=False) as blob:
+                    if str(blob["fingerprint"][()]) != self.fingerprint:
+                        _CKPT_FINGERPRINT.add()
+                        return {}
+                    indices = blob["indices"]
+                    losses = blob["losses"]
         except zipfile.BadZipFile:
             # Killed mid-write / truncated on disk: the zip directory at
             # the end of the file is gone.

@@ -74,9 +74,16 @@ class ViTS(Module):
         return self.embed.backward(g)
 
     def segments(self):
-        """Patch embedding, each encoder block, then the class-token head."""
-        tail = Sequential(self.norm, SelectToken(0), self.classifier)
-        return [self.embed, *self.layer, tail]
+        """Patch embedding, the two pre-norm residual halves of each
+        encoder block, then the class-token head.
+
+        The head selects the class token before the final LayerNorm, which
+        normalizes each token on its own, so it normalizes one token
+        instead of all of them and gives the same logits.
+        """
+        halves = [half for block in self.layer for half in block.segments()]
+        tail = Sequential(SelectToken(0), self.norm, self.classifier)
+        return [self.embed, *halves, tail]
 
 
 def vit_s(num_classes: int = 10, seed: int = 15) -> ViTS:

@@ -152,13 +152,15 @@ def get_pretrained(
     path = cache_dir() / "models" / f"{name}-c{dataset.config.num_classes}.npz"
     if path.exists() and not retrain:
         try:
-            blob = np.load(path, allow_pickle=False)
-            state = {k[6:]: blob[k] for k in blob.files if k.startswith("state/")}
-            metrics = {
-                k[8:]: float(blob[k][()])
-                for k in blob.files
-                if k.startswith("metrics/")
-            }
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as blob:
+                state = {
+                    k[6:]: blob[k] for k in blob.files if k.startswith("state/")
+                }
+                metrics = {
+                    k[8:]: float(blob[k][()])
+                    for k in blob.files
+                    if k.startswith("metrics/")
+                }
             model.load_state_dict(state)
         except Exception as exc:
             # A truncated/corrupt cache (e.g. interrupted save) should cost

@@ -14,6 +14,7 @@ from .blocks import (
     InvertedResidual,
     Mlp,
     PatchEmbed,
+    PreNormResidual,
     SqueezeExcite,
     TransformerEncoderBlock,
     XBlock,
@@ -73,6 +74,7 @@ __all__ = [
     "InvertedResidual",
     "XBlock",
     "Mlp",
+    "PreNormResidual",
     "TransformerEncoderBlock",
     "PatchEmbed",
     "MultiHeadSelfAttention",

@@ -10,7 +10,7 @@ the branch's last layer allocated and no backward cache holds.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "InvertedResidual",
     "XBlock",
     "Mlp",
+    "PreNormResidual",
     "TransformerEncoderBlock",
     "PatchEmbed",
 ]
@@ -329,8 +330,34 @@ class Mlp(Module):
         )
 
 
+class PreNormResidual(Module):
+    """One pre-norm residual half of a transformer block: ``norm → body → +x``.
+
+    :meth:`TransformerEncoderBlock.segments` builds one per half on each
+    call.  It holds references to the block's modules and is never
+    stored in the model, so module names and state dicts do not see it.
+    """
+
+    def __init__(self, norm: Module, body: Module) -> None:
+        super().__init__()
+        self.norm = norm
+        self.body = body
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        h = self.body.forward(self.norm.forward(x))
+        h += x
+        return h
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        return grad_out + self.norm.backward(self.body.backward(grad_out))
+
+
 class TransformerEncoderBlock(Module):
-    """Pre-norm transformer block: LN → MHSA → +x, LN → MLP → +x."""
+    """Pre-norm transformer block: LN → MHSA → +x, LN → MLP → +x.
+
+    Forward and backward run the block's two :class:`PreNormResidual`
+    halves, which :meth:`segments` also hands to the segmented sweep.
+    """
 
     def __init__(
         self,
@@ -345,17 +372,22 @@ class TransformerEncoderBlock(Module):
         self.norm2 = LayerNorm(dim)
         self.mlp = Mlp(dim, int(dim * mlp_ratio), rng=rng)
 
+    def segments(self) -> List[Module]:
+        """The attention half, then the MLP half, as fresh wrappers."""
+        return [
+            PreNormResidual(self.norm1, self.attention),
+            PreNormResidual(self.norm2, self.mlp),
+        ]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = self.attention.forward(self.norm1.forward(x))
-        h += x
-        out = self.mlp.forward(self.norm2.forward(h))
-        out += h
-        return out
+        for half in self.segments():
+            x = half.forward(x)
+        return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = grad_out + self.norm2.backward(self.mlp.backward(grad_out))
-        g = g + self.norm1.backward(self.attention.backward(g))
-        return g
+        for half in reversed(self.segments()):
+            grad_out = half.backward(grad_out)
+        return grad_out
 
 
 class PatchEmbed(Module):

@@ -245,13 +245,13 @@ class BatchedWeightOverlay:
     Candidate ``k`` of ``width`` sees ``rows[k]`` when it has a row and
     ``base`` otherwise.  The sweep's chunks are sparse — each candidate
     perturbs one layer, so at any given layer all but a few candidate
-    rows equal the in-context weight — while ``evaluate_assignments``
-    gives every candidate a row.  :func:`linear_forward_overlay` runs one
-    tall GEMM with ``base`` plus a small per-slice fixup for each row, far
-    cheaper than ``width`` sliced GEMMs when the slices are tiny, and only
-    the fixups when every slice has a row;
-    :func:`conv2d_forward_overlay`, whose GEMMs are per sample anyway,
-    computes each slice once under its own weight.
+    rows equal the in-context weight, and a layer no candidate perturbs
+    has no rows at all — while ``evaluate_assignments`` gives every
+    candidate a row at every searched layer.  Both overlay kernels
+    (:func:`linear_forward_overlay`, :func:`conv2d_forward_overlay`)
+    compute each candidate slice once, with the GEMM shapes the plain
+    forward of one slice uses, so every slice is bitwise equal to that
+    plain forward under its own weight.
     """
 
     __slots__ = ("width", "base", "rows")
@@ -271,10 +271,6 @@ class BatchedWeightOverlay:
         self.base = base
         self.rows = dict(rows)
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return (self.width, *self.base.shape)
-
 
 def _fold_slices(kn: int, width: int) -> int:
     if kn % width:
@@ -290,26 +286,34 @@ def linear_forward_overlay(
     """Affine map under a candidate-weight overlay.
 
     ``x`` is folded candidate-major (``(K*N, ..., in_features)``).  The
-    base weight runs over the whole folded batch in one GEMM; each distinct
-    row then recomputes only its own candidate slice.  When every slice
-    has a row the fixups overwrite all of the base GEMM, so it is skipped.
+    candidate slices are walked once: a run of consecutive slices without
+    a row is one ``np.matmul`` on the base weight over ``(run, N, ...)``,
+    each slice with a row one ``np.matmul`` on that row's weight.  Either
+    way BLAS sees the ``(N, ...)`` GEMMs of one slice: OpenBLAS rounds a
+    GEMM differently as its row count changes, so one GEMM over the whole
+    folded batch would not be bitwise equal to the plain forward of a
+    slice, and every slice here is.
     """
     n = _fold_slices(x.shape[0], overlay.width)
     base = overlay.base
-    if len(overlay.rows) == overlay.width:
-        out = np.empty(
-            (*x.shape[:-1], base.shape[0]),
-            dtype=np.result_type(x.dtype, base.dtype),
-        )
-    else:
-        out = x @ base.T
-        if bias is not None:
-            out += bias
-    for k, w in overlay.rows.items():
-        fix = x[k * n : (k + 1) * n] @ w.T
-        if bias is not None:
-            fix += bias
-        out[k * n : (k + 1) * n] = fix
+    out = np.empty(
+        (*x.shape[:-1], base.shape[0]), dtype=np.result_type(x.dtype, base.dtype)
+    )
+    start = 0
+    for k in [*sorted(overlay.rows), overlay.width]:
+        if start < k:
+            run = (k - start, n, *x.shape[1:-1])
+            sl = slice(start * n, k * n)
+            np.matmul(
+                x[sl].reshape(*run, x.shape[-1]), base.T,
+                out=out[sl].reshape(*run, base.shape[0]),
+            )
+        if k < overlay.width:
+            sl = slice(k * n, (k + 1) * n)
+            np.matmul(x[sl], overlay.rows[k].T, out=out[sl])
+        start = k + 1
+    if bias is not None:
+        out += bias
     return out
 
 

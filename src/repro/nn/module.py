@@ -44,8 +44,8 @@ def fold_candidates(x: np.ndarray, k: int) -> np.ndarray:
     owns rows ``[k*N, (k+1)*N)``.  Because every eval-mode layer op is
     per-sample independent, the folded batch flows through ordinary
     forwards untouched; layers holding a ``weight_batch`` overlay unfold
-    it to apply candidate ``k``'s weights to slice ``k`` (one stacked GEMM
-    instead of ``K`` dispatches).
+    it to apply candidate ``k``'s weights to slice ``k``, one GEMM per
+    slice as in that slice's plain forward.
     """
     if k < 1:
         raise ValueError(f"candidate count must be >= 1, got {k}")
@@ -136,8 +136,8 @@ class Module:
         """Ordered partition of ``forward`` into coarse stages, or ``None``.
 
         When a model returns a list ``[s_0, ..., s_{K-1}]`` here, applying
-        ``s_0`` through ``s_{K-1}`` in order must be numerically identical
-        to ``forward``.  This is the contract the segmented sensitivity
+        ``s_0`` through ``s_{K-1}`` in order must be bitwise equal to
+        ``forward``.  This is the contract the segmented sensitivity
         sweeps rely on: activations at segment boundaries ("cut points")
         can be checkpointed once and replayed from any cut, skipping the
         clean prefix of a perturbed forward pass entirely.  Containers may

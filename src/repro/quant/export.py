@@ -187,7 +187,7 @@ def load_packed(path) -> Dict[str, PackedTensor]:
     """
     reap_stale_tmp(os.path.dirname(os.fspath(path)) or ".")
     try:
-        with np.load(path, allow_pickle=False) as blob:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as blob:
             arrays = {key: blob[key] for key in blob.files}
     except FileNotFoundError:
         raise

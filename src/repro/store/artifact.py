@@ -237,7 +237,7 @@ def deserialize(path, expect: Optional[StoreKey] = None) -> GhatArtifact:
     different schema or fingerprint world than ``expect``.
     """
     try:
-        with np.load(path, allow_pickle=False) as blob:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as blob:
             arrays = {key: blob[key] for key in blob.files}
     except FileNotFoundError:
         raise

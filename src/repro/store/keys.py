@@ -17,12 +17,12 @@ What goes into each fingerprint:
   ``(x, y)``.
 - **quant** — the quantizer config (candidate bits, scheme, activation
   bits) plus every measurement knob that changes Ĝ's *numerics*:
-  measurement mode, ``batch_size``, and
-  ``eval_batch_k`` (stacked replays are allclose but not bitwise equal
-  to sequential ones, so they address different entries).  Execution
-  knobs proven bitwise-invariant — the worker count — are deliberately
-  *excluded*, so a sweep on 8 fork workers and a single-process sweep
-  share one entry.
+  measurement mode and ``batch_size``.  Execution knobs proven
+  bitwise-invariant — the worker count and the stack width
+  ``eval_batch_k`` (a stacked replay measures bitwise the losses of the
+  plain replays it stands for) — are deliberately *excluded*, so a sweep
+  on 8 fork workers and a single-process sweep, or a stacked and a
+  sequential one, share one entry.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ def quantizer_fingerprint(
     mode: str,
     *,
     batch_size: int = 256,
-    eval_batch_k: int = 0,
 ) -> str:
     """SHA-256 over the quantizer config + numerics-affecting sweep knobs."""
     doc = {
@@ -82,7 +81,6 @@ def quantizer_fingerprint(
         "act_bits": int(config.act_bits),
         "mode": str(mode),
         "batch_size": int(batch_size),
-        "eval_batch_k": int(eval_batch_k),
     }
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()
@@ -139,9 +137,6 @@ def request_key(algo, x: np.ndarray, y: np.ndarray, config) -> StoreKey:
         weights=weights_fingerprint(algo.layers, algo.table.original),
         data=data_fingerprint(x, y),
         quant=quantizer_fingerprint(
-            algo.config,
-            algo.mode,
-            batch_size=config.batch_size,
-            eval_batch_k=config.eval_batch_k,
+            algo.config, algo.mode, batch_size=config.batch_size
         ),
     )

@@ -16,7 +16,7 @@ from repro.core import (
     setup_activation_quant,
 )
 from repro.core.sweep import EvalSpec
-from repro.models import build_model, quantizable_layers
+from repro.models import MODEL_REGISTRY, build_model, quantizable_layers
 from repro.nn import (
     Conv2d,
     Linear,
@@ -166,6 +166,26 @@ class TestBatchedKernels:
             conv.bias.data = b
             np.testing.assert_array_equal(out[i], conv.forward(x))
 
+    @pytest.mark.parametrize("rows", [(), (1, 3), (0, 4)])
+    def test_linear_sparse_rows_match_plain_forward(self, rows):
+        """Slices without a row run on the base weight, slices with one on
+        their own; each equals the plain N-row GEMM bit for bit (a single
+        GEMM over all K*N rows rounds differently on 8-row slices)."""
+        rng = np.random.default_rng(8)
+        k, n, d_in, d_out = 5, 8, 48, 96
+        x = rng.normal(size=(n, d_in)).astype(np.float32)
+        base = rng.normal(size=(d_out, d_in)).astype(np.float32)
+        b = rng.normal(size=d_out).astype(np.float32)
+        ws = {r: rng.normal(size=(d_out, d_in)).astype(np.float32) for r in rows}
+        overlay = F.BatchedWeightOverlay(k, base, ws)
+        out = unfold_candidates(
+            F.linear_forward_overlay(fold_candidates(x, k), overlay, b), k
+        )
+        for i in range(k):
+            plain = x @ ws.get(i, base).T
+            plain += b
+            np.testing.assert_array_equal(out[i], plain)
+
     def test_indivisible_batch_rejected(self):
         x = np.zeros((7, 4), dtype=np.float32)
         ws = np.zeros((3, 2, 4), dtype=np.float32)
@@ -196,6 +216,29 @@ class TestBatchedKernels:
             lin.weight_batch = None
         for i in range(3):
             np.testing.assert_array_equal(out[i], x @ ws[i].T + lin.bias.data)
+
+    def test_table_overlays_every_linear_under_the_roots(self):
+        """Searched layers with rows get them, every other Linear under
+        the roots an overlay without rows, layers outside none; all come
+        off on exit, and rows outside the roots are refused."""
+        model, layers = _deep_mlp(num_linear=4)
+        table = QuantizedWeightTable(layers[1:], QuantConfig(bits=(4, 8)))
+        roots = model.layers[2:]  # the second Linear onwards
+        linears = [m for m in model.layers if isinstance(m, Linear)]
+        row = table.quantized(0, 4)
+        with table.batched(roots, 3, {0: {1: row}}):
+            assert linears[0].weight_batch is None
+            assert linears[1].weight_batch.rows.keys() == {1}
+            assert linears[1].weight_batch.rows[1] is row
+            for lin in linears[2:]:
+                assert lin.weight_batch.width == 3
+                assert lin.weight_batch.rows == {}
+                assert lin.weight_batch.base is lin.weight.data
+        assert all(lin.weight_batch is None for lin in linears)
+        with pytest.raises(ValueError, match="not under the roots"):
+            with table.batched(roots[2:], 3, {0: {1: row}}):
+                pass
+        assert all(lin.weight_batch is None for lin in linears)
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("kind", ["conv", "linear"])
@@ -286,13 +329,12 @@ class TestBatchedSweepEquivalence:
         assert fast.extras["eval_batch_k"] > 1
         assert fast.extras["batched_chunks"] > 0
         assert fast.extras["batched_evals"] > 0
-        # Pair entries go through stacked GEMMs whose BLAS kernel path may
-        # differ from the small sequential GEMMs — allclose at the sweep's
-        # established tolerance.  Diagonals are never batched: bitwise.
-        np.testing.assert_allclose(fast.matrix, seq.matrix, atol=1e-6)
+        # Every candidate slice of a stacked replay runs the GEMMs of its
+        # plain replay, so pair entries are bitwise too.
+        np.testing.assert_array_equal(fast.matrix, seq.matrix)
         np.testing.assert_array_equal(fast.single_losses, seq.single_losses)
-        np.testing.assert_allclose(fast.matrix, naive.matrix, atol=1e-6)
-        np.testing.assert_allclose(fast.single_losses, naive.single_losses, atol=1e-6)
+        np.testing.assert_array_equal(fast.matrix, naive.matrix)
+        np.testing.assert_array_equal(fast.single_losses, naive.single_losses)
         assert fast.base_loss == seq.base_loss
         assert fast.num_evals == naive.num_evals
 
@@ -300,10 +342,9 @@ class TestBatchedSweepEquivalence:
         model, layers, table, x, y = mlp_setup
         seq = _sweep(model, table, x, y, eval_batch_k=1)
         fast = _sweep(model, table, x, y)
-        # Tolerance-equal G-hat plus bitwise diagonals: any downstream
-        # per-(layer, bit) argmin agrees exactly.
+        # Bitwise G-hat: any downstream per-(layer, bit) argmin agrees.
         bits = np.asarray(table.config.bits)
-        np.testing.assert_allclose(fast.matrix, seq.matrix, atol=1e-6)
+        np.testing.assert_array_equal(fast.matrix, seq.matrix)
         np.testing.assert_array_equal(fast.single_losses, seq.single_losses)
         assert np.array_equal(
             np.argmin(seq.single_losses, axis=1), np.argmin(fast.single_losses, axis=1)
@@ -315,7 +356,7 @@ class TestBatchedSweepEquivalence:
         seq = _sweep(model, table, x, y, eval_batch_k=1)
         k2 = _sweep(model, table, x, y, eval_batch_k=2)
         assert k2.extras["batch_width_max"] <= 2
-        np.testing.assert_allclose(k2.matrix, seq.matrix, atol=1e-6)
+        np.testing.assert_array_equal(k2.matrix, seq.matrix)
 
     def test_batched_does_fewer_segment_forwards(self, mlp_setup):
         model, layers, table, x, y = mlp_setup
@@ -324,6 +365,25 @@ class TestBatchedSweepEquivalence:
         assert (
             fast.extras["segment_forwards"] < seq.extras["segment_forwards"]
         )
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_zoo_stacked_matches_width_one(self, name):
+        """On every zoo model the stacked Ĝ is bitwise the sequential one:
+        unsearched linears (classifier heads) run per candidate slice."""
+        rng = np.random.default_rng(0)
+        model = build_model(name, num_classes=10)
+        model.eval()
+        table = QuantizedWeightTable(
+            quantizable_layers(model, name), QuantConfig(bits=(2, 4, 8))
+        )
+        x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
+        y = rng.integers(0, 10, size=8)
+        engine = SensitivityEngine(model, table)
+        seq = engine.measure(x, y, SensitivityConfig(eval_batch_k=1), mode="block")
+        fast = engine.measure(x, y, SensitivityConfig(), mode="block")
+        assert fast.extras["batched_chunks"] > 0
+        np.testing.assert_array_equal(fast.matrix, seq.matrix)
+        np.testing.assert_array_equal(fast.single_losses, seq.single_losses)
 
     def test_invalid_eval_batch_k(self, mlp_setup):
         model, layers, table, x, y = mlp_setup
@@ -365,6 +425,22 @@ class TestEvaluateAssignments:
         finally:
             for layer in layers:
                 layer.module.act_quant = None
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_zoo_matches_sequential_loop_exactly(self, name):
+        """Bitwise on every zoo model, classifier heads outside the search
+        space included."""
+        rng = np.random.default_rng(3)
+        model = build_model(name, num_classes=10)
+        model.eval()
+        table = QuantizedWeightTable(
+            quantizable_layers(model, name), QuantConfig(bits=(2, 4, 8))
+        )
+        images = rng.standard_normal((64, 3, 32, 32)).astype(np.float32)
+        labels = rng.integers(0, 10, size=64)
+        assigns = self._assignments(table, 3)
+        seq = [evaluate_assignment(model, table, a, images, labels) for a in assigns]
+        assert evaluate_assignments(model, table, assigns, images, labels) == seq
 
     def test_empty_assignments(self, resnet_setup):
         model, _, table, images, labels = resnet_setup

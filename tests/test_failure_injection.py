@@ -239,7 +239,7 @@ class TestCheckpointCorruption:
         np.testing.assert_array_equal(clean.matrix, first.matrix)
         assert ckpt.exists()
         with pytest.raises(Exception):
-            with np.load(ckpt, allow_pickle=False) as blob:
+            with open(ckpt, "rb") as fh, np.load(fh, allow_pickle=False) as blob:
                 blob["losses"]
         # Resume sees the damaged file, restarts, and still agrees.
         resumed = _measure(

@@ -320,3 +320,40 @@ class TestRawWriteRule:
             assert list(
                 lint._raw_write_violations(path, tree, source.splitlines())
             ) == [], path
+
+
+def _np_load_lines(source: str):
+    return sorted(line for line, _ in lint._np_load_violations(ast.parse(source)))
+
+
+class TestNpLoadRule:
+    def test_rejects_paths(self):
+        # SweepCheckpoint.load before it opened the file itself: a
+        # truncated checkpoint raised BadZipFile with the file left open.
+        source = (
+            "def load(self):\n"
+            "    with np.load(self.path, allow_pickle=False) as blob:\n"
+            "        return blob['losses']\n"
+        )
+        assert _np_load_lines(source) == [2]
+        assert _np_load_lines("blob = numpy.load(path)\n") == [1]
+        assert _np_load_lines("blob = np.load(file=path)\n") == [1]
+
+    def test_rejects_handles_not_from_open(self):
+        source = "with io.BytesIO(data) as fh:\n    blob = np.load(fh)\n"
+        assert _np_load_lines(source) == [2]
+
+    def test_allows_open_handles(self):
+        source = (
+            "with open(path, 'rb') as fh, np.load(fh, allow_pickle=False) as b:\n"
+            "    arrays = dict(b)\n"
+            "with open(path, 'rb') as other:\n"
+            "    with np.load(other) as b:\n"
+            "        pass\n"
+        )
+        assert _np_load_lines(source) == []
+
+    def test_tree_passes(self):
+        for path in sorted(lint.TARGET.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            assert list(lint._np_load_violations(tree)) == [], path

@@ -149,7 +149,7 @@ class TestArtifactIntegrity:
 
         path = tmp_path / "weights.npz"
         save_packed(path, _small_packed())
-        with np.load(path, allow_pickle=False) as blob:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as blob:
             assert CHECKSUM_KEY in blob.files
         loaded = load_packed(path)
         assert set(loaded) == {"conv1", "fc"}
