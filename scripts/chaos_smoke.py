@@ -117,7 +117,6 @@ def sweep_chaos(tmp: Path) -> None:
             batch_size=8,
             num_workers=2,
             checkpoint_path=None if checkpoint is None else str(checkpoint),
-            checkpoint_every=4,
             fault_plan=fault_plan,
         )
         return SensitivityEngine(model, table).measure(x, y, config, mode="full")
@@ -125,7 +124,8 @@ def sweep_chaos(tmp: Path) -> None:
     clean = run()
 
     # One worker dies mid-group, one group yields NaN once, and *every*
-    # checkpoint flush is truncated on disk at a seeded offset.
+    # checkpoint save (one per group) is truncated on disk at a seeded
+    # offset.
     ckpt = tmp / "sweep.ckpt.npz"
     plan = FaultPlan(
         seed=3,

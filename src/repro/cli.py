@@ -57,6 +57,14 @@ def _cmd_models(args) -> int:
     return 0
 
 
+def _set_size(text: str) -> int:
+    """``--set-size``: a sensitivity set needs at least one sample."""
+    size = int(text)
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {size}")
+    return size
+
+
 def _allocate_sensitivity(args):
     """``allocate``'s sweep options as one config (raises ``ValueError``)."""
     from .core import SensitivityConfig
@@ -128,11 +136,11 @@ def _run_allocation(args, body, run_name: str, run_config: dict) -> int:
              "with a non-offline run")
         return STORE_EXIT_CODE
     except KeyboardInterrupt:
-        # The sweep engine flushes its checkpoint in a finally-block before
-        # this propagates, so an interrupted run resumes cleanly.
+        # The sweep saves its checkpoint after every group it completes,
+        # so a rerun resumes every group finished before the interrupt.
         if getattr(args, "sweep_checkpoint", None):
-            emit("interrupted — sweep checkpoint flushed; re-run with the "
-                 "same --sweep-checkpoint to resume")
+            emit("interrupted — completed sweep groups are in the checkpoint; "
+                 "re-run with the same --sweep-checkpoint to resume")
         else:
             emit("interrupted")
         return 130
@@ -502,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p.add_argument("--algorithm", default="clado", choices=list(ALGORITHM_KINDS))
     p.add_argument("--avg-bits", type=float, default=4.0)
-    p.add_argument("--set-size", type=int, default=64)
+    p.add_argument("--set-size", type=_set_size, default=64)
     p.add_argument("--time-limit", type=float, default=20.0)
     p.add_argument(
         "--deadline",
@@ -535,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sweep-checkpoint",
         default=None,
-        help="path for periodic sweep checkpoints; reruns resume from it",
+        help="sweep checkpoint, saved after every group (its directory is "
+        "created if absent); reruns resume from it",
     )
     p.add_argument(
         "--eval-batch-k",
@@ -598,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="budget grid as average bits per weight; adjacent budgets "
         "chain warm starts through the solver ladder",
     )
-    p.add_argument("--set-size", type=int, default=64)
+    p.add_argument("--set-size", type=_set_size, default=64)
     p.add_argument("--time-limit", type=float, default=20.0)
     p.add_argument("--deadline", type=float, default=None,
                    help="per-budget wall-clock allowance for the solver ladder")

@@ -35,7 +35,6 @@ from .sweep import (
     SweepCheckpoint,
     build_batch_chunks,
     build_eval_plan,
-    select_cuts,
 )
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "SweepCheckpoint",
     "build_batch_chunks",
     "build_eval_plan",
-    "select_cuts",
     "psd_project",
     "min_eigenvalue",
     "psd_violation",

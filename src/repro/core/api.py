@@ -7,8 +7,8 @@ interpreted its own untyped ``**kwargs`` (``HAWQ(probes=, seed=)``,
 algorithms.  This module is the single vocabulary both speak:
 
 - :class:`SensitivityConfig` — every measurement-phase knob
-  (worker fan-out, cache budget, checkpoint resume, stack width,
-  Hutchinson probes...); the sensitivity engine reads all of its
+  (worker fan-out, checkpoint resume, stack width, Hutchinson
+  probes...); the sensitivity engine reads all of its
   execution options from it;
 - :class:`SolverConfig` — every allocation-phase knob (method, time
   limit, node cap, PSD assumption);
@@ -39,16 +39,12 @@ __all__ = [
     "SensitivityConfig",
     "SolverConfig",
     "AllocationResult",
-    "DEFAULT_CACHE_BUDGET",
     "DEFAULT_MAX_RETRIES",
     "InfeasibleBudgetError",
     "ALGORITHM_KINDS",
     "algorithm_specs",
     "build_algorithm",
 ]
-
-#: Default number of activation checkpoints each prefix cache may hold.
-DEFAULT_CACHE_BUDGET = 16
 
 #: Times a failed group is re-queued (to surviving workers, then serially)
 #: before the sweep gives up with :class:`repro.robustness.SweepFailure`.
@@ -69,13 +65,9 @@ class SensitivityConfig:
     batch_size: int = 256
     # CLADO sweep execution (see SensitivityEngine / SweepSession)
     num_workers: int = 1  # fork workers; 0 = all cores
-    cache_budget: Optional[int] = DEFAULT_CACHE_BUDGET  # None = unbounded
-    checkpoint_path: Optional[str] = None  # periodic resume checkpoint
-    checkpoint_every: int = 32
+    checkpoint_path: Optional[str] = None  # resume checkpoint, saved per group
     eval_batch_k: int = 0  # candidate configs per stacked replay; 0 = auto
     # Fault tolerance (see docs/robustness.md)
-    cache_bytes: Optional[int] = None  # prefix-cache byte cap; None = off
-    group_deadline: Optional[float] = None  # seconds per group on a worker
     max_retries: int = DEFAULT_MAX_RETRIES
     fault_plan: Optional[FaultPlan] = None  # chaos-test injection schedule
     # Measurement integrity (see docs/robustness.md)

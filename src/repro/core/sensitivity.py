@@ -56,7 +56,7 @@ import hashlib
 import json
 import multiprocessing as mp
 import os
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -91,7 +91,6 @@ from .sweep import (
     build_batch_chunks,
     build_eval_plan,
     hot_path,
-    select_cuts,
 )
 
 __all__ = [
@@ -137,6 +136,12 @@ _M_MMAP_THRESHOLD = -3
 #: dynamic mmap threshold climbs to on 64-bit hosts.
 _MMAP_THRESHOLD = 32 * 1024 * 1024
 
+#: A group running on a fork worker longer than the larger of these is
+#: taken for hung: the floor, or this multiple of the slowest group the
+#: workers have completed so far (see :func:`_hang_deadline`).
+_HANG_FLOOR_S = 60.0
+_HANG_FACTOR = 10.0
+
 #: Loss evaluations actually executed (resumed-from-checkpoint losses do
 #: not count).
 _FORWARD_EVALS = telemetry.counter("sensitivity.forward_evals")
@@ -160,7 +165,7 @@ _WORKER_CRASHES = telemetry.counter("sweep.worker_crashes")
 _WORKER_ERRORS = telemetry.counter("sweep.worker_errors")
 #: Groups re-queued after a crash, error, or deadline kill.
 _GROUP_RETRIES = telemetry.counter("sweep.group_retries")
-#: Workers terminated because a group exceeded its per-group deadline.
+#: Workers terminated because a group outran the hang deadline.
 _DEADLINE_KILLS = telemetry.counter("sweep.deadline_kills")
 #: Groups the pool could not finish that degraded to serial execution.
 _SERIAL_FALLBACK = telemetry.counter("sweep.serial_fallback_groups")
@@ -482,6 +487,21 @@ def _merge_chunk_stats(agg: Dict[str, int], stats: Dict[str, int]) -> None:
     agg["extra_flops"] += stats["extra_flops"]
 
 
+def _hang_deadline(slowest: float) -> float:
+    """Seconds a group may run on a fork worker before it counts as hung.
+
+    ``slowest`` is the longest a group has taken on the workers so far
+    (0 before the first one completes).  Groups of one plan differ in
+    cost: on resnet_s34, mobilenet_s and resnet_s50 (64 samples, one
+    BLAS thread, two workers simulated from serial group times) the
+    largest took 4.2 s, and no group took more than 1.83x the slowest
+    one finished before it started once that one had run 50 ms.  The
+    floor covers the first, small groups (up to 9.4x), so the hang path
+    needs no option.
+    """
+    return max(_HANG_FLOOR_S, _HANG_FACTOR * slowest)
+
+
 def _run_supervised(
     session: "SweepSession",
     pending: Sequence[int],
@@ -494,18 +514,19 @@ def _run_supervised(
     Unlike a bare ``mp.Pool`` (which deadlocks when a worker dies with a
     task in flight), each worker is a dedicated process on a dedicated
     pipe.  The supervisor multiplexes on the pipes: EOF means the worker
-    died mid-group (exit-code watch), a per-group deadline kills hung
-    workers, and in both cases the in-flight group re-queues onto the
-    survivors with bounded retries.  Groups the pool cannot finish —
-    retries exhausted or every worker dead — degrade to serial execution
-    in the parent, which is also where :class:`SweepFailure` is
-    ultimately raised.  Every result goes through ``deliver`` as it
-    arrives, so nothing measured is ever re-measured.
+    died mid-group (exit-code watch), a worker whose group outruns
+    :func:`_hang_deadline` is killed as hung, and in both cases the
+    in-flight group re-queues onto the survivors with bounded retries.
+    Groups the pool cannot finish — retries exhausted or every worker
+    dead — degrade to serial execution in the parent, which is also
+    where :class:`SweepFailure` is ultimately raised.  Every result goes
+    through ``deliver`` as it arrives, so nothing measured is ever
+    re-measured.
     """
     global _FORK_STATE
     ctx = mp.get_context("fork")
     max_retries = session.config.max_retries
-    group_deadline = session.config.group_deadline
+    slowest = 0.0  # longest a group has taken on a worker so far
     _FORK_STATE = session
     pool: List[_SupervisedWorker] = []
     queue = deque(pending)
@@ -586,19 +607,20 @@ def _run_supervised(
                 worker.group = None
                 idle.append(worker)
                 if kind == "ok":
+                    slowest = max(slowest, telemetry.monotonic() - worker.started)
                     deliver(*payload)
                 else:
                     _WORKER_ERRORS.add()
                     recovery["worker_errors"] += 1
                     requeue(gi)
-            if group_deadline is not None:
-                now = telemetry.monotonic()
-                for worker in [w for w in busy if now - w.started > group_deadline]:
-                    _DEADLINE_KILLS.add()
-                    recovery["deadline_kills"] += 1
-                    _WORKER_CRASHES.add()
-                    recovery["worker_crashes"] += 1
-                    retire(worker)
+            now = telemetry.monotonic()
+            deadline = _hang_deadline(slowest)
+            for worker in [w for w in busy if now - w.started > deadline]:
+                _DEADLINE_KILLS.add()
+                recovery["deadline_kills"] += 1
+                _WORKER_CRASHES.add()
+                recovery["worker_crashes"] += 1
+                retire(worker)
     finally:
         _FORK_STATE = None
         for worker in pool:
@@ -687,8 +709,8 @@ class SensitivityEngine:
         Parameters
         ----------
         config:
-            Every execution knob (batching, workers, caches, resume,
-            stack width, retries, faults, health checks); the defaults
+            Every execution knob (batching, workers, resume, stack
+            width, retries, faults, health checks); the defaults
             when omitted.  ``config.num_workers > 1`` fans the groups out
             across supervised fork workers; the matrix is bitwise
             identical to the single-process sweep.
@@ -718,14 +740,8 @@ class SensitivityEngine:
 
         tick()  # the base loss of the prefix pass
 
-        checkpoint: Optional[SweepCheckpoint] = None
-        losses: Dict[int, float] = {}
-        if config.checkpoint_path:
-            checkpoint = SweepCheckpoint(
-                config.checkpoint_path, session.fingerprint(),
-                every=config.checkpoint_every, fault_plan=session.fault_plan,
-            )
-            losses = checkpoint.load()
+        checkpoint = session.checkpoint
+        losses = checkpoint.load() if checkpoint is not None else {}
         # A group reruns in full unless every one of its losses was restored.
         pending = [
             gi
@@ -755,10 +771,10 @@ class SensitivityEngine:
             nonlocal segment_work
             segment_work += work
             _merge_chunk_stats(chunk_stats, stats)
-            for index, loss in results:
-                losses[index] = loss
-                if checkpoint is not None:
-                    checkpoint.record(index, loss)
+            losses.update(results)
+            # A group is the unit a resume restores: save each one whole.
+            if checkpoint is not None:
+                checkpoint.save(losses)
             tick(len(results))
 
         workers = min(session.num_workers, max(1, len(pending)))
@@ -767,16 +783,12 @@ class SensitivityEngine:
         # Fork workers inherit the no-grad flags of the parent.
         with session.no_grad():
             t_eval_start = telemetry.monotonic()
-            try:
-                with telemetry.span("sweep.evals", workers=workers):
-                    if workers > 1:
-                        _run_supervised(session, pending, workers, deliver, recovery)
-                    else:
-                        for gi in pending:
-                            deliver(*session.run_group_resilient(gi, recovery))
-            finally:
-                if checkpoint is not None:
-                    checkpoint.flush()
+            with telemetry.span("sweep.evals", workers=workers):
+                if workers > 1:
+                    _run_supervised(session, pending, workers, deliver, recovery)
+                else:
+                    for gi in pending:
+                        deliver(*session.run_group_resilient(gi, recovery))
             t_evals = telemetry.monotonic() - t_eval_start
 
             # Injected measurement corruption (round 0 = the sweep itself)
@@ -791,9 +803,7 @@ class SensitivityEngine:
                     # Accepted re-measurements supersede the checkpointed
                     # sweep values; persist them so a resume sees the
                     # healed losses.
-                    for index, loss in losses.items():
-                        checkpoint.record(index, loss)
-                    checkpoint.flush()
+                    checkpoint.save(losses)
 
         wall = telemetry.monotonic() - t0
         faults1, system1 = _fault_usage()
@@ -819,15 +829,9 @@ class SensitivityEngine:
             "resumed_evals": resumed,
             "executed_evals": executed,
             "prefix_cuts_cached": session.clean.num_checkpoints,
-            "cache_budget": -1 if config.cache_budget is None else config.cache_budget,
-            "cache_bytes": -1 if config.cache_bytes is None else config.cache_bytes,
-            "clean_cache_evictions": session.clean.evictions,
             "clean_cache_stored_bytes": session.clean.stored_bytes,
             "eval_batch_k": session.eval_batch_k,
             "max_retries": config.max_retries,
-            "group_deadline": (
-                -1.0 if config.group_deadline is None else config.group_deadline
-            ),
             "injected_fault_plan": (
                 fault_plan.describe() if fault_plan is not None else []
             ),
@@ -879,10 +883,11 @@ class SweepSession:
     The constructor validates the sensitivity set, resolves every option
     once — the stack width (auto when ``config.eval_batch_k`` is 0), the
     chunk waste factor, the worker count and the fault plan
-    (``REPRO_FAULT_PLAN`` included) — builds the plan and runs the clean
-    prefix pass; nothing on the session changes afterwards.  Group
-    execution and the health pass expect the caller to hold
-    :meth:`no_grad`, as :meth:`SensitivityEngine.measure` does.
+    (``REPRO_FAULT_PLAN`` included) — builds the plan, opens the resume
+    checkpoint and runs the clean prefix pass; nothing on the session
+    changes afterwards.  Group execution and the health pass expect the
+    caller to hold :meth:`no_grad`, as :meth:`SensitivityEngine.measure`
+    does.
     """
 
     def __init__(
@@ -917,27 +922,37 @@ class SweepSession:
         self.waste_factor = auto_waste_factor(x, config.batch_size)
         self.num_workers = _resolve_workers(config.num_workers)
         self.fault_plan = resolve_fault_plan(config.fault_plan)
+        # Opened before the first forward, so a checkpoint directory that
+        # cannot be created fails the sweep before it spends any work.
+        self.checkpoint = (
+            SweepCheckpoint(
+                config.checkpoint_path, self.fingerprint(),
+                fault_plan=self.fault_plan,
+            )
+            if config.checkpoint_path
+            else None
+        )
         _retain_freed_heap()
         self.time_plan = telemetry.monotonic() - t0
 
         # Clean prefix pass: one full forward per batch, checkpointing the
-        # cuts replays start from; the final outputs give the base loss.
+        # cuts replays start from — each group's segment and every pair
+        # start before it — and the final outputs give the base loss.
         engine.model.eval()
         self.n = len(x)
         self.batches = [
             (x[s : s + batch_size], y[s : s + batch_size])
             for s in range(0, self.n, batch_size)
         ]
-        clean_freq: Counter = Counter()
-        for g in self.plan.groups:
-            clean_freq[g.segment] += 1
-            for p in g.pairs:
-                if p.start_segment < g.segment:
-                    clean_freq[p.start_segment] += 1
         self.clean = PrefixCache(
-            self.segments,
-            select_cuts(clean_freq, config.cache_budget) | {0},
-            max_bytes=config.cache_bytes,
+            {0}
+            | {g.segment for g in self.plan.groups}
+            | {
+                p.start_segment
+                for g in self.plan.groups
+                for p in g.pairs
+                if p.start_segment < g.segment
+            }
         )
         with telemetry.span("sweep.prefix"), self.no_grad():
             self.base_loss = _check_finite(
@@ -1121,15 +1136,11 @@ class SweepSession:
         nbatch = len(self.batches)
         table = self.engine.table
         out: List[Tuple[int, float]] = []
-        clean_work0 = self.clean.recomputed_segments
         stats = {"evals": 0, "chunks": 0, "width_max": 0, "extra_flops": 0}
 
         chunks = self.group_chunks(g)
-        group_freq = Counter(c.cut for c in chunks if c.cut > g.segment)
         group_cache = PrefixCache(
-            self.segments,
-            select_cuts(group_freq, self.config.cache_budget) | {g.segment},
-            max_bytes=self.config.cache_bytes,
+            {g.segment} | {c.cut for c in chunks if c.cut > g.segment}
         )
         work = (nseg - g.segment) * nbatch
 
@@ -1156,8 +1167,6 @@ class SweepSession:
                         (chunk.width - 1) * (nseg - chunk.cut) * nbatch
                     )
 
-        work += self.clean.recomputed_segments - clean_work0
-        work += group_cache.recomputed_segments
         _SEGMENT_FORWARDS.add(work)
         return out, work, stats
 
@@ -1184,8 +1193,6 @@ class SweepSession:
         bits = self.plan.bits
         width = chunk.width
         cut = chunk.cut
-        # Fetch activation sources before overlays go on: a cache miss
-        # recomputes with plain forwards, which must not see folded batches.
         source = group_cache if cut >= g.segment else self.clean
         acts = [source.activation(b, cut) for b in range(len(self.batches))]
         if width == 1:

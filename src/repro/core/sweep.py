@@ -9,9 +9,9 @@ engine (``repro.core.sensitivity``) uses to exploit that locality:
   loss evaluation, grouped by anchor perturbation ``(i, b_m)`` and ordered
   by descending start segment, with a per-eval earliest-perturbed-segment
   and replay-cost estimate;
-- :class:`PrefixCache` — bounded per-batch activation checkpoints at
-  segment cut points, recomputing past evicted cuts;
-- :class:`SweepCheckpoint` — periodic persistence of partial losses so a
+- :class:`PrefixCache` — per-batch activation checkpoints at the segment
+  cuts replays start from;
+- :class:`SweepCheckpoint` — per-group persistence of partial losses so a
   killed sweep resumes instead of restarting.
 
 Cost model (see ``docs/algorithm.md`` §3a): with ``K`` segments, the naive
@@ -29,9 +29,9 @@ import json
 import os
 import zipfile
 import zlib
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "build_eval_plan",
     "build_batch_chunks",
     "hot_path",
-    "select_cuts",
     "PrefixCache",
     "SweepCheckpoint",
 ]
@@ -307,26 +306,7 @@ def build_batch_chunks(
 # ---------------------------------------------------------------------------
 
 
-def select_cuts(freq: Mapping[int, int], budget: Optional[int]) -> Set[int]:
-    """Pick which cut points to checkpoint under a memory budget.
-
-    Scores each candidate by ``frequency * cut`` — how often a replay
-    starts there times how much prefix work a stored checkpoint saves —
-    and keeps the ``budget`` hottest.  Cut 0 (the raw input batch) is free
-    and never counts against the budget.  ``budget=None`` keeps all.
-    """
-    candidates = [c for c, f in freq.items() if f > 0 and c > 0]
-    if budget is None or len(candidates) <= budget:
-        return set(candidates)
-    ranked = sorted(candidates, key=lambda c: (freq[c] * c, c), reverse=True)
-    return set(ranked[: max(0, budget)])
-
-
 _CACHE_HITS = telemetry.counter("sweep.prefix_cache_hits")
-_CACHE_MISSES = telemetry.counter("sweep.prefix_cache_misses")
-_RECOMPUTED = telemetry.counter("sweep.recomputed_segments")
-_EVICTIONS = telemetry.counter("sweep.prefix_evictions")
-_CACHE_BYTES_PEAK = telemetry.gauge("sweep.prefix_cache_bytes_peak")
 
 #: Why a resume checkpoint was rejected — one counter per cause, so a
 #: fleet of "sweep restarted from scratch" reports can be split into
@@ -337,23 +317,13 @@ _CKPT_CORRUPT = telemetry.counter("checkpoint.corrupt")
 
 
 class PrefixCache:
-    """Per-batch activation checkpoints at a bounded set of segment cuts.
+    """Per-batch activation checkpoints at the cuts replays start from.
 
-    ``activation(batch, cut)`` returns the input of segment ``cut``,
-    recomputing forward from the nearest earlier stored checkpoint when
-    the requested cut was not kept (the configurable memory/compute
-    trade-off).  Replayed segments run under the caller's *current*
-    weights; callers must guarantee that no perturbed layer sits strictly
-    before the requested cut — the invariant the segmented engine
-    maintains by construction.
-
-    ``max_bytes`` additionally caps the *retained* activation footprint:
-    when storing a new checkpoint would exceed the budget, the
-    least-recently-used cold cuts are evicted first, so long sweeps on
-    wide models degrade to recompute-from-an-earlier-cut instead of
-    growing until the OOM killer takes the worker down.  Each batch's
-    earliest stored cut (its recompute anchor) is never evicted — without
-    it no later cut could be reconstructed at all.
+    ``put(batch, cut, a)`` keeps ``a`` when ``cut`` is one of
+    ``kept_cuts``; ``activation(batch, cut)`` returns it, and a cut that
+    was never stored is a ``KeyError``.  The session keeps exactly the
+    cuts its plan replays from, which on the zoo models is a few MiB at
+    most (9.25 MiB on resnet_s34 with 64 samples).
 
     Every stored activation is frozen (``flags.writeable = False``): many
     replays read one checkpoint, so a forward that wrote into its input
@@ -362,72 +332,20 @@ class PrefixCache:
     array the caller passes on to the next segment.
     """
 
-    def __init__(
-        self,
-        segments: Sequence,
-        kept_cuts: Sequence[int],
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        self.segments = list(segments)
-        self.kept: Set[int] = set(kept_cuts)
-        self.max_bytes = max_bytes
-        self._store: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
-        self._anchors: Dict[int, int] = {}  # batch -> earliest stored cut
-        self._bytes = 0
-        self.hits = 0
-        self.recomputed_segments = 0
-        self.evictions = 0
+    def __init__(self, kept_cuts: Iterable[int]) -> None:
+        self.kept = frozenset(kept_cuts)
+        self._store: Dict[Tuple[int, int], np.ndarray] = {}
 
     def put(self, batch: int, cut: int, activation: np.ndarray) -> None:
         """Store a checkpoint if ``cut`` is within the kept set."""
-        if cut not in self.kept or (batch, cut) in self._store:
-            return
-        activation.flags.writeable = False
-        self._store[(batch, cut)] = activation
-        self._bytes += int(activation.nbytes)
-        anchor = self._anchors.get(batch)
-        if anchor is None or cut < anchor:
-            self._anchors[batch] = cut
-        if self.max_bytes is not None:
-            self._evict_to_budget()
-        _CACHE_BYTES_PEAK.record_max(self._bytes)
-
-    def _evict_to_budget(self) -> None:
-        """Drop cold non-anchor checkpoints (LRU first) until within budget."""
-        while self._bytes > self.max_bytes:
-            victim = None
-            for (b, c) in self._store:  # OrderedDict: least-recent first
-                if c != self._anchors.get(b):
-                    victim = (b, c)
-                    break
-            if victim is None:
-                return  # only anchors left: over budget but correct
-            self._bytes -= int(self._store.pop(victim).nbytes)
-            self.evictions += 1
-            _EVICTIONS.add()
+        if cut in self.kept:
+            activation.flags.writeable = False
+            self._store[(batch, cut)] = activation
 
     def activation(self, batch: int, cut: int) -> np.ndarray:
-        if (batch, cut) in self._store:
-            self.hits += 1
-            _CACHE_HITS.add()
-            self._store.move_to_end((batch, cut))
-            return self._store[(batch, cut)]
-        _CACHE_MISSES.add()
-        stored = [c for (b, c) in self._store if b == batch and c <= cut]
-        if not stored:
-            raise KeyError(
-                f"no checkpoint at or before cut {cut} for batch {batch}"
-            )
-        base = max(stored)
-        x = self._store[(batch, base)]
-        self._store.move_to_end((batch, base))
-        recomputed = cut - base
-        for k in range(base, cut):
-            x = self.segments[k].forward(x)
-            self.recomputed_segments += 1
-        if recomputed:
-            _RECOMPUTED.add(recomputed)
-        return x
+        stored = self._store[(batch, cut)]
+        _CACHE_HITS.add()
+        return stored
 
     @property
     def num_checkpoints(self) -> int:
@@ -435,7 +353,7 @@ class PrefixCache:
 
     @property
     def stored_bytes(self) -> int:
-        return self._bytes
+        return sum(int(a.nbytes) for a in self._store.values())
 
 
 # ---------------------------------------------------------------------------
@@ -444,33 +362,36 @@ class PrefixCache:
 
 
 class SweepCheckpoint:
-    """Periodic persistence of partial sweep losses for resume.
+    """Persistence of partial sweep losses for resume.
 
     Losses are stored as ``(index, loss)`` pairs keyed by the plan order,
     together with the plan fingerprint; a checkpoint written by a
     different plan (model, mode, data, batching...) is ignored rather
-    than silently corrupting the matrix.  Writes are atomic
-    (tmp + rename), so a sweep killed mid-save still resumes.
+    than silently corrupting the matrix.  The sweep saves its whole loss
+    table after every group it measures, because a group is the unit a
+    resume restores, and once more after the health pass.  Writes are
+    atomic (tmp + rename), so a sweep killed mid-save still resumes.
+    The parent directory is created when the checkpoint opens.
 
     ``fault_plan`` is the chaos hook: a scheduled ``corrupt_checkpoint``
-    fault truncates the just-written file at a seeded offset, exercising
-    the corrupt-file recovery path with a real damaged file on disk.
+    fault truncates the just-written file at a seeded offset (keyed by
+    the save ordinal), exercising the corrupt-file recovery path with a
+    real damaged file on disk.
     """
 
     def __init__(
         self,
         path,
         fingerprint: str,
-        every: int = 32,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.path = str(path)
         self.fingerprint = fingerprint
-        self.every = max(1, int(every))
         self.fault_plan = fault_plan
-        self._losses: Dict[int, float] = {}
-        self._unsaved = 0
-        self._flushes = 0
+        self._saves = 0
+        parent = os.path.dirname(self.path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
 
     def load(self) -> Dict[int, float]:
         """Losses from a prior run of the same plan ({} when none usable).
@@ -511,36 +432,24 @@ class SweepCheckpoint:
             # broad handler legal).
             _CKPT_CORRUPT.add()
             return {}
-        self._losses = {int(i): float(v) for i, v in zip(indices, losses)}
-        return dict(self._losses)
+        return {int(i): float(v) for i, v in zip(indices, losses)}
 
-    def record(self, index: int, loss: float) -> None:
-        self._losses[index] = float(loss)
-        self._unsaved += 1
-        if self._unsaved >= self.every:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._unsaved and os.path.exists(self.path):
-            return
-        indices = np.asarray(sorted(self._losses), dtype=np.int64)
-        losses = np.asarray(
-            [self._losses[int(i)] for i in indices], dtype=np.float64
-        )
+    def save(self, losses: Mapping[int, float]) -> None:
+        """Write ``losses`` as the checkpoint, replacing the previous one."""
+        indices = np.asarray(sorted(losses), dtype=np.int64)
+        values = np.asarray([losses[int(i)] for i in indices], dtype=np.float64)
         atomic_write_npz(
             self.path,
             {
                 "indices": indices,
-                "losses": losses,
+                "losses": values,
                 "fingerprint": np.asarray(self.fingerprint),
             },
         )
-        self._unsaved = 0
-        self._flushes += 1
+        self._saves += 1
         if self.fault_plan is not None:
-            keep = self.fault_plan.checkpoint_truncation(self._flushes - 1)
+            keep = self.fault_plan.checkpoint_truncation(self._saves - 1)
             if keep is not None:
                 size = os.path.getsize(self.path)
                 with open(self.path, "r+b") as fh:
                     fh.truncate(max(1, int(size * keep)))
-

@@ -108,10 +108,7 @@ def format_runtime(model_name: str, rows: Sequence[RuntimeRow]) -> str:
         saved = row.counters.get("sweep.prefix_cache_hits")
         if saved:
             lines.append(
-                f"  {row.algorithm}: segmented sweep, "
-                f"{saved} prefix-cache hits, "
-                f"{row.counters.get('sweep.recomputed_segments', 0)} "
-                f"segments recomputed"
+                f"  {row.algorithm}: segmented sweep, {saved} prefix-cache hits"
             )
     for row in rows:
         if row.manifest:

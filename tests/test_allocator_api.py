@@ -1,5 +1,7 @@
 """Unified allocator API: typed configs, AllocationResult, the factory."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,33 @@ class TestSensitivityConfig:
         with pytest.raises(ValueError, match="num_workers"):
             SensitivityConfig(num_workers=-3)
         assert SensitivityConfig(num_workers=0).num_workers == 0  # auto
+
+    def test_field_names(self):
+        assert [f.name for f in dataclasses.fields(SensitivityConfig)] == [
+            "batch_size",
+            "num_workers",
+            "checkpoint_path",
+            "eval_batch_k",
+            "max_retries",
+            "fault_plan",
+            "health",
+            "health_rounds",
+            "health_repair",
+            "probes",
+            "seed",
+        ]
+
+    @pytest.mark.parametrize(
+        "name", ["cache_budget", "cache_bytes", "group_deadline", "checkpoint_every"]
+    )
+    def test_removed_fields_rejected(self, name):
+        """The prefix cache keeps every cut its plan replays from, the
+        hang deadline derives from the groups already timed and the
+        checkpoint saves once per group: none of these is an option."""
+        with pytest.raises(TypeError):
+            SensitivityConfig(**{name: 1})
+        with pytest.raises(TypeError):
+            SensitivityConfig().with_overrides(**{name: 1})
 
 
 class TestSolverConfig:

@@ -55,6 +55,26 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["allocate", "allocate-cached"])
+    @pytest.mark.parametrize("size", ["0", "-4"])
+    def test_invalid_set_size_exits_2_before_loading(
+        self, command, size, tmp_path, monkeypatch, capsys
+    ):
+        import repro.models
+
+        def loaded(*args, **kwargs):
+            raise AssertionError("model loaded before the options were checked")
+
+        monkeypatch.setattr(repro.models, "get_pretrained", loaded)
+        argv = [command, "--set-size", size]
+        if command == "allocate-cached":
+            argv += ["--store", str(tmp_path / "store")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--set-size" in err and "must be >= 1" in err
+
 
 class TestCommands:
     def test_models_command(self, capsys):

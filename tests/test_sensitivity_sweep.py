@@ -15,7 +15,6 @@ from repro.core import (
     SensitivityEngine,
     SweepCheckpoint,
     build_eval_plan,
-    select_cuts,
     setup_activation_quant,
 )
 from repro.core.sensitivity import SweepSession, _resolve_workers, _usable_cpus
@@ -134,34 +133,11 @@ class TestNaiveSegmentedEquivalence:
         ]
         assert result.extras["segment_work_saved"] > 0.3
 
-    def test_tight_cache_budget_still_exact(self, mlp_setup):
-        model, layers, table, x, y = mlp_setup
-        naive = naive_sweep(model, table, x, y, batch_size=8)
-        tight = SensitivityEngine(model, table).measure(
-            x, y, SensitivityConfig(batch_size=8, cache_budget=2)
-        )
-        np.testing.assert_array_equal(tight.matrix, naive.matrix)
-
-    def test_byte_bounded_cache_still_exact(self, mlp_setup):
-        """A tight ``cache_bytes`` cap forces evictions, not wrong numbers."""
-        model, layers, table, x, y = mlp_setup
-        free = SensitivityEngine(model, table).measure(
-            x, y, SensitivityConfig(batch_size=8)
-        )
-        capped = SensitivityEngine(model, table).measure(
-            x, y, SensitivityConfig(batch_size=8, cache_bytes=2048)
-        )
-        np.testing.assert_array_equal(capped.matrix, free.matrix)
-        assert capped.extras["cache_bytes"] == 2048
-        assert capped.extras["clean_cache_evictions"] > 0
-        assert capped.extras["clean_cache_stored_bytes"] <= 2048
-        assert free.extras["clean_cache_evictions"] == 0
-
-    @pytest.mark.parametrize("eval_batch_k, cache_budget", [(1, 16), (0, 16), (0, 0)])
-    def test_segment_per_layer_cnn_matches_naive(self, eval_batch_k, cache_budget):
+    @pytest.mark.parametrize("eval_batch_k", [1, 0])
+    def test_segment_per_layer_cnn_matches_naive(self, eval_batch_k):
         """Replays share checkpoints; a layer writing into its input would
-        change the ones it reads.  ``cache_budget=0`` keeps only cut 0, so
-        every replay starts with the input BatchNorm2d on that checkpoint."""
+        change the ones it reads.  The prefix pass runs the input
+        BatchNorm2d on the frozen cut-0 checkpoint."""
         model, layers = _layerwise_cnn()
         table = QuantizedWeightTable(layers, QuantConfig(bits=(2, 4)))
         rng = np.random.default_rng(3)
@@ -171,9 +147,7 @@ class TestNaiveSegmentedEquivalence:
         naive = naive_sweep(model, table, x, y, batch_size=4)
         fast = SensitivityEngine(model, table).measure(
             x, y,
-            SensitivityConfig(
-                batch_size=4, eval_batch_k=eval_batch_k, cache_budget=cache_budget
-            ),
+            SensitivityConfig(batch_size=4, eval_batch_k=eval_batch_k),
         )
         assert fast.extras["num_segments"] == len(model.layers)
         np.testing.assert_array_equal(fast.matrix, naive.matrix)
@@ -250,10 +224,7 @@ class TestResume:
                 batch_size=8, num_workers=workers, checkpoint_path=path
             )
             with pytest.raises(_Abort):
-                engine.measure(
-                    x, y, config.with_overrides(checkpoint_every=4),
-                    progress=aborting,
-                )
+                engine.measure(x, y, config, progress=aborting)
             table.restore_all()
 
             resumed = engine.measure(x, y, config)
@@ -270,13 +241,24 @@ class TestResume:
         model, layers, table, x, y = mlp_setup
         path = str(tmp_path / "sweep.ckpt")
         engine = SensitivityEngine(model, table)
-        config = SensitivityConfig(
-            batch_size=8, checkpoint_path=path, checkpoint_every=1
-        )
+        config = SensitivityConfig(batch_size=8, checkpoint_path=path)
         engine.measure(x, y, config, mode="diagonal")
         # Different mode -> different fingerprint -> nothing resumed.
         again = engine.measure(x, y, config, mode="full")
         assert again.extras["resumed_evals"] == 0
+
+    def test_checkpoint_in_missing_directory(self, mlp_setup, tmp_path):
+        """The checkpoint's directory is created when the sweep opens it,
+        and the file then resumes like any other."""
+        model, layers, table, x, y = mlp_setup
+        path = tmp_path / "runs" / "r1" / "sweep.ckpt"
+        engine = SensitivityEngine(model, table)
+        config = SensitivityConfig(batch_size=8, checkpoint_path=str(path))
+        first = engine.measure(x, y, config)
+        assert path.is_file()
+        again = engine.measure(x, y, config)
+        assert again.extras["resumed_evals"] == again.extras["plan_evals"]
+        np.testing.assert_array_equal(again.matrix, first.matrix)
 
     @pytest.mark.parametrize("change", ["scheme", "act_bits"])
     def test_checkpoint_restarts_when_quantizers_change(self, tmp_path, change):
@@ -446,25 +428,24 @@ class TestEvalPlan:
 
 
 class TestPrefixCache:
-    def test_recomputes_past_evicted_cuts(self):
+    def test_missing_cut_is_a_key_error(self):
+        """The cache holds the cuts it was built with and nothing else."""
         segs = [Linear(3, 3, rng=np.random.default_rng(k)) for k in range(4)]
-        for s in segs:
-            s.eval()
-        cache = PrefixCache(segs, kept_cuts={0, 2})
-        x = np.ones((2, 3), dtype=np.float32)
-        a = x
+        cache = PrefixCache({0, 2})
+        a = np.ones((2, 3), dtype=np.float32)
         for k, s in enumerate(segs):
-            cache.put(0, k, a)  # cuts 1 and 3 are dropped
+            cache.put(0, k, a)  # cuts 1 and 3 are not kept
             a = s.forward(a)
-        direct = segs[2].forward(cache.activation(0, 2))
-        np.testing.assert_allclose(cache.activation(0, 3), direct)
-        assert cache.recomputed_segments == 1
+        assert cache.num_checkpoints == 2
+        assert cache.stored_bytes == 2 * a.nbytes
+        with pytest.raises(KeyError):
+            cache.activation(0, 3)  # a cut that was not kept
         with pytest.raises(KeyError):
             cache.activation(1, 2)  # unknown batch
 
     def test_checkpoints_are_read_only(self):
         segs = [Linear(3, 3, rng=np.random.default_rng(k)) for k in range(3)]
-        cache = PrefixCache(segs, kept_cuts={0, 1})
+        cache = PrefixCache({0, 1})
         x = np.ones((4, 3), dtype=np.float32)
         a = x[:2]  # the engine stores its own slice of the caller's array
         for k, s in enumerate(segs):
@@ -474,45 +455,46 @@ class TestPrefixCache:
             with pytest.raises(ValueError, match="read-only"):
                 cache.activation(0, cut)[...] += 1.0
         assert x.flags.writeable
-        # A recomputed activation is the caller's own fresh array.
-        recomputed = cache.activation(0, 2)
-        recomputed += 1.0
-
-    def test_byte_budget_evicts_lru_but_pins_anchors(self):
-        segs = [Linear(3, 3, rng=np.random.default_rng(k)) for k in range(4)]
-        for s in segs:
-            s.eval()
-        x = np.ones((2, 3), dtype=np.float32)  # 24 bytes per activation
-        cache = PrefixCache(segs, kept_cuts={0, 1, 2, 3}, max_bytes=48)
-        a = x
-        for k, s in enumerate(segs):
-            cache.put(0, k, a)
-            a = s.forward(a)
-        # Budget holds two activations: the batch anchor (cut 0) is pinned,
-        # so the coldest non-anchor cuts were evicted.
-        assert cache.evictions == 2
-        assert cache.stored_bytes <= 48
-        np.testing.assert_allclose(cache.activation(0, 0), x)
-        # Evicted cuts recompute from the anchor instead of failing.
-        direct = segs[1].forward(segs[0].forward(x))
-        np.testing.assert_allclose(cache.activation(0, 2), direct)
-
-    def test_select_cuts_prefers_hot_deep_cuts(self):
-        freq = {0: 100, 1: 1, 2: 10, 3: 4}
-        # scores: cut1=1, cut2=20, cut3=12; cut 0 always free.
-        assert select_cuts(freq, budget=2) == {2, 3}
-        assert select_cuts(freq, budget=None) == {1, 2, 3}
 
 
 class TestSweepCheckpoint:
     def test_roundtrip_and_fingerprint_guard(self, tmp_path):
         path = str(tmp_path / "ck.npz")
-        ck = SweepCheckpoint(path, "fp-a", every=2)
-        ck.record(3, 1.5)
-        ck.record(0, 0.25)  # second record triggers auto-flush
+        ck = SweepCheckpoint(path, "fp-a")
+        ck.save({3: 1.5})
+        ck.save({3: 1.5, 0: 0.25})  # each save replaces the file
         loaded = SweepCheckpoint(path, "fp-a").load()
         assert loaded == {3: 1.5, 0: 0.25}
         assert SweepCheckpoint(path, "fp-b").load() == {}
+
+    @pytest.mark.parametrize("health", ["off", "warn"])
+    def test_one_save_per_group_and_after_health(
+        self, mlp_setup, tmp_path, monkeypatch, health
+    ):
+        """A group is what a resume restores, so each executed group is
+        saved once; a health pass adds one save of the healed losses.  A
+        full resume executes no group and saves nothing."""
+        model, layers, table, x, y = mlp_setup
+        saves = []
+        save = SweepCheckpoint.save
+
+        def counting(self, losses):
+            saves.append(len(losses))
+            save(self, losses)
+
+        monkeypatch.setattr(SweepCheckpoint, "save", counting)
+        path = str(tmp_path / "sweep.ckpt")
+        config = SensitivityConfig(batch_size=8, checkpoint_path=path, health=health)
+        engine = SensitivityEngine(model, table)
+        first = engine.measure(x, y, config)
+        groups = first.extras["plan_groups"]
+        extra = 1 if health != "off" else 0
+        assert len(saves) == groups + extra
+        assert saves[groups - 1] == first.extras["plan_evals"]
+        saves.clear()
+        again = engine.measure(x, y, config)
+        assert again.extras["resumed_evals"] == again.extras["plan_evals"]
+        assert len(saves) == extra
 
 
 class TestSegmentedForward:
