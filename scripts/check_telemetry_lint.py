@@ -81,7 +81,11 @@ Fourteen rules (see docs/observability.md and docs/robustness.md):
     parameter of the forward (``x -= mean``, ``x[i] *= 2``), an
     assignment into one (``x[i] = 0``) and an ``out=`` argument that may
     name one (``np.multiply(x, mask, out=x)``, also as an arm of
-    ``a if cond else b``) are rejected.  The sweep feeds one checkpointed
+    ``a if cond else b``) are rejected.  A name bound from a parameter by
+    unpacking, attribute or subscript (``branch, skip = state``,
+    ``skip = state.skip``, ``row = x[0]``), or by a chain of these, counts
+    as the parameter: a residual state's fields are checkpoints too.
+    The sweep feeds one checkpointed
     activation to many replays, so a forward that overwrote its input
     would change every later replay from that cut; the sweep freezes its
     checkpoints to catch this at run time, and the rule catches it in
@@ -516,8 +520,42 @@ def _out_targets(node: ast.AST):
         yield node
 
 
+def _bound_names(target: ast.AST):
+    """The names an assignment target binds (through tuple unpacking)."""
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _bound_names(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _bound_names(target.value)
+
+
+def _input_names(func: ast.AST):
+    """A forward's parameters and every name bound from one: by unpacking,
+    attribute or subscript (``a, b = x``, ``s = x.skip``, ``r = x[0]``,
+    also as an arm of ``a if cond else b``), followed to a fixed point."""
+    args = func.args
+    names = {
+        a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+    } - {"self"}
+    assigns = [node for node in ast.walk(func) if isinstance(node, ast.Assign)]
+    grew = True
+    while grew:
+        grew = False
+        for node in assigns:
+            if not any(_root_name(v) in names for v in _out_targets(node.value)):
+                continue
+            for target in node.targets:
+                for name in _bound_names(target):
+                    if name not in names:
+                        names.add(name)
+                        grew = True
+    return names
+
+
 def _input_write_violations(path: Path, tree: ast.AST):
-    """Rule 11: a layer forward writing into one of its parameters."""
+    """Rule 11: a layer forward writing into its input."""
     if not any(d in path.parents for d in INPUT_WRITE_DIRS):
         return
     hint = (
@@ -530,10 +568,7 @@ def _input_write_violations(path: Path, tree: ast.AST):
             and func.name == "forward"
         ):
             continue
-        args = func.args
-        params = {
-            a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-        } - {"self"}
+        params = _input_names(func)
         for node in ast.walk(func):
             if isinstance(node, ast.AugAssign) and _root_name(node.target) in params:
                 yield node.lineno, (

@@ -74,6 +74,7 @@ from ..nn import (
     fold_candidates,
     folded_cross_entropy,
 )
+from ..nn.module import Activation
 from ..quant import QuantizedWeightTable
 from ..robustness import InjectedWorkerCrash, SweepFailure
 from ..robustness import faults as _faults
@@ -1094,13 +1095,14 @@ class SweepSession:
     def _replay(
         self,
         cut: int,
-        acts: Iterable[np.ndarray],
+        acts: Iterable[Activation],
         keep: Optional[PrefixCache] = None,
     ) -> float:
         """Mean loss of plain forwards from segment ``cut`` under the
         current weights.
 
-        ``acts`` yields each batch's activation entering ``cut``; ``keep``
+        ``acts`` yields each batch's activation entering ``cut`` (an
+        array, or a residual state at a cut inside a block); ``keep``
         checkpoints the input of every segment on the way.
         """
         total = 0.0
@@ -1112,7 +1114,7 @@ class SweepSession:
             total += self.engine.criterion.forward(a, yb) * len(xb)
         return total / self.n
 
-    def _clean_acts(self, cut: int) -> Iterator[np.ndarray]:
+    def _clean_acts(self, cut: int) -> Iterator[Activation]:
         return (self.clean.activation(b, cut) for b in range(len(self.batches)))
 
     @hot_path

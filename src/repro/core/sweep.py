@@ -37,6 +37,7 @@ import numpy as np
 
 from .. import telemetry
 from ..atomicio import atomic_write_npz
+from ..nn.module import Activation, ResidualState
 from ..robustness.faults import FaultPlan
 
 __all__ = [
@@ -140,13 +141,16 @@ class EvalPlan:
         return self.num_evals * self.num_segments
 
     def fingerprint(self, extra: str = "") -> str:
-        """Structural hash guarding checkpoint resume against plan drift."""
+        """Structural hash guarding checkpoint resume against plan drift.
+
+        The model's segmentation is left out: a loss is bitwise the same
+        from whichever cut its replay starts, so only the evaluations
+        themselves, in plan order, must match.
+        """
         payload = json.dumps(
             {
                 "mode": self.mode,
                 "bits": list(self.bits),
-                "num_segments": self.num_segments,
-                "layer_segments": list(self.layer_segments),
                 "evals": [
                     (s.index, s.kind, s.i, s.m, s.j, s.n) for s in self.specs()
                 ],
@@ -316,33 +320,44 @@ _CKPT_TRUNCATED = telemetry.counter("checkpoint.truncated")
 _CKPT_CORRUPT = telemetry.counter("checkpoint.corrupt")
 
 
+def _arrays(activation: Activation) -> Tuple[np.ndarray, ...]:
+    """The arrays an activation holds: both fields of a residual state."""
+    if isinstance(activation, ResidualState):
+        return tuple(activation)
+    return (activation,)
+
+
 class PrefixCache:
     """Per-batch activation checkpoints at the cuts replays start from.
 
     ``put(batch, cut, a)`` keeps ``a`` when ``cut`` is one of
     ``kept_cuts``; ``activation(batch, cut)`` returns it, and a cut that
-    was never stored is a ``KeyError``.  The session keeps exactly the
-    cuts its plan replays from, which on the zoo models is a few MiB at
-    most (9.25 MiB on resnet_s34 with 64 samples).
+    was never stored is a ``KeyError``.  An activation is an array or,
+    at a cut inside a residual block, a :class:`~repro.nn.ResidualState`.
+    The session keeps exactly the cuts its plan replays from, which on
+    the zoo models is a few MiB at most (17.75 MiB on resnet_s34 with 64
+    samples).
 
-    Every stored activation is frozen (``flags.writeable = False``): many
-    replays read one checkpoint, so a forward that wrote into its input
-    would silently change every later replay from that cut.  The stored
-    object itself is frozen, not a view of it, because it is also the
-    array the caller passes on to the next segment.
+    Every stored array is frozen (``flags.writeable = False``), both
+    fields of a state included: many replays read one checkpoint, so a
+    forward that wrote into its input would silently change every later
+    replay from that cut.  The stored object itself is frozen, not a view
+    of it, because it is also the array the caller passes on to the next
+    segment.
     """
 
     def __init__(self, kept_cuts: Iterable[int]) -> None:
         self.kept = frozenset(kept_cuts)
-        self._store: Dict[Tuple[int, int], np.ndarray] = {}
+        self._store: Dict[Tuple[int, int], Activation] = {}
 
-    def put(self, batch: int, cut: int, activation: np.ndarray) -> None:
+    def put(self, batch: int, cut: int, activation: Activation) -> None:
         """Store a checkpoint if ``cut`` is within the kept set."""
         if cut in self.kept:
-            activation.flags.writeable = False
+            for array in _arrays(activation):
+                array.flags.writeable = False
             self._store[(batch, cut)] = activation
 
-    def activation(self, batch: int, cut: int) -> np.ndarray:
+    def activation(self, batch: int, cut: int) -> Activation:
         stored = self._store[(batch, cut)]
         _CACHE_HITS.add()
         return stored
@@ -353,7 +368,14 @@ class PrefixCache:
 
     @property
     def stored_bytes(self) -> int:
-        return sum(int(a.nbytes) for a in self._store.values())
+        """Bytes of the distinct arrays stored: a state's skip is the
+        block-start checkpoint itself, so it counts once."""
+        distinct = {
+            id(array): array
+            for activation in self._store.values()
+            for array in _arrays(activation)
+        }
+        return sum(int(array.nbytes) for array in distinct.values())
 
 
 # ---------------------------------------------------------------------------

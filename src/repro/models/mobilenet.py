@@ -73,11 +73,13 @@ class MobileNetS(Module):
         return self.stem.backward(g)
 
     def segments(self):
-        """Stem, each inverted-residual block, then the head/classifier."""
+        """Stem, each inverted-residual block's segments, then the
+        head/classifier."""
+        blocks = [segment for block in self.features for segment in block.segments()]
         tail = Sequential(
             self.head, self.pool, self.pre_classifier, self.act, self.classifier
         )
-        return [self.stem, *self.features, tail]
+        return [self.stem, *blocks, tail]
 
 
 def mobilenet_s(num_classes: int = 10, seed: int = 13) -> MobileNetS:

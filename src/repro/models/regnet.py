@@ -57,8 +57,13 @@ class RegNetS(Module):
         return self.stem.backward(g)
 
     def segments(self):
-        """Stem, each X-block, then the pooled classifier head."""
-        blocks = [block for stage in self.stages for block in stage.layers]
+        """Stem, each X-block's segments, then the pooled classifier head."""
+        blocks = [
+            segment
+            for stage in self.stages
+            for block in stage.layers
+            for segment in block.segments()
+        ]
         return [self.stem, *blocks, Sequential(self.pool, self.fc)]
 
 

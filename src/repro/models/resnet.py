@@ -87,8 +87,14 @@ class ResNet(Module):
         return self.stem.backward(g)
 
     def segments(self) -> List[Module]:
-        """Stem, each residual block, then the pooled classifier head."""
-        blocks = [block for stage in self.stages for block in stage.layers]
+        """Stem, each residual block's segments, then the pooled
+        classifier head."""
+        blocks = [
+            segment
+            for stage in self.stages
+            for block in stage.layers
+            for segment in block.segments()
+        ]
         return [self.stem, *blocks, Sequential(self.pool, self.fc)]
 
 

@@ -15,6 +15,8 @@ from .blocks import (
     Mlp,
     PatchEmbed,
     PreNormResidual,
+    ResidualJoin,
+    ResidualStage,
     SqueezeExcite,
     TransformerEncoderBlock,
     XBlock,
@@ -40,13 +42,21 @@ from .layers import (
 )
 from .functional import BatchedWeightOverlay
 from .loss import CrossEntropyLoss, accuracy, folded_accuracy, folded_cross_entropy
-from .module import Module, Parameter, Sequential, fold_candidates, unfold_candidates
+from .module import (
+    Module,
+    Parameter,
+    ResidualState,
+    Sequential,
+    fold_candidates,
+    unfold_candidates,
+)
 from .optim import Adam, SGD, cosine_lr
 
 __all__ = [
     "Module",
     "Parameter",
     "Sequential",
+    "ResidualState",
     "fold_candidates",
     "unfold_candidates",
     "BatchedWeightOverlay",
@@ -73,6 +83,8 @@ __all__ = [
     "SqueezeExcite",
     "InvertedResidual",
     "XBlock",
+    "ResidualStage",
+    "ResidualJoin",
     "Mlp",
     "PreNormResidual",
     "TransformerEncoderBlock",

@@ -3,14 +3,22 @@
 ``BasicBlock`` / ``Bottleneck`` give ResNet-34/50-style topologies,
 ``InvertedResidual`` + ``SqueezeExcite`` give MobileNetV3, ``XBlock`` gives
 RegNet, and ``TransformerEncoderBlock`` + ``PatchEmbed`` give ViT.  Residual
-additions are handled explicitly inside each block's forward/backward; the
-forward adds the skip into the branch output (``out += identity``), a buffer
-the branch's last layer allocated and no backward cache holds.
+additions are handled explicitly inside each block's forward/backward.
+
+Every residual block's forward runs the block's own :meth:`segments`, the
+wrappers the segmented sweep replays from, so training, evaluation and the
+sweep run one composition of the same ops in the same order.  A CNN block
+cuts before each branch stage (:class:`ResidualStage`), and the skip rides
+along in a :class:`~repro.nn.module.ResidualState`.  The join adds into a
+buffer the block allocated, never into a cut's activation, which the
+sweep holds as a frozen checkpoint: the last stage's own output when the
+shortcut is the identity, the shortcut's output otherwise
+(:class:`ResidualJoin`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -27,11 +35,13 @@ from .layers import (
     ReLU,
     Identity,
 )
-from .module import Module, Parameter, Sequential
+from .module import Activation, Module, Parameter, ResidualState, Sequential
 from . import init
 
 __all__ = [
     "ConvBNAct",
+    "ResidualStage",
+    "ResidualJoin",
     "BasicBlock",
     "Bottleneck",
     "SqueezeExcite",
@@ -79,7 +89,105 @@ class ConvBNAct(Module):
         return self.conv.backward(self.bn.backward(self.act.backward(grad_out)))
 
 
-class BasicBlock(Module):
+class _SegmentedForward(Module):
+    """A block whose forward runs its own :meth:`segments` in order, so a
+    plain forward and a segmented replay compose the same ops."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        for segment in self.segments():
+            x = segment.forward(x)
+        return x
+
+
+class ResidualStage(Module):
+    """One branch stage of a residual block, as a segment.
+
+    ``body`` runs in order on the branch while the skip rides along in a
+    :class:`ResidualState`.  The ``first`` stage takes the block input, an
+    array, as both.  A stage that ``ends`` the block (one with an identity
+    shortcut) adds the skip into the branch it computed and applies
+    ``post``, returning an array; the body's last module allocates its
+    output, as a conv, a norm or an activation over a norm does, so the
+    sum never lands in a checkpoint.
+    """
+
+    def __init__(
+        self,
+        body: Sequence[Module],
+        first: bool = False,
+        ends: bool = False,
+        post: Optional[Module] = None,
+    ) -> None:
+        super().__init__()
+        if post is not None and not ends:
+            raise ValueError("only the stage that ends a block applies post")
+        self.body = list(body)
+        self.first = first
+        self.ends = ends
+        self.post = post
+
+    def forward(self, x: Activation) -> Activation:
+        state = ResidualState(x, x) if self.first else x
+        out = self.body[0].forward(state.branch)
+        for module in self.body[1:]:
+            out = module.forward(out)
+        if not self.ends:
+            return ResidualState(out, state.skip)
+        out += state.skip
+        return out if self.post is None else self.post.forward(out)
+
+
+class ResidualJoin(Module):
+    """The end of a block with a projection shortcut, as a segment of its
+    own: ``post(branch + shortcut(skip))``.
+
+    The state may be a frozen checkpoint, so the sum goes into the
+    shortcut's output, an array the shortcut allocated.
+    """
+
+    def __init__(self, shortcut: Module, post: Optional[Module]) -> None:
+        super().__init__()
+        self.shortcut = shortcut
+        self.post = post
+
+    def forward(self, state: ResidualState) -> np.ndarray:
+        out = self.shortcut.forward(state.skip)
+        out += state.branch
+        return out if self.post is None else self.post.forward(out)
+
+
+def _residual_segments(
+    stages: Sequence[Sequence[Module]],
+    shortcut: Optional[Module],
+    post: Optional[Module],
+) -> List[Module]:
+    """Segments of a residual block: a cut before each branch stage.
+
+    ``stages`` are the units the branch runs in order (a conv with its
+    norm and activation, or an SE gate), so each branch conv starts a
+    segment.  The join ``post(branch + shortcut(skip))`` runs inside the
+    last stage's segment, or in a segment of its own when the block has a
+    projection ``shortcut``, so the shortcut's conv starts a segment too.
+    The wrappers are built afresh on each call and never stored, so module
+    names and state dicts do not see them.
+    """
+    last = len(stages) - 1
+    ends = shortcut is None
+    segments: List[Module] = [
+        ResidualStage(
+            body,
+            first=k == 0,
+            ends=ends and k == last,
+            post=post if ends and k == last else None,
+        )
+        for k, body in enumerate(stages)
+    ]
+    if shortcut is not None:
+        segments.append(ResidualJoin(shortcut, post))
+    return segments
+
+
+class BasicBlock(_SegmentedForward):
     """Two 3x3 convolutions with a skip connection (ResNet-18/34 style)."""
 
     def __init__(
@@ -104,12 +212,12 @@ class BasicBlock(Module):
         else:
             self.downsample = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = self.bn1.forward(self.conv1.forward(x))
-        out = self.relu1.forward(out)
-        out = self.bn2.forward(self.conv2.forward(out))
-        out += self.downsample.forward(x) if self.downsample else x
-        return self.relu2.forward(out)
+    def segments(self) -> List[Module]:
+        return _residual_segments(
+            [[self.conv1, self.bn1, self.relu1], [self.conv2, self.bn2]],
+            self.downsample,
+            self.relu2,
+        )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_sum = self.relu2.backward(grad_out)
@@ -126,7 +234,7 @@ class BasicBlock(Module):
         return grad_main + grad_skip
 
 
-class Bottleneck(Module):
+class Bottleneck(_SegmentedForward):
     """1x1 → 3x3 → 1x1 bottleneck with skip (ResNet-50 style)."""
 
     expansion = 4
@@ -157,12 +265,16 @@ class Bottleneck(Module):
         else:
             self.downsample = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = self.relu1.forward(self.bn1.forward(self.conv1.forward(x)))
-        out = self.relu2.forward(self.bn2.forward(self.conv2.forward(out)))
-        out = self.bn3.forward(self.conv3.forward(out))
-        out += self.downsample.forward(x) if self.downsample else x
-        return self.relu3.forward(out)
+    def segments(self) -> List[Module]:
+        return _residual_segments(
+            [
+                [self.conv1, self.bn1, self.relu1],
+                [self.conv2, self.bn2, self.relu2],
+                [self.conv3, self.bn3],
+            ],
+            self.downsample,
+            self.relu3,
+        )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_sum = self.relu3.backward(grad_out)
@@ -215,7 +327,7 @@ class SqueezeExcite(Module):
         return dx_direct + dx_pool
 
 
-class InvertedResidual(Module):
+class InvertedResidual(_SegmentedForward):
     """MobileNetV3 block: expand 1x1 → depthwise 3x3 → (SE) → project 1x1."""
 
     def __init__(
@@ -239,15 +351,16 @@ class InvertedResidual(Module):
         )
         self.project = ConvBNAct(expand_ch, out_ch, 1, 1, act="none", rng=rng)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = self.expand.forward(x)
-        out = self.depthwise.forward(out)
+    def segments(self) -> List[Module]:
+        """A cut before each stage, the SE gate included; without a
+        residual the stages themselves are the segments."""
+        stages = [self.expand, self.depthwise]
         if self.se is not None:
-            out = self.se.forward(out)
-        out = self.project.forward(out)
-        if self.use_residual:
-            out += x
-        return out
+            stages.append(self.se)
+        stages.append(self.project)
+        if not self.use_residual:
+            return stages
+        return _residual_segments([[stage] for stage in stages], None, None)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         g = self.project.backward(grad_out)
@@ -260,7 +373,7 @@ class InvertedResidual(Module):
         return g
 
 
-class XBlock(Module):
+class XBlock(_SegmentedForward):
     """RegNet X-block: 1x1 → grouped 3x3 → 1x1 with skip."""
 
     def __init__(
@@ -290,10 +403,10 @@ class XBlock(Module):
         else:
             self.downsample = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = self.conv3.forward(self.conv2.forward(self.conv1.forward(x)))
-        out += self.downsample.forward(x) if self.downsample else x
-        return self.relu.forward(out)
+    def segments(self) -> List[Module]:
+        return _residual_segments(
+            [[self.conv1], [self.conv2], [self.conv3]], self.downsample, self.relu
+        )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_sum = self.relu.backward(grad_out)
@@ -352,7 +465,7 @@ class PreNormResidual(Module):
         return grad_out + self.norm.backward(self.body.backward(grad_out))
 
 
-class TransformerEncoderBlock(Module):
+class TransformerEncoderBlock(_SegmentedForward):
     """Pre-norm transformer block: LN → MHSA → +x, LN → MLP → +x.
 
     Forward and backward run the block's two :class:`PreNormResidual`
@@ -378,11 +491,6 @@ class TransformerEncoderBlock(Module):
             PreNormResidual(self.norm1, self.attention),
             PreNormResidual(self.norm2, self.mlp),
         ]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for half in self.segments():
-            x = half.forward(x)
-        return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         for half in reversed(self.segments()):

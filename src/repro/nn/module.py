@@ -20,7 +20,7 @@ and avoids the machinery of a general autograd engine.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "Parameter",
     "Module",
     "Sequential",
+    "ResidualState",
     "fold_candidates",
     "unfold_candidates",
 ]
@@ -37,7 +38,32 @@ __all__ = [
 DTYPE = np.float32
 
 
-def fold_candidates(x: np.ndarray, k: int) -> np.ndarray:
+class ResidualState(NamedTuple):
+    """The activation at a cut inside a residual block.
+
+    ``branch`` is the block's branch computed so far and ``skip`` the
+    block input its join adds back.  ``size`` and ``nbytes`` sum over both
+    fields, so code that measures an activation (tracing, memory
+    accounting) reads a state like an array.
+    """
+
+    branch: np.ndarray
+    skip: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return int(self.branch.size + self.skip.size)
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.branch.nbytes + self.skip.nbytes)
+
+
+#: What a segment takes and returns: an array, or a residual block's state.
+Activation = Union[np.ndarray, ResidualState]
+
+
+def fold_candidates(x: Activation, k: int) -> Activation:
     """Replicate a batch ``K`` times, candidate-major: ``(N,...) -> (K*N,...)``.
 
     The result stacks ``K`` contiguous copies of ``x``, so candidate ``k``
@@ -45,8 +71,13 @@ def fold_candidates(x: np.ndarray, k: int) -> np.ndarray:
     per-sample independent, the folded batch flows through ordinary
     forwards untouched; layers holding a ``weight_batch`` overlay unfold
     it to apply candidate ``k``'s weights to slice ``k``, one GEMM per
-    slice as in that slice's plain forward.
+    slice as in that slice's plain forward.  A :class:`ResidualState`
+    folds field by field.
     """
+    if isinstance(x, ResidualState):
+        return ResidualState(
+            fold_candidates(x.branch, k), fold_candidates(x.skip, k)
+        )
     if k < 1:
         raise ValueError(f"candidate count must be >= 1, got {k}")
     return np.broadcast_to(x, (k, *x.shape)).reshape(k * x.shape[0], *x.shape[1:])
@@ -137,11 +168,14 @@ class Module:
 
         When a model returns a list ``[s_0, ..., s_{K-1}]`` here, applying
         ``s_0`` through ``s_{K-1}`` in order must be bitwise equal to
-        ``forward``.  This is the contract the segmented sensitivity
-        sweeps rely on: activations at segment boundaries ("cut points")
-        can be checkpointed once and replayed from any cut, skipping the
-        clean prefix of a perturbed forward pass entirely.  Containers may
-        return freshly-built wrapper modules; only the identity of the
+        ``forward``, and ``s_{K-1}`` returns the logits.  This is the
+        contract the segmented sensitivity sweeps rely on: activations at
+        segment boundaries ("cut points") can be checkpointed once and
+        replayed from any cut, skipping the clean prefix of a perturbed
+        forward pass entirely.  A cut inside a residual block carries a
+        :class:`ResidualState` (the branch so far and the skip) instead of
+        an array.  Containers may return freshly-built wrapper modules
+        that register only the modules they run; only the identity of the
         *leaf* modules inside each segment matters to callers.
 
         Segments additionally propagate the *candidate axis* used by the

@@ -15,6 +15,7 @@ from repro.core import (
     evaluate_assignments,
     setup_activation_quant,
 )
+from repro.core.sensitivity import SweepSession
 from repro.core.sweep import EvalSpec
 from repro.models import MODEL_REGISTRY, build_model, quantizable_layers
 from repro.nn import (
@@ -384,6 +385,63 @@ class TestBatchedSweepEquivalence:
         assert fast.extras["batched_chunks"] > 0
         np.testing.assert_array_equal(fast.matrix, seq.matrix)
         np.testing.assert_array_equal(fast.single_losses, seq.single_losses)
+
+    @pytest.mark.parametrize("name", ["resnet_s20", "resnet_s34"])
+    def test_stacked_convs_compute_no_slice_twice(self, name, monkeypatch):
+        """With a cut before every searched stage, a candidate replays
+        from its partner's own segment, so no conv of a stacked replay
+        computes two identical candidate slices.  Only a downsample conv
+        may: it recomputes the same shortcut for every candidate whose
+        partner sits inside its block."""
+        rng = np.random.default_rng(0)
+        model = build_model(name, num_classes=10)
+        model.eval()
+        table = QuantizedWeightTable(
+            quantizable_layers(model, name), QuantConfig(bits=(2, 4, 8))
+        )
+        x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
+        y = rng.integers(0, 10, size=8)
+        shortcuts = {
+            id(m) for n, m in model.named_modules() if ".downsample" in n
+        }
+        width = [1]
+        probed = []
+        duplicates = []
+        run_chunk = SweepSession._run_chunk
+        conv_forward = Conv2d.forward
+
+        def chunk_probe(self, chunk, g, group_cache):
+            width[0] = chunk.width
+            try:
+                return run_chunk(self, chunk, g, group_cache)
+            finally:
+                width[0] = 1
+
+        def conv_probe(self, a):
+            out = conv_forward(self, a)
+            k = width[0]
+            if k > 1 and id(self) not in shortcuts:
+                slices = unfold_candidates(out, k).reshape(k, -1)
+                # Equal slices have equal projections; compare those only.
+                weights = np.linspace(1.0, 2.0, slices.shape[1], dtype=np.float32)
+                keys = slices @ weights
+                for a_k in range(k):
+                    for b_k in range(a_k):
+                        if keys[a_k] == keys[b_k] and np.array_equal(
+                            slices[a_k], slices[b_k]
+                        ):
+                            duplicates.append((self.out_channels, a_k, b_k))
+                probed.append(k)
+            return out
+
+        monkeypatch.setattr(SweepSession, "_run_chunk", chunk_probe)
+        monkeypatch.setattr(Conv2d, "forward", conv_probe)
+        result = SensitivityEngine(model, table).measure(
+            x, y, SensitivityConfig(batch_size=8), mode="block"
+        )
+        assert result.extras["batched_chunks"] > 0
+        assert probed
+        assert duplicates == []
 
     def test_invalid_eval_batch_k(self, mlp_setup):
         model, layers, table, x, y = mlp_setup

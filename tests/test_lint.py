@@ -162,6 +162,38 @@ class TestInputWriteRule:
         )
         assert _input_write_lines(source) == []
 
+    @pytest.mark.parametrize(
+        "body, lines",
+        [
+            ("branch, skip = state\n        branch += h", [4]),
+            ("skip = state.skip\n        skip[...] = 0.0", [4]),
+            ("state.skip[...] = 0.0", [3]),
+            ("row = state[1]\n        np.add(row, h, out=row)", [4]),
+            ("(a, (b, c)) = state\n        c *= 2.0", [4]),
+            ("skip = state.skip\n        row = skip[0]\n        row -= h", [5]),
+            ("s = state if h is None else h\n        s.branch[0] = 1.0", [4]),
+        ],
+    )
+    def test_rejects_writes_through_names_bound_from_the_input(self, body, lines):
+        """A residual state's fields are checkpoints like the state: a
+        name unpacked from the input, or taken from it by attribute or
+        subscript, is the input."""
+        source = f"class L:\n    def forward(self, state, h=None):\n        {body}\n"
+        assert _input_write_lines(source) == lines
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "branch, skip = state\n        out = branch + skip\n        out += h",
+            "skip = state.skip\n        skip = self.shortcut.forward(skip)",
+            "n = len(state)\n        n += 1",
+            "out = state.branch * 1.0\n        out[0] = 0.0",
+        ],
+    )
+    def test_allows_names_bound_to_new_arrays(self, body):
+        source = f"class L:\n    def forward(self, state, h=None):\n        {body}\n"
+        assert _input_write_lines(source) == []
+
     def test_only_forwards_in_layer_packages(self):
         source = "def backward(self, x):\n    x -= 1.0\n"
         assert _input_write_lines(source) == []

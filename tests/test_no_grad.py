@@ -16,6 +16,7 @@ from repro.nn import (
     BatchedWeightOverlay,
     CrossEntropyLoss,
     Linear,
+    ResidualState,
     Sequential,
     fold_candidates,
 )
@@ -137,6 +138,29 @@ class TestZooForwards:
         with pytest.raises(RuntimeError):
             model.backward(np.ones_like(plain))
         assert all(m.grad_enabled for m in _modules(model, *segments))
+
+    def test_segments_run_on_frozen_cuts(self, zoo_model):
+        """Every segment runs in no-grad mode on a frozen cut, as a sweep
+        replays it, with both fields of a residual state frozen: no
+        segment writes into its input or keeps a cache, and the
+        composition is the plain forward."""
+        name, model, layers, x = zoo_model
+        segments = model.segments()
+        with _no_grad(model, *segments):
+            full = model.forward(x)
+            a = x.copy()
+            states = 0
+            for segment in segments:
+                if isinstance(a, ResidualState):
+                    states += 1
+                    assert a.size == a.branch.size + a.skip.size
+                    assert a.nbytes == a.branch.nbytes + a.skip.nbytes
+                for array in a if isinstance(a, ResidualState) else (a,):
+                    array.flags.writeable = False
+                a = segment.forward(a)
+        assert np.array_equal(a, full)
+        assert (states > 0) == (name != "vit_s")
+        assert _cached(model, *segments) == []
 
 
 def _recording_segments(engine):

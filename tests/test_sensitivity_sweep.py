@@ -26,8 +26,13 @@ from repro.nn import (
     Flatten,
     GlobalAvgPool2d,
     Linear,
+    Module,
     ReLU,
+    ResidualJoin,
+    ResidualStage,
+    ResidualState,
     Sequential,
+    unfold_candidates,
 )
 from repro.quant import QuantConfig, QuantizedWeightTable
 
@@ -88,6 +93,23 @@ def _layerwise_cnn(seed=0):
     weighted = [m for m in mods if isinstance(m, (Conv2d, Linear))]
     layers = [_QLayer(i, f"w{i}", m) for i, m in enumerate(weighted)]
     return model, layers
+
+
+class _BlockCuts(Module):
+    """A ResNet cut at block granularity: stem, one segment per residual
+    block, head (the segmentation before blocks cut at their stages)."""
+
+    def __init__(self, inner: Module) -> None:
+        super().__init__()
+        self.inner = inner
+
+    def forward(self, x):
+        return self.inner.forward(x)
+
+    def segments(self):
+        blocks = [b for stage in self.inner.stages for b in stage.layers]
+        head = Sequential(self.inner.pool, self.inner.fc)
+        return [self.inner.stem, *blocks, head]
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +343,29 @@ class TestResume:
         np.testing.assert_array_equal(resumed.matrix, first.matrix)
         np.testing.assert_array_equal(stacked.matrix, first.matrix)
 
+    def test_checkpoint_resumes_across_segmentations(self, tmp_path):
+        """The segmentation is not in the resume fingerprint: a checkpoint
+        written with one segment per residual block serves a sweep cut
+        before every searched stage in full, because each loss is bitwise
+        the same from whichever cut its replay starts."""
+        model = build_model("resnet_s34", num_classes=4)
+        model.eval()
+        layers = quantizable_layers(model, "resnet_s34")
+        table = QuantizedWeightTable(layers, QuantConfig(bits=(2, 4)))
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
+        y = rng.integers(0, 4, size=8)
+        path = str(tmp_path / "sweep.ckpt")
+        config = SensitivityConfig(batch_size=8, checkpoint_path=path)
+        first = SensitivityEngine(_BlockCuts(model), table).measure(x, y, config)
+        assert first.extras["num_segments"] == 8
+        resumed = SensitivityEngine(model, table).measure(x, y, config)
+        assert resumed.extras["num_segments"] == 16
+        assert resumed.extras["resumed_evals"] == resumed.extras["plan_evals"]
+        assert resumed.extras["executed_evals"] == 0
+        np.testing.assert_array_equal(resumed.matrix, first.matrix)
+        np.testing.assert_array_equal(resumed.single_losses, first.single_losses)
+
     def test_corrupt_checkpoint_restarts_cleanly(self, mlp_setup, tmp_path):
         model, layers, table, x, y = mlp_setup
         path = tmp_path / "sweep.ckpt"
@@ -416,13 +461,20 @@ class TestEvalPlan:
         assert plan.planned_segment_cost < plan.naive_segment_cost
 
     def test_fingerprint_sensitive_to_structure(self):
+        """The fingerprint hashes the evaluations in plan order: cuts that
+        reorder the groups change it, cuts that only move leave it alone,
+        because a loss is bitwise the same from whichever cut it replays."""
         kwargs = dict(
             num_layers=2, bits=(4, 8), pair_list=[(0, 1)],
             layer_segments=(0, 1), num_segments=2, mode="full",
         )
         a = build_eval_plan(**kwargs)
-        b = build_eval_plan(**dict(kwargs, layer_segments=(1, 1)))
-        assert a.fingerprint() != b.fingerprint()
+        reordered = build_eval_plan(**dict(kwargs, layer_segments=(1, 0)))
+        coarser = build_eval_plan(
+            **dict(kwargs, layer_segments=(0, 0), num_segments=1)
+        )
+        assert a.fingerprint() != reordered.fingerprint()
+        assert a.fingerprint() == coarser.fingerprint()
         assert a.fingerprint() == build_eval_plan(**kwargs).fingerprint()
         assert a.fingerprint("data1") != a.fingerprint("data2")
 
@@ -455,6 +507,47 @@ class TestPrefixCache:
             with pytest.raises(ValueError, match="read-only"):
                 cache.activation(0, cut)[...] += 1.0
         assert x.flags.writeable
+
+    def test_segment_writing_into_a_state_skip_raises(self):
+        """The freeze covers both fields of a residual state: a segment
+        that adds into the skip instead of a fresh array raises."""
+
+        class SkipWriter(Module):
+            def forward(self, state):
+                skip = state.skip
+                skip += state.branch
+                return skip
+
+        stage = ResidualStage([Linear(3, 3, rng=np.random.default_rng(0))], first=True)
+        cache = PrefixCache({1})  # the block input (cut 0) is not kept
+        x = np.ones((2, 3), dtype=np.float32)
+        a = x
+        for k, segment in enumerate([stage, SkipWriter()]):
+            cache.put(0, k, a)
+            if k == 1:
+                with pytest.raises(ValueError, match="read-only"):
+                    segment.forward(a)
+            else:
+                a = segment.forward(a)
+        state = cache.activation(0, 1)
+        assert not state.branch.flags.writeable
+        assert not state.skip.flags.writeable
+        # A join adds into its shortcut's output and leaves the state alone.
+        shortcut = Linear(3, 3, rng=np.random.default_rng(1))
+        out = ResidualJoin(shortcut, ReLU()).forward(state)
+        expected = np.maximum(shortcut.forward(x) + state.branch, 0)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_stored_bytes_count_each_array_once(self):
+        """Two states sharing a skip with the block-start checkpoint
+        store that array once."""
+        cache = PrefixCache({0, 1, 2})
+        x = np.ones((2, 3), dtype=np.float32)
+        cache.put(0, 0, x)
+        cache.put(0, 1, ResidualState(x + 1.0, x))
+        cache.put(0, 2, ResidualState(x + 2.0, x))
+        assert cache.num_checkpoints == 3
+        assert cache.stored_bytes == 3 * x.nbytes
 
 
 class TestSweepCheckpoint:
@@ -525,6 +618,35 @@ class TestSegmentedForward:
             block = int(layer.name.split(".")[1])
             half = 1 if ".attention." in layer.name else 2
             assert seg == 2 * block + half, layer.name
+
+    @pytest.mark.parametrize(
+        "name", ["mobilenet_s", "regnet_s", "resnet_s20", "resnet_s34", "resnet_s50"]
+    )
+    def test_cnn_cuts_before_every_searched_stage(self, name):
+        """Each searched branch conv starts a segment of its own, so a
+        replay from its partner recomputes no conv before it; each
+        downsample conv sits in its block's join segment, right after the
+        block's last branch stage."""
+        model = build_model(name, num_classes=4)
+        layers = quantizable_layers(model, name)
+        table = QuantizedWeightTable(layers, QuantConfig(bits=(4, 8)))
+        segments, owner = SensitivityEngine(model, table)._segment_map()
+        assert len(segments) > 1
+        branch_segments = []
+        for q, k in zip(layers, owner):
+            if not isinstance(q.module, Conv2d):
+                continue
+            if ".downsample" in q.name:
+                assert isinstance(segments[k], ResidualJoin), q.name
+                assert owner[q.index - 1] == k - 1, q.name
+                continue
+            weighted = [
+                m for _, m in segments[k].named_modules()
+                if isinstance(m, (Conv2d, Linear))
+            ]
+            assert weighted[0] is q.module, q.name
+            branch_segments.append(k)
+        assert len(set(branch_segments)) == len(branch_segments)
 
     def test_segments_cover_all_searched_layers(self):
         for name in sorted(MODEL_REGISTRY):
