@@ -21,14 +21,15 @@ as ``make chaos-smoke`` inside the default ``make`` target:
    loss **bitwise identical** to the in-process sweep on **every zoo
    model**, and the crash and the retries are visible in the result
    extras.
-5. **Measurement integrity** — seeded ``outlier_loss`` +
-   ``asymmetric_pair`` corruption of a zoo-model sweep is detected,
-   quarantined, and re-measured; the repaired run's sensitivity matrix
-   and final bit assignment match the clean run's **exactly**, the health
-   record (rung, quarantine counts, pre/post conditioning) lands in the
-   run manifest, and ``--health strict`` with quarantine and repair
-   disabled refuses the matrix (library: :class:`UnhealthyMatrixError`;
-   CLI: exit code 5).
+5. **Measurement integrity** — the determinism audit of a clean
+   zoo-model sweep agrees on every audited spec, and its Ĝ and bit
+   assignment equal the ``health="off"`` run's **exactly**.  A seeded
+   ``outlier_loss`` on an audited spec is reported under ``warn`` (the
+   record, with pre/post conditioning, lands in the run manifest, and Ĝ
+   is the ``health="off"`` Ĝ under the same fault: nothing is repaired)
+   and refused under ``strict`` (library: :class:`UnhealthyMatrixError`;
+   CLI: ``allocate --health strict`` exits 5, the fault aimed through
+   :meth:`~repro.core.sweep.EvalPlan.audit_specs`).
 
 6. **Store integrity** — the content-addressed Ĝ artifact store
    (docs/store.md) never serves a corrupt or mismatched artifact.  On
@@ -265,110 +266,111 @@ def fork_chaos() -> None:
         )
 
 
-def measurement_chaos(tmp: Path) -> None:
-    """Check 5: corrupted measurements are caught and fully repaired."""
-    from repro.core import CLADO, SolverConfig
+def _audited_specs(name: str, bits) -> tuple:
+    """The plan indices the audit of a full sweep of zoo model ``name``
+    replays (the plan depends on the layer structure, not the weights)."""
+    from repro.core.sensitivity import build_pair_list
     from repro.core.sweep import build_eval_plan
-    from repro.quant import QuantConfig as _QuantConfig
+
+    model = build_model(name, num_classes=10)
+    layers = quantizable_layers(model, name)
+    table = QuantizedWeightTable(layers, QuantConfig(bits=bits))
+    segments, layer_segments = SensitivityEngine(model, table)._segment_map()
+    plan = build_eval_plan(
+        len(layers), bits, build_pair_list(layers, "full"),
+        layer_segments, len(segments), "full",
+    )
+    return plan.audit_specs()
+
+
+def measurement_chaos(tmp: Path) -> None:
+    """Check 5: the audit passes clean sweeps and refuses a loss that its
+    replay does not repeat, without repairing anything."""
+    import warnings
+
+    from repro.core import CLADO, SolverConfig
     from repro.robustness import UnhealthyMatrixError
 
     name = "resnet_s20"
     model = build_model(name, num_classes=10)
     model.eval()
     layers = quantizable_layers(model, name)
-    qconfig = _QuantConfig(bits=(2, 4, 8))
-    table = QuantizedWeightTable(layers, qconfig)
+    qconfig = QuantConfig(bits=(2, 4, 8))
     rng = np.random.default_rng(7)
     x = rng.normal(size=(16, 3, 32, 32)).astype(np.float32)
     y = rng.integers(0, 10, size=16)
-
-    # Faults are keyed by plan *spec* index; rebuild the deterministic
-    # plan to aim one at a real diagonal spec and one at a real pair spec.
-    probe = SensitivityEngine(model, table)
-    segments, layer_segments = probe._segment_map()
-    num_layers, bits = len(layers), qconfig.bits
-    pair_list = [
-        (i, j) for i in range(num_layers) for j in range(i + 1, num_layers)
-    ]
-    plan = build_eval_plan(
-        num_layers, bits, pair_list, layer_segments, len(segments), "full"
-    )
-    diag_index = plan.groups[1].diag.index
-    pair_index = next(p.index for g in plan.groups for p in g.pairs)
-
     budget = int(sum(layer.num_params for layer in layers) * 4)
     solver = SolverConfig(time_limit=5.0)
 
-    def allocate(health, fault_plan=None, rounds=2, repair=True):
+    def allocate(health, fault_plan=None):
         algo = CLADO(model, name, qconfig)
         config = SensitivityConfig(
-            batch_size=8,
-            num_workers=1,
-            eval_batch_k=1,  # sequential replays: remeasure is bitwise
-            fault_plan=fault_plan,
-            health=health,
-            health_rounds=rounds,
-            health_repair=repair,
+            batch_size=8, num_workers=1, fault_plan=fault_plan, health=health
         )
         algo.prepare(x, y, config)
         return algo, algo.allocate(budget, solver)
 
+    def same_measurement(a, b):
+        return (
+            np.array_equal(a.raw.matrix, b.raw.matrix)
+            and np.array_equal(a.raw.single_losses, b.raw.single_losses)
+            and a.raw.base_loss == b.raw.base_loss
+        )
+
+    off_algo, off_result = allocate("off")
     clean_algo, clean_result = allocate("warn")
     record = clean_algo.health_record
     check(
-        "clean sweep passes the health gate",
-        record is not None and record["healthy"] and record["persistent"] == 0,
-        f"rung={record['rung']} quarantined={record['quarantined']}",
+        "clean sweep passes the determinism audit",
+        record is not None and record["healthy"]
+        and record["audited"] == 16 and record["disagreed"] == 0,
+        f"audited={record and record['audited']} "
+        f"disagreed={record and record['disagreed']}",
+    )
+    check(
+        "audited Ĝ bitwise equals the health-off Ĝ",
+        same_measurement(off_algo, clean_algo),
+    )
+    check(
+        "audited bit assignment identical to the health-off run's",
+        np.array_equal(off_result.assignment.choice, clean_result.assignment.choice),
     )
 
-    faults = FaultPlan(
-        seed=11,
-        faults=(
-            FaultSpec("outlier_loss", at=diag_index),
-            FaultSpec("asymmetric_pair", at=pair_index),
-        ),
-    )
+    index = _audited_specs(name, qconfig.bits)[0]
+    faults = FaultPlan(seed=11, faults=(FaultSpec("outlier_loss", at=index),))
+    unchecked, _ = allocate("off", faults)
     with telemetry.start_run("chaos-smoke", manifest_dir=tmp) as run:
-        bad_algo, bad_result = allocate("warn", fault_plan=faults)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bad_algo, _ = allocate("warn", fault_plan=faults)
         manifest_record = run.results.get("health")
     record = bad_algo.health_record
+    warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     check(
-        "injected corruption detected, quarantined, and remeasured",
-        record["quarantined"] >= 2 and record["remeasured"] >= 1
-        and record["healthy"],
-        f"quarantined={record['quarantined']} remeasured={record['remeasured']}",
+        "audited outlier reported under warn",
+        not record["healthy"] and len(warned) == 1
+        and [d[0] for d in record["disagreements"]] == [index],
+        f"disagreements={record['disagreements']} warnings={len(warned)}",
     )
     check(
-        "repaired matrix bitwise equals the clean run's",
-        np.array_equal(clean_algo.raw.matrix, bad_algo.raw.matrix),
+        "nothing repaired: Ĝ is the health-off Ĝ under the same fault",
+        same_measurement(unchecked, bad_algo),
     )
     check(
-        "repaired bit assignment identical to the clean run's",
-        np.array_equal(
-            clean_result.assignment.bits, bad_result.assignment.bits
-        )
-        and np.array_equal(
-            clean_result.assignment.choice, bad_result.assignment.choice
-        ),
-    )
-    check(
-        "health record in the run manifest (rung + conditioning)",
+        "health record in the run manifest (audit + conditioning)",
         manifest_record is not None
-        and "rung" in manifest_record
+        and manifest_record.get("disagreed") == 1
         and "pre_condition_number" in manifest_record
-        and "post_condition_number" in manifest_record
-        and "quarantined" in manifest_record,
+        and "post_condition_number" in manifest_record,
     )
-
-    # With quarantine and repair both disabled, strict mode must refuse
-    # the corrupt matrix rather than hand it to the solver.
     try:
-        allocate("strict", fault_plan=faults, rounds=0, repair=False)
+        allocate("strict", fault_plan=faults)
     except UnhealthyMatrixError as exc:
-        refused, detail = True, f"rung={exc.record.get('rung')}"
+        refused = [d[0] for d in exc.record.get("disagreements", ())] == [index]
+        detail = f"disagreements={exc.record.get('disagreements')}"
     else:
         refused, detail = False, "no error raised"
-    check("strict mode refuses an unrepaired corrupt matrix", refused, detail)
+    check("strict mode refuses an audited outlier", refused, detail)
 
 
 def cli_health_chaos(tmp: Path) -> None:
@@ -376,9 +378,11 @@ def cli_health_chaos(tmp: Path) -> None:
     import os
 
     from repro import cli
+    from repro.experiments import model_quant_config
     from repro.models import zoo
 
-    plan = FaultPlan(seed=5, faults=(FaultSpec("outlier_loss", at=3),))
+    index = _audited_specs("resnet_s20", model_quant_config("resnet_s20").bits)[0]
+    plan = FaultPlan(seed=5, faults=(FaultSpec("outlier_loss", at=index),))
     old_cache = os.environ.get("REPRO_CACHE_DIR")
     old_plan = os.environ.get("REPRO_FAULT_PLAN")
     old_recipe = zoo._RECIPES.get("resnet_s20")
@@ -396,8 +400,6 @@ def cli_health_chaos(tmp: Path) -> None:
                 "--model", "resnet_s20",
                 "--set-size", "32",
                 "--health", "strict",
-                "--health-rounds", "0",
-                "--no-health-repair",
             ]
         )
     finally:
@@ -412,7 +414,7 @@ def cli_health_chaos(tmp: Path) -> None:
         if old_recipe is not None:
             zoo._RECIPES["resnet_s20"] = old_recipe
     check(
-        "--health strict exits 5 on an unrepaired corrupt matrix",
+        "--health strict exits 5 on an audited outlier",
         code == 5,
         f"exit={code}",
     )

@@ -75,8 +75,6 @@ def _allocate_sensitivity(args):
         eval_batch_k=args.eval_batch_k,
         max_retries=args.max_retries,
         health=args.health,
-        health_rounds=args.health_rounds,
-        health_repair=not args.no_health_repair,
     )
 
 
@@ -84,7 +82,7 @@ def _allocate_cached_sensitivity(args):
     """``allocate-cached``'s sweep options as one config."""
     from .core import SensitivityConfig
 
-    return SensitivityConfig(health=args.health, health_rounds=args.health_rounds)
+    return SensitivityConfig(health=args.health)
 
 
 def _run_allocation(args, body, run_name: str, run_config: dict) -> int:
@@ -124,11 +122,9 @@ def _run_allocation(args, body, run_name: str, run_config: dict) -> int:
                  "(workers, then serial); see sweep.* counters in the manifest")
         return 4
     except UnhealthyMatrixError as exc:
-        emit(f"error: sensitivity matrix failed integrity checks — {exc}")
-        if exc.record:
-            emit(f"  repair rung reached: {exc.record.get('rung')!r}; "
-                 f"{exc.record.get('flagged_final')} entries still flagged "
-                 "(see the health record in the run manifest)")
+        emit(f"error: {exc} (--health strict)")
+        for index, sweep, replay in exc.record.get("disagreements", ()):
+            emit(f"  plan spec {index}: sweep loss {sweep!r}, replay {replay!r}")
         return 5
     except StoreMissError as exc:
         emit(f"error: store cannot serve this request — {exc}")
@@ -191,11 +187,11 @@ def _allocate_body(args, run) -> int:
     health_record = getattr(algo, "health_record", None)
     if health_record is not None:
         emit(
-            f"  matrix health: rung {health_record['rung']!r} "
-            f"({'healthy' if health_record['healthy'] else 'UNHEALTHY'}), "
-            f"{health_record['quarantined']} quarantined, "
-            f"{health_record['remeasured']} remeasured, "
-            f"{health_record['persistent']} persistent"
+            f"  matrix health: "
+            f"{'healthy' if health_record['healthy'] else 'UNHEALTHY'}, "
+            f"{health_record['audited']} audited, "
+            f"{health_record['disagreed']} disagreed, "
+            f"{health_record['cancelled']} cancelled"
         )
 
     sizes = algo.layer_sizes()
@@ -557,20 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--health",
         choices=("off", "warn", "strict"),
         default="off",
-        help="sensitivity-matrix integrity checking: detect + "
-        "quarantine-and-remeasure + repair ladder; strict exits 5 when the "
-        "matrix stays unhealthy after repair",
-    )
-    p.add_argument(
-        "--health-rounds",
-        type=int,
-        default=2,
-        help="quarantine re-measure rounds per flagged entry",
-    )
-    p.add_argument(
-        "--no-health-repair",
-        action="store_true",
-        help="detect and remeasure only; skip the structural repair ladder",
+        help="determinism audit of the sensitivity matrix: 16 sampled "
+        "losses must repeat bit for bit when replayed; warn reports a "
+        "disagreement, strict exits 5",
     )
     p.add_argument(
         "--trace",
@@ -632,10 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--health",
         choices=("off", "warn", "strict"),
         default="warn",
-        help="integrity checking for fresh sweeps (cached entries always "
-        "re-enter the repair ladder)",
+        help="determinism audit of fresh sweeps (the store publishes only "
+        "audited sensitivities)",
     )
-    p.add_argument("--health-rounds", type=int, default=2)
     p.add_argument("--evaluate", action="store_true",
                    help="run validation accuracy for each budget")
     p.add_argument("-v", "--verbose", action="store_true",

@@ -71,9 +71,7 @@ class SensitivityConfig:
     max_retries: int = DEFAULT_MAX_RETRIES
     fault_plan: Optional[FaultPlan] = None  # chaos-test injection schedule
     # Measurement integrity (see docs/robustness.md)
-    health: str = "off"  # "off" | "warn" | "strict"
-    health_rounds: int = 2  # quarantine re-measure rounds
-    health_repair: bool = True  # structural repair ladder after quarantine
+    health: str = "off"  # "off" | "warn" | "strict": the determinism audit
     # HAWQ (Hutchinson trace estimation)
     probes: int = 8
     seed: int = 0
@@ -89,10 +87,6 @@ class SensitivityConfig:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.health not in ("off", "warn", "strict"):
             raise ValueError(f"unknown health mode {self.health!r}")
-        if self.health_rounds < 0:
-            raise ValueError(
-                f"health_rounds must be >= 0, got {self.health_rounds}"
-            )
 
     def with_overrides(self, **overrides) -> "SensitivityConfig":
         """A copy with the given fields replaced (unknown names rejected)."""

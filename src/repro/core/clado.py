@@ -24,7 +24,7 @@ from .. import telemetry
 from ..models import QuantizableLayer, quantizable_layers
 from ..nn import CrossEntropyLoss, Module
 from ..quant import QuantConfig, QuantizedWeightTable, bytes_to_mb
-from ..robustness.health import HealthPolicy, UnhealthyMatrixError, repair_ladder
+from ..robustness.health import DeterminismAudit, UnhealthyMatrixError
 from ..solvers import MPQProblem, SolveResult, solve
 from .api import (
     AllocationResult,
@@ -33,9 +33,29 @@ from .api import (
     SolverConfig,
 )
 from .psd import condition_number, min_eigenvalue, psd_project, psd_violation
-from .sensitivity import SensitivityEngine, SensitivityResult, block_id_from_name
+from .sensitivity import SensitivityEngine, SensitivityResult
 
 __all__ = ["MPQAssignment", "MPQAlgorithm", "CLADO"]
+
+
+def repair_ladder(
+    audit: DeterminismAudit, raw: np.ndarray, projected: np.ndarray
+) -> dict:
+    """The health record of one prepared Ĝ.
+
+    The audit's :meth:`~repro.robustness.DeterminismAudit.to_dict` plus
+    the PSD violation and condition number of Ĝ before and after
+    projection.  Nothing is repaired: a loss that does not repeat has no
+    repair.  The name stays because ``perfbench/tracing.py`` times this
+    function as ``health.repair_s`` (ROADMAP item 8 renames it).
+    """
+    return {
+        **audit.to_dict(),
+        "pre_psd_violation": list(psd_violation(raw)),
+        "post_psd_violation": list(psd_violation(projected)),
+        "pre_condition_number": condition_number(raw),
+        "post_condition_number": condition_number(projected),
+    }
 
 
 @dataclass
@@ -218,74 +238,47 @@ class CLADO(MPQAlgorithm):
         self.matrix: Optional[np.ndarray] = None
         self.health_record: Optional[dict] = None
 
-    def _repair_and_project(
-        self, result: SensitivityResult, policy: Optional[HealthPolicy]
-    ) -> None:
-        """Repair ladder (when a health report exists) then projection.
-
-        Populates ``self.matrix`` and ``self.health_record``; the record
-        gains the *post*-projection conditioning so manifests show the
-        pre/post effect of repair + projection together.
-        """
-        matrix = result.matrix
-        record: Optional[dict] = None
-        if result.health is not None:
-            with telemetry.span("prepare.health_repair"):
-                matrix, record = repair_ladder(
-                    result.matrix,
-                    result.health,
-                    policy,
-                    blocks=[
-                        block_id_from_name(layer.name) for layer in self.layers
-                    ],
-                    num_choices=len(self.config.bits),
-                )
+    def _project(self, result: SensitivityResult) -> None:
+        """Install ``result`` and its PSD projection as ``self.matrix``."""
+        self.raw = result
         with telemetry.span("prepare.psd_project"):
             if self.use_psd:
-                self.matrix = psd_project(matrix)
+                self.matrix = psd_project(result.matrix)
             else:
-                self.matrix = 0.5 * (matrix + matrix.T)
-        if record is not None:
-            neg, total = psd_violation(self.matrix)
-            record["post_psd_violation"] = [neg, total]
-            record["post_condition_number"] = condition_number(self.matrix)
-        self.health_record = record
+                self.matrix = 0.5 * (result.matrix + result.matrix.T)
 
     def _prepare(
         self, x: np.ndarray, y: np.ndarray, config: SensitivityConfig
     ) -> None:
         engine = SensitivityEngine(self.model, self.table, self.criterion)
-        self.raw = engine.measure(x, y, config, mode=self.mode)
-        self._repair_and_project(
-            self.raw,
-            HealthPolicy(
-                remeasure_rounds=config.health_rounds, repair=config.health_repair
-            ),
-        )
-        record = self.health_record
-        if record is not None:
-            run = telemetry.current_run()
-            if run is not None:
-                run.add_result(health=record)
-            if not record["healthy"]:
-                message = (
-                    f"sensitivity matrix unhealthy after repair ladder "
-                    f"(rung={record['rung']}, "
-                    f"flagged={record['flagged_final']})"
-                )
-                if config.health == "strict":
-                    raise UnhealthyMatrixError(message, record)
-                warnings.warn(message, RuntimeWarning, stacklevel=2)
+        self._project(engine.measure(x, y, config, mode=self.mode))
+        audit = self.raw.health
+        self.health_record = None
+        if audit is None:
+            return
+        record = repair_ladder(audit, self.raw.matrix, self.matrix)
+        self.health_record = record
+        run = telemetry.current_run()
+        if run is not None:
+            run.add_result(health=record)
+        if not audit.healthy:
+            message = (
+                f"sensitivity matrix unhealthy: {len(audit.disagreements)} of "
+                f"{len(audit.audited)} audited specs did not repeat their "
+                "sweep loss bit for bit"
+            )
+            if config.health == "strict":
+                raise UnhealthyMatrixError(message, record)
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
 
     def set_sensitivity(self, result: SensitivityResult) -> None:
         """Install a precomputed (e.g. cached) sensitivity measurement.
 
-        A cached result that carries a health report still goes through
-        the repair ladder (default policy); strict gating is a
-        ``prepare``-time concern and does not apply here.
+        Only projects: the health gate is a ``prepare``-time concern, and
+        the store publishes only measurements whose audit passed.
         """
-        self.raw = result
-        self._repair_and_project(result, None)
+        self._project(result)
+        self.health_record = None
         self.prepared = True
 
     def _allocate(self, budget_bits: int, solver: SolverConfig) -> MPQAssignment:

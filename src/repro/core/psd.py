@@ -96,8 +96,8 @@ def psd_violation(matrix: np.ndarray) -> Tuple[float, float]:
     """(negative-eigenvalue mass, total eigenvalue mass) of a matrix.
 
     Quantifies how indefinite a measured sensitivity matrix is — used by
-    the Fig. 7 ablation driver and the Ĝ health report to show how much
-    the projection changes.  Only eigenvalues are needed, so this uses
+    the Fig. 7 ablation driver and the health record ``CLADO`` builds to
+    show how much the projection changes.  Only eigenvalues are needed, so this uses
     ``eigvalsh`` (no vectors).
     """
     eigvals = _eigvalsh(_symmetrize(matrix))

@@ -80,7 +80,7 @@ from ..robustness import InjectedWorkerCrash, SweepFailure
 from ..robustness import faults as _faults
 from ..robustness import health as _health
 from ..robustness.faults import FaultPlan, resolve_fault_plan
-from ..robustness.health import GMatrixHealth, HealthPolicy
+from ..robustness.health import DeterminismAudit
 from .api import SensitivityConfig
 from .sweep import (
     BatchChunk,
@@ -186,10 +186,10 @@ class SensitivityResult:
     mode: str
     bits: Tuple[int, ...] = ()
     extras: Dict[str, object] = field(default_factory=dict)
-    #: Post-quarantine integrity report (``None`` when health checking is
-    #: off); the structural repair ladder in ``CLADO._prepare`` consumes
-    #: it.  A JSON-safe summary also lands in ``extras["health"]``.
-    health: Optional[GMatrixHealth] = None
+    #: The determinism audit of the loss table (``None`` when health
+    #: checking is off); ``CLADO._prepare`` gates on it.  Its ``to_dict()``
+    #: also lands in ``extras["health"]``.
+    health: Optional[DeterminismAudit] = None
 
     @property
     def num_layers(self) -> int:
@@ -309,18 +309,17 @@ def assemble_from_losses(
     matrix is independent of execution order, worker count, and of which
     losses were resumed from a checkpoint.
 
-    ``fault_plan`` applies the measurement-corruption faults: ``outlier_loss``
-    poisons the loss dict (in plan-index order) *before* assembly so
-    corrupted singles cascade into every dependent finite difference, and
-    ``asymmetric_pair`` strikes one direction of an assembled entry
-    afterwards.  Mutates ``losses`` in place for the outlier case (callers
-    checkpoint the poisoned values).
+    ``fault_plan`` applies the measurement-corruption fault: ``outlier_loss``
+    poisons the loss dict (in plan-index order) *before* assembly, so a
+    corrupted single cascades into every dependent finite difference.
+    Mutates ``losses`` in place, so the determinism audit reads the
+    poisoned values.
     """
     nb = len(plan.bits)
     nvars = plan.num_layers * nb
     if fault_plan is not None:
         for index in sorted(losses):
-            delta = fault_plan.outlier_delta(index, 0)
+            delta = fault_plan.outlier_delta(index)
             if delta is not None:
                 losses[index] += delta * (1.0 + abs(losses[index]))
 
@@ -337,17 +336,6 @@ def assemble_from_losses(
             )
             matrix[p.i * nb + p.m, p.j * nb + p.n] = omega
             matrix[p.j * nb + p.n, p.i * nb + p.m] = omega
-
-    # Asymmetry corruption strikes one direction of an assembled entry
-    # (the assembler guarantees symmetry, so only post-assembly damage
-    # can break it — e.g. a bit flip in the stored matrix).
-    if fault_plan is not None:
-        for g in plan.groups:
-            for p in g.pairs:
-                delta = fault_plan.asymmetry_delta(p.index)
-                if delta is not None:
-                    r, c = p.i * nb + p.m, p.j * nb + p.n
-                    matrix[r, c] += delta * (1.0 + abs(matrix[r, c]))
     return matrix, single
 
 
@@ -779,8 +767,7 @@ class SensitivityEngine:
             tick(len(results))
 
         workers = min(session.num_workers, max(1, len(pending)))
-        health_report: Optional[GMatrixHealth] = None
-        health_extras: Optional[Dict[str, object]] = None
+        audit: Optional[DeterminismAudit] = None
         # Fork workers inherit the no-grad flags of the parent.
         with session.no_grad():
             t_eval_start = telemetry.monotonic()
@@ -792,19 +779,10 @@ class SensitivityEngine:
                         deliver(*session.run_group_resilient(gi, recovery))
             t_evals = telemetry.monotonic() - t_eval_start
 
-            # Injected measurement corruption (round 0 = the sweep itself)
-            # and deterministic reassembly.
+            # Injected measurement corruption and deterministic assembly.
             matrix, single = session.assemble(losses)
             if config.health != "off":
-                with telemetry.span("sweep.health"):
-                    matrix, single, health_report, health_extras = (
-                        session.health_pass(matrix, single, losses)
-                    )
-                if checkpoint is not None:
-                    # Accepted re-measurements supersede the checkpointed
-                    # sweep values; persist them so a resume sees the
-                    # healed losses.
-                    checkpoint.save(losses)
+                audit = session.audit(losses)
 
         wall = telemetry.monotonic() - t0
         faults1, system1 = _fault_usage()
@@ -856,8 +834,8 @@ class SensitivityEngine:
             "minor_faults": faults1 - faults0,
             "system_s": system1 - system0,
         }
-        if health_extras is not None:
-            extras["health"] = health_extras
+        if audit is not None:
+            extras["health"] = audit.to_dict()
         return SensitivityResult(
             matrix=matrix,
             base_loss=session.base_loss,
@@ -867,7 +845,7 @@ class SensitivityEngine:
             mode=mode,
             bits=tuple(plan.bits),
             extras=extras,
-            health=health_report,
+            health=audit,
         )
 
 
@@ -886,9 +864,8 @@ class SweepSession:
     chunk waste factor, the worker count and the fault plan
     (``REPRO_FAULT_PLAN`` included) — builds the plan, opens the resume
     checkpoint and runs the clean prefix pass; nothing on the session
-    changes afterwards.  Group execution and the health pass expect the
-    caller to hold :meth:`no_grad`, as :meth:`SensitivityEngine.measure`
-    does.
+    changes afterwards.  Group execution and the audit expect the caller
+    to hold :meth:`no_grad`, as :meth:`SensitivityEngine.measure` does.
     """
 
     def __init__(
@@ -1230,125 +1207,49 @@ class SweepSession:
             for k, spec in enumerate(chunk.specs)
         ]
 
-    # -- measurement integrity: quarantine-and-remeasure ------------------------
-    def health_pass(
-        self,
-        matrix: np.ndarray,
-        single: np.ndarray,
-        losses: Dict[int, float],
-    ) -> Tuple[np.ndarray, np.ndarray, GMatrixHealth, Dict[str, object]]:
-        """Diagnose the assembled Ĝ and quarantine-and-remeasure suspects.
+    # -- measurement integrity: the determinism audit ---------------------------
+    def audit(self, losses: Dict[int, float]) -> DeterminismAudit:
+        """Re-measure the plan's audit sample; each loss must repeat.
 
-        Flagged entries are re-evaluated — plain suffix replays off the
-        *clean* prefix cache, not full sweeps — for up to
-        ``config.health_rounds`` rounds.  A re-measurement that agrees with
-        the entry's current loss (``HealthPolicy.agrees``) confirms it;
-        a clean entry always does, because a plain replay reproduces
-        every loss the sweep measured bitwise, stacked or not.  A
-        disagreement replaces the loss and leaves the entry active so the
-        replacement itself must repeat before being trusted.  After each
-        round the matrix is rebuilt from the healed loss table by
-        :func:`assemble_from_losses`, so a corrected single reaches every
-        pair difference that reads it, and damage done to the assembled
-        matrix rather than to a loss is gone.  Updates ``losses`` in place
-        and returns ``(matrix, single)``, the post-quarantine report and
-        the JSON-safe ``extras["health"]`` summary.
+        Every spec of :meth:`EvalPlan.audit_specs` is replayed plain off
+        the clean prefix cache, and its loss must equal ``losses`` bit for
+        bit — a stacked replay measures bitwise its plain replay, so one
+        rule covers every spec.  The audit reads the loss table and
+        rewrites nothing: a disagreement is reported, never repaired.
         """
         plan = self.plan
-        base_loss = self.base_loss
-        policy = HealthPolicy(remeasure_rounds=self.config.health_rounds)
+        specs = {s.index: s for s in plan.specs()}
+        audited = plan.audit_specs()
+        disagreements = []
+        with telemetry.span("sweep.audit"):
+            for index in audited:
+                replay = self._remeasure_loss(specs[index])
+                if replay != losses[index]:
+                    disagreements.append((index, losses[index], replay))
+        _health.REMEASURED.add(len(audited))
+        _health.QUARANTINED.add(len(disagreements))
+        single = {(g.i, g.m): losses[g.diag.index] for g in plan.groups}
         nb = len(plan.bits)
-        # Each measured entry of Ĝ and the one evaluation behind it.
-        entry_spec: Dict[Tuple[int, int], EvalSpec] = {}
-        pair_specs: Dict[Tuple[int, int], EvalSpec] = {}
-        for g in plan.groups:
-            entry_spec[(g.i * nb + g.m,) * 2] = g.diag
-            for p in g.pairs:
-                key = _health.canonical_entry(p.i * nb + p.m, p.j * nb + p.n)
-                entry_spec[key] = pair_specs[key] = p
-
-        def diagnose(**frozen) -> GMatrixHealth:
-            quads = [
-                (key, losses[p.index], base_loss, single[p.i, p.m], single[p.j, p.n])
-                for key, p in pair_specs.items()
-            ]
-            return _health.diagnose_matrix(
-                matrix,
-                tuple(pair_specs),
-                policy,
-                cancellation=_health.cancellation_flags(
-                    quads, policy.cancellation_eps
-                ),
-                **frozen,
+        quads = [
+            (
+                (p.i * nb + p.m, p.j * nb + p.n),
+                losses[p.index], self.base_loss,
+                single[(p.i, p.m)], single[(p.j, p.n)],
             )
+            for g in plan.groups
+            for p in g.pairs
+        ]
+        return DeterminismAudit(
+            audited=audited,
+            disagreements=tuple(disagreements),
+            cancellation=_health.cancellation_flags(quads),
+        )
 
-        report = diagnose()
-        report.quarantined = len(report.flagged)
-        _health.QUARANTINED.add(report.quarantined)
-        pre_summary = report.to_dict(policy.max_listed)
-
-        confirmed: set = set()
-        persistent: Dict[Tuple[int, int], float] = {}
-        samples: Dict[Tuple[int, int], List[float]] = {}
-        remeasured = 0
-        active = set(report.flagged)
-
-        for round_ in range(1, policy.remeasure_rounds + 1):
-            if not active:
-                break
-            with telemetry.span("sweep.remeasure", round=round_):
-                for key in sorted(active):
-                    spec = entry_spec.get(key)
-                    if spec is None:
-                        # Nothing measurable behind this entry (cannot
-                        # happen for plan-built matrices; defensive).
-                        active.discard(key)
-                        persistent[key] = 0.0
-                        continue
-                    current = losses[spec.index]
-                    samples.setdefault(key, [current])
-                    new = self._remeasure_loss(spec, round_)
-                    remeasured += 1
-                    if policy.agrees(new, current):
-                        confirmed.add(key)
-                        active.discard(key)
-                    else:
-                        losses[spec.index] = new
-                    samples[key].append(losses[spec.index])
-                matrix, single = assemble_from_losses(plan, losses, base_loss)
-
-        for key in sorted(active):
-            persistent[key] = float(np.var(np.asarray(samples.get(key, [0.0]))))
-        _health.REMEASURED.add(remeasured)
-        _health.CONFIRMED.add(len(confirmed))
-        _health.PERSISTENT.add(len(persistent))
-
-        # Re-diagnose the (possibly healed) matrix against the *frozen*
-        # initial robust scale: the quarantine must not be able to shift
-        # the reference distribution under its own feet.
-        final = diagnose(scale=report.scale, confirmed=frozenset(confirmed))
-        final.persistent = persistent
-        final.quarantined = report.quarantined
-        final.remeasured = remeasured
-        extras: Dict[str, object] = {
-            "pre": pre_summary,
-            "post": final.to_dict(policy.max_listed),
-            "quarantined": report.quarantined,
-            "remeasured": remeasured,
-            "confirmed": len(confirmed),
-            "persistent": len(persistent),
-            "rounds": policy.remeasure_rounds,
-        }
-        return matrix, single, final, extras
-
-    def _remeasure_loss(self, spec: EvalSpec, round_: int) -> float:
-        """One quarantine re-evaluation of ``spec`` — a suffix replay.
+    def _remeasure_loss(self, spec: EvalSpec) -> float:
+        """One plain re-evaluation of ``spec`` — a suffix replay.
 
         Replays from the clean prefix cache at the earliest perturbed
-        segment, so a plain replay reproduces the sweep's loss bitwise.
-        Scheduled ``outlier_loss`` faults re-corrupt the result while
-        their ``times`` budget lasts (``round_`` >= 1 here), which is what
-        makes persistent disagreers deterministic in chaos tests.
+        segment, so it reproduces the sweep's loss bitwise.
         """
         bits = self.plan.bits
         table = self.engine.table
@@ -1362,9 +1263,4 @@ class SweepSession:
             loss = _check_finite(self._replay(start, self._clean_acts(start)))
         _FORWARD_EVALS.add()
         _SEGMENT_FORWARDS.add((len(self.segments) - start) * len(self.batches))
-        fault_plan = self.fault_plan
-        if fault_plan is not None:
-            delta = fault_plan.outlier_delta(spec.index, round_)
-            if delta is not None:
-                loss += delta * (1.0 + abs(loss))
         return loss

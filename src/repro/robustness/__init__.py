@@ -11,8 +11,9 @@ survive partial failure instead of discarding hours of measurement:
 - the deterministic fault-injection harness (:mod:`repro.robustness.faults`)
   driving chaos tests and ``make chaos-smoke``;
 - measurement integrity for Ĝ (:mod:`repro.robustness.health`): the
-  :class:`GMatrixHealth` detection report, the quarantine policy, and the
-  remeasure → symmetric-average → shrink → block-diagonal repair ladder.
+  :class:`DeterminismAudit` report — a fixed sample of plan specs
+  replayed after assembly must repeat the sweep's losses bit for bit;
+  a disagreement is reported, never repaired.
 
 The recovery machinery itself lives where the work happens — the worker
 supervisor in :mod:`repro.core.sensitivity`, the degradation ladder in
@@ -30,14 +31,10 @@ from .faults import (
     resolve_fault_plan,
 )
 from .health import (
-    REPAIR_RUNGS,
-    GMatrixHealth,
-    HealthPolicy,
+    DeterminismAudit,
     UnhealthyMatrixError,
     canonical_entry,
     cancellation_flags,
-    diagnose_matrix,
-    repair_ladder,
 )
 
 __all__ = [
@@ -46,14 +43,10 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "resolve_fault_plan",
-    "REPAIR_RUNGS",
-    "GMatrixHealth",
-    "HealthPolicy",
+    "DeterminismAudit",
     "UnhealthyMatrixError",
     "canonical_entry",
     "cancellation_flags",
-    "diagnose_matrix",
-    "repair_ladder",
     "SweepFailure",
     "DeadlineExpired",
     "InjectedWorkerCrash",

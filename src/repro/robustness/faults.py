@@ -24,7 +24,6 @@ JSON schema::
        {"kind": "nonfinite_loss",    "at": 5, "times": 1},
        {"kind": "corrupt_checkpoint","at": 0, "times": 1},
        {"kind": "outlier_loss",      "at": 7, "times": 1},
-       {"kind": "asymmetric_pair",   "at": 9, "times": 1},
        {"kind": "solver_deadline",   "rung": "bb"},
        {"kind": "truncated_artifact",    "at": 0, "times": 1},
        {"kind": "checksum_flip",         "at": 1, "times": 1},
@@ -33,16 +32,14 @@ JSON schema::
      ]}
 
 ``at`` is the plan-group index for process faults (``worker_crash``,
-``nonfinite_loss``), the plan *spec* index for measurement faults
-(``outlier_loss``, ``asymmetric_pair``), the flush ordinal for
-checkpoint faults, and the store publish ordinal for artifact-store
-faults (``truncated_artifact``, ``checksum_flip``, ``stale_writer_lock``,
-``fingerprint_mismatch``); ``times`` is how many *attempts* fail before
-the fault stops firing (so bounded retries — and, for measurement faults,
-bounded quarantine re-measure rounds — deterministically recover);
-``rung`` names the ladder rung whose deadline is forced to expire.
-``asymmetric_pair`` strikes the sweep's one assembly of Ĝ, so its
-``times`` must be 1.
+``nonfinite_loss``), the plan *spec* index for the measurement fault
+``outlier_loss``, the flush ordinal for checkpoint faults, and the store
+publish ordinal for artifact-store faults (``truncated_artifact``,
+``checksum_flip``, ``stale_writer_lock``, ``fingerprint_mismatch``);
+``times`` is how many *attempts* fail before the fault stops firing (so
+bounded retries deterministically recover); ``rung`` names the ladder
+rung whose deadline is forced to expire.  ``outlier_loss`` strikes the
+sweep's one loss table, so its ``times`` must be 1.
 
 Faults fire through the same code paths real failures take: an injected
 crash is an ``os._exit`` inside a fork worker (the supervisor sees a dead
@@ -77,7 +74,6 @@ FAULT_KINDS = (
     "corrupt_checkpoint",
     "solver_deadline",
     "outlier_loss",
-    "asymmetric_pair",
     "truncated_artifact",
     "checksum_flip",
     "stale_writer_lock",
@@ -131,11 +127,11 @@ class FaultSpec:
             )
         if self.times < 1:
             raise ValueError(f"fault times must be >= 1, got {self.times}")
-        if self.kind == "asymmetric_pair" and self.times != 1:
-            # Only the sweep's assembly applies it; the health pass
-            # rebuilds Ĝ from the loss table without faults.
+        if self.kind == "outlier_loss" and self.times != 1:
+            # Only the sweep's assembly applies it; the determinism audit
+            # replays without faults.
             raise ValueError(
-                f"asymmetric_pair strikes the sweep's one assembly: "
+                f"outlier_loss strikes the sweep's one loss table: "
                 f"times must be 1, got {self.times}"
             )
 
@@ -151,8 +147,12 @@ class FaultPlan:
     """A deterministic, replayable schedule of injected failures.
 
     ``seed`` drives the (seeded, content-independent) choices a fault
-    needs beyond its position — currently the truncation point of a
-    corrupted checkpoint — so a plan's effect on disk is also replayable.
+    needs beyond its position — the truncation point of a corrupted
+    checkpoint or store entry, the byte a checksum flip hits, the delta
+    of an outlier loss — so a plan's effect is replayable too.  Every
+    kind models a real failure: a dead or hung worker, a diverged loss,
+    a damaged file, an expired deadline, and (``outlier_loss``) a loss
+    that its replay does not repeat.
     """
 
     seed: int = 0
@@ -186,43 +186,21 @@ class FaultPlan:
         return 0.1 + 0.8 * (state / float(2**31))
 
     # -- measurement faults ----------------------------------------------------
-    def outlier_delta(self, index: int, round_: int) -> Optional[float]:
+    def outlier_delta(self, index: int) -> Optional[float]:
         """Relative corruption for the measured loss at plan spec ``index``.
 
-        ``None`` when no outlier is scheduled for this ``(index, round)``;
-        otherwise a seeded multiplier in ``±[4, 32)`` applied as
-        ``loss += delta * (1 + |loss|)`` — flagrantly inconsistent with the
-        rest of the matrix, but finite.  ``round_`` counts measurements of
-        the same spec (0 = the sweep itself, 1.. = quarantine re-measure
-        rounds), so ``times=N`` corrupts the first N measurements and a
-        re-measure budget of N rounds deterministically recovers.
-        """
-        if not self._fires("outlier_loss", index, round_):
-            return None
-        # Salted by round: a fault that poisons several measurements must
-        # poison them *differently*, or the quarantine would see the same
-        # corrupted value twice and wrongly confirm it as stable.
-        return self._seeded_delta(2 * index + 1 + 1000003 * round_)
-
-    def asymmetry_delta(self, index: int) -> Optional[float]:
-        """Relative corruption for *one direction* of an assembled Ω entry.
-
-        Fires when the sweep assembles Ĝ, against the pair spec at plan
-        index ``index``: ``G[r, c]`` is perturbed while ``G[c, r]`` keeps
-        the measured value, breaking the symmetry the assembler
-        guarantees.  The health pass rebuilds the matrix from the loss
-        table, which the fault never touches, so there is one assembly
-        to strike and ``times`` is always 1.
-        """
-        if not self._fires("asymmetric_pair", index, 0):
-            return None
-        return self._seeded_delta(3 * index + 2)
-
-    def _seeded_delta(self, salt: int) -> float:
-        """Seeded signed magnitude in ``±[4, 32)`` (same LCG family as
+        ``None`` when no outlier is scheduled for ``index``; otherwise a
+        seeded multiplier in ``±[4, 32)`` (same LCG family as
         :meth:`checkpoint_truncation`: deterministic, import-cheap,
-        independent of global RNG state)."""
-        state = (1103515245 * (self.seed * 2654435761 + salt + 1) + 12345) % (2**31)
+        independent of global RNG state), applied as ``loss += delta *
+        (1 + |loss|)`` when the sweep assembles Ĝ — finite, and a loss no
+        replay repeats, which is what the determinism audit detects.
+        """
+        if not self._fires("outlier_loss", index, 0):
+            return None
+        state = (
+            1103515245 * (self.seed * 2654435761 + 2 * index + 2) + 12345
+        ) % (2**31)
         magnitude = 4.0 + 28.0 * (state / float(2**31))
         sign = 1.0 if state & 1 else -1.0
         return sign * magnitude

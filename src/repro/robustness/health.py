@@ -1,75 +1,43 @@
-"""Measurement integrity for the sensitivity matrix Ĝ.
+"""Measurement integrity for the sensitivity matrix Ĝ: the determinism audit.
 
-PR 4 made the sweep *process* fault-tolerant; this module defends the
-*measurements*.  Every Ω entry is a four-point finite difference of
-losses of magnitude ~O(1) that mostly cancel, so a single corrupted loss
-(flaky accelerator, cosmic-ray bit flip, numerically-degenerate batch)
-silently flows through ``psd_project`` into a confidently wrong bit
-assignment.  Three layers of defence (docs/robustness.md):
+Every Ω entry is a four-point difference of forward losses on a fixed
+sensitivity set (Eq. 12–13), and every replay the sweep runs — stacked or
+plain, in-process or on a fork worker — repeats its loss bit for bit.  So
+the one integrity check a real run can fail is that a loss does *not*
+repeat: a nondeterministic kernel, a stacked replay that stopped matching
+its plain replay, or a value corrupted between measurement and assembly.
 
-1. **Detection** — :func:`diagnose_matrix` scans an assembled Ĝ for
-   non-finite entries, symmetry residuals ``|Ω_ij − Ω_ji|``, magnitude
-   outliers against a robust (median/MAD) scale, violations of the
-   Cauchy–Schwarz dominance bound ``|G_ij| ≤ √(G_ii·G_jj)`` a PSD matrix
-   would satisfy, and (via :func:`cancellation_flags`) entries whose four
-   losses agree to near machine epsilon so the difference is pure noise.
-2. **Quarantine-and-remeasure** — the sweep engine re-evaluates flagged
-   entries for bounded rounds (suffix replays off the prefix cache, not
-   full sweeps) and accepts a value only when the repeat agrees within
-   :meth:`HealthPolicy.agrees` tolerance; persistent disagreers record
-   their per-entry sample variance.
-3. **Repair ladder** — :func:`repair_ladder` mirrors the solver ladder:
-   remeasure → symmetric-average → shrink suspect off-diagonal blocks
-   toward the CLADO* diagonal → drop to block-diagonal (BRECQ-style),
-   descending until the re-diagnosis is clean.  The winning rung lands in
-   ``AllocationResult.extras`` and the run manifest; under the CLI's
-   ``--health strict`` a matrix that stays unhealthy raises
-   :class:`UnhealthyMatrixError` (exit code 5).
+The audit (``SweepSession.audit``) re-measures a fixed sample of plan
+specs (:meth:`repro.core.sweep.EvalPlan.audit_specs`) by plain replay
+after Ĝ is assembled and requires each to equal its loss-table value bit
+for bit.  It never rewrites a loss or the matrix: no repair fixes a
+nondeterministic engine.  A disagreement warns under ``health="warn"``
+and raises :class:`UnhealthyMatrixError` under ``"strict"`` (CLI exit
+code 5).  :func:`cancellation_flags` marks entries whose four losses
+cancel to float resolution; they are reported, never acted on.
 
-Telemetry: ``health.quarantined`` / ``health.remeasured`` /
-``health.confirmed`` / ``health.persistent`` counters and the
-``health.rung`` gauge (index into :data:`REPAIR_RUNGS`).
+Telemetry: ``health.remeasured`` counts the audit's replays and
+``health.quarantined`` the specs that disagreed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 from .. import telemetry
 
 __all__ = [
-    "REPAIR_RUNGS",
-    "HealthPolicy",
-    "GMatrixHealth",
+    "DeterminismAudit",
     "UnhealthyMatrixError",
     "canonical_entry",
     "cancellation_flags",
-    "diagnose_matrix",
-    "repair_ladder",
 ]
 
-#: Ladder rungs in descent order; the ``health.rung`` gauge holds the
-#: index of the winning rung ("none" = nothing was even quarantined).
-REPAIR_RUNGS = (
-    "none",
-    "remeasure",
-    "symmetric_average",
-    "shrink",
-    "block_diagonal",
-)
-
-#: Entries flagged by detection (before re-measurement clears them).
+#: Audited specs whose replay disagreed with the sweep's loss.
 QUARANTINED = telemetry.counter("health.quarantined")
-#: Suffix-replay re-evaluations performed by the quarantine.
+#: Plain replays the audit ran.
 REMEASURED = telemetry.counter("health.remeasured")
-#: Quarantined entries whose re-measurement stabilized within tolerance.
-CONFIRMED = telemetry.counter("health.confirmed")
-#: Entries still disagreeing after every re-measure round.
-PERSISTENT = telemetry.counter("health.persistent")
-_RUNG = telemetry.gauge("health.rung")
 
 Entry = Tuple[int, int]
 
@@ -80,12 +48,11 @@ def canonical_entry(r: int, c: int) -> Entry:
 
 
 class UnhealthyMatrixError(RuntimeError):
-    """Ĝ still fails integrity checks after the repair ladder.
+    """Ĝ failed its determinism audit under the strict health gate.
 
-    Raised only under the strict health gate (``--health strict`` / a
-    ``SensitivityConfig(health="strict")``); the CLI maps it to exit
-    code 5.  ``record`` carries the repair-ladder record so callers can
-    see which entries stayed flagged and which rungs ran.
+    Raised only for ``--health strict`` / ``SensitivityConfig(health=
+    "strict")``; the CLI maps it to exit code 5.  ``record`` carries the
+    health record, which lists every audited spec that disagreed.
     """
 
     def __init__(self, message: str, record: Optional[dict] = None) -> None:
@@ -94,142 +61,54 @@ class UnhealthyMatrixError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class HealthPolicy:
-    """Thresholds and budgets for Ĝ integrity checking and repair.
+class DeterminismAudit:
+    """What the determinism audit of one sweep found.
 
-    The detection thresholds are robust z-scores against a median/MAD
-    scale, so they are unitless and survive the orders-of-magnitude
-    spread between Ω distributions of different models.  False positives
-    are cheap by construction: re-measurement on the same sensitivity set
-    is deterministic, so a genuine value repeats bitwise and is confirmed
-    without changing the matrix.
-
-    ``remeasure_rounds`` must exceed a corruption's multiplicity by one
-    for the quarantine alone to repair it (one round to replace the bad
-    value, one to confirm the replacement); anything beyond that budget
-    falls to the structural ladder rungs.
+    ``audited`` holds the plan indices it re-measured; ``disagreements``
+    one ``(plan index, sweep loss, replay loss)`` per audited spec whose
+    replay did not repeat the sweep's loss, so at most ``len(audited)``
+    entries; ``cancellation`` the report-only :func:`cancellation_flags`.
     """
 
-    remeasure_rounds: int = 2
-    repair: bool = True
-    outlier_tol: float = 12.0  # robust z threshold for magnitude outliers
-    symmetry_tol: float = 8.0  # |Ω_ij − Ω_ji| threshold, in robust-σ units
-    dominance_slack: float = 4.0  # slack on the Cauchy–Schwarz bound
-    cancellation_eps: float = 1e-12  # relative four-point cancellation floor
-    agree_rtol: float = 1e-9  # re-measurement agreement (relative)
-    agree_atol: float = 1e-12  # re-measurement agreement (absolute)
-    shrink_factor: float = 0.25  # off-diagonal block attenuation per shrink
-    max_listed: int = 32  # entries listed per category in reports
-
-    def __post_init__(self) -> None:
-        if self.remeasure_rounds < 0:
-            raise ValueError(
-                f"remeasure_rounds must be >= 0, got {self.remeasure_rounds}"
-            )
-        if not 0.0 <= self.shrink_factor < 1.0:
-            raise ValueError(
-                f"shrink_factor must be in [0, 1), got {self.shrink_factor}"
-            )
-
-    def agrees(self, a: float, b: float) -> bool:
-        """Do two measurements of the same entry agree within tolerance?"""
-        if not (np.isfinite(a) and np.isfinite(b)):
-            return False
-        return abs(a - b) <= self.agree_atol + self.agree_rtol * max(abs(a), abs(b))
-
-
-@dataclass
-class GMatrixHealth:
-    """Integrity report for one assembled sensitivity matrix.
-
-    Detection fields (``nonfinite`` ... ``cancellation``) come from
-    :func:`diagnose_matrix`; the quarantine bookkeeping fields
-    (``confirmed``, ``persistent``, ``quarantined``, ``remeasured``) are
-    filled in by the sweep engine's re-measure pass.  All entry keys are
-    canonical ``(r, c)`` with ``r <= c``; diagonal suspects appear as
-    ``(v, v)``.
-    """
-
-    num_vars: int
-    num_measured: int
-    nonfinite: Tuple[Entry, ...]
-    asymmetric: Tuple[Entry, ...]
-    outliers: Tuple[Entry, ...]
-    dominance: Tuple[Entry, ...]
-    cancellation: Tuple[Entry, ...]
-    #: (off-diag median, off-diag robust σ, diag median, diag robust σ) —
-    #: frozen at first diagnosis and reused by ladder re-diagnoses so a
-    #: rung that zeroes entries cannot shift the scale under its own feet.
-    scale: Tuple[float, float, float, float]
-    psd_neg_mass: float
-    psd_total_mass: float
-    condition_number: float
-    measured: Tuple[Entry, ...] = ()
-    confirmed: FrozenSet[Entry] = frozenset()
-    persistent: Dict[Entry, float] = field(default_factory=dict)
-    quarantined: int = 0
-    remeasured: int = 0
-
-    @property
-    def flagged(self) -> FrozenSet[Entry]:
-        """Entries still under suspicion: detection hits minus confirmed
-        false positives, plus persistent re-measure disagreers."""
-        suspect = (
-            set(self.nonfinite)
-            | set(self.asymmetric)
-            | set(self.outliers)
-            | set(self.dominance)
-        )
-        suspect -= set(self.confirmed)
-        suspect |= set(self.persistent)
-        return frozenset(suspect)
+    audited: Tuple[int, ...]
+    disagreements: Tuple[Tuple[int, float, float], ...] = ()
+    cancellation: Tuple[Entry, ...] = ()
 
     @property
     def healthy(self) -> bool:
-        return not self.flagged
+        return not self.disagreements
 
-    def to_dict(self, max_listed: int = 32) -> dict:
-        """JSON-safe summary (counts + capped entry lists) for manifests."""
+    @property
+    def remeasured(self) -> int:
+        """Plain replays the audit ran."""
+        return len(self.audited)
 
-        def listed(entries: Iterable[Entry]) -> List[List[int]]:
-            return [[int(r), int(c)] for r, c in sorted(entries)[:max_listed]]
-
+    def to_dict(self) -> dict:
+        """JSON-safe form, for manifests and store entries alike."""
         return {
-            "healthy": bool(self.healthy),
-            "num_vars": int(self.num_vars),
-            "num_measured": int(self.num_measured),
-            "flagged": len(self.flagged),
-            "nonfinite": len(self.nonfinite),
-            "asymmetric": len(self.asymmetric),
-            "outliers": len(self.outliers),
-            "dominance": len(self.dominance),
-            "cancellation": len(self.cancellation),
-            "confirmed": len(self.confirmed),
-            "persistent": len(self.persistent),
-            "quarantined": int(self.quarantined),
-            "remeasured": int(self.remeasured),
-            "flagged_entries": listed(self.flagged),
-            "persistent_variance": {
-                f"{r},{c}": float(v)
-                for (r, c), v in sorted(self.persistent.items())[:max_listed]
-            },
-            "robust_scale": [float(v) for v in self.scale],
-            "psd_violation": [float(self.psd_neg_mass), float(self.psd_total_mass)],
-            "condition_number": float(self.condition_number),
+            "healthy": self.healthy,
+            "audited": len(self.audited),
+            "disagreed": len(self.disagreements),
+            "cancelled": len(self.cancellation),
+            "audited_specs": [int(i) for i in self.audited],
+            "disagreements": [
+                [int(i), float(sweep), float(replay)]
+                for i, sweep, replay in self.disagreements
+            ],
+            "cancellation": [[int(r), int(c)] for r, c in self.cancellation],
         }
 
-
-def _robust_scale(values: np.ndarray) -> Tuple[float, float]:
-    """(median, MAD-based σ) with a floor so degenerate sets — all-equal
-    entries, tiny matrices — don't flag every deviation."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return 0.0, 0.0
-    med = float(np.median(values))
-    sigma = 1.4826 * float(np.median(np.abs(values - med)))
-    absmax = float(np.max(np.abs(values), initial=0.0))
-    floor = np.finfo(np.float64).eps * max(1.0, absmax)
-    return med, max(sigma, floor)
+    @classmethod
+    def from_dict(cls, doc: dict) -> "DeterminismAudit":
+        """The report :meth:`to_dict` was made from."""
+        return cls(
+            audited=tuple(int(i) for i in doc["audited_specs"]),
+            disagreements=tuple(
+                (int(i), float(sweep), float(replay))
+                for i, sweep, replay in doc["disagreements"]
+            ),
+            cancellation=tuple((int(r), int(c)) for r, c in doc["cancellation"]),
+        )
 
 
 def cancellation_flags(
@@ -252,248 +131,3 @@ def cancellation_flags(
         if scale > 0.0 and abs(positive - negative) <= eps * scale:
             flagged.append(canonical_entry(*key))
     return tuple(sorted(set(flagged)))
-
-
-def diagnose_matrix(
-    matrix: np.ndarray,
-    measured: Optional[Iterable[Entry]] = None,
-    policy: Optional[HealthPolicy] = None,
-    *,
-    cancellation: Tuple[Entry, ...] = (),
-    scale: Optional[Tuple[float, float, float, float]] = None,
-    confirmed: FrozenSet[Entry] = frozenset(),
-) -> GMatrixHealth:
-    """Run every detection scan over an assembled sensitivity matrix.
-
-    ``measured`` lists the off-diagonal entries a measurement actually
-    defined (structurally-zero same-layer cross terms carry no signal and
-    are skipped); ``None`` scans every off-diagonal pair.  ``scale``
-    reuses a previous diagnosis's robust scale — the ladder passes the
-    original so its own repairs cannot shift the reference distribution.
-    ``confirmed`` entries were re-measured and stabilized; they are
-    reported but never re-flagged.
-    """
-    policy = policy or HealthPolicy()
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected square matrix, got {m.shape}")
-    nvars = m.shape[0]
-    if measured is None:
-        keys = tuple(
-            (r, c) for r in range(nvars) for c in range(r + 1, nvars)
-        )
-    else:
-        keys = tuple(sorted({canonical_entry(int(r), int(c)) for r, c in measured}))
-
-    bad = np.argwhere(~np.isfinite(m))
-    nonfinite = tuple(sorted({canonical_entry(int(r), int(c)) for r, c in bad}))
-
-    diag = np.diag(m)
-    finite_diag = diag[np.isfinite(diag)]
-    if keys:
-        rows = np.fromiter((r for r, _ in keys), dtype=np.intp, count=len(keys))
-        cols = np.fromiter((c for _, c in keys), dtype=np.intp, count=len(keys))
-        upper = m[rows, cols]
-        lower = m[cols, rows]
-    else:
-        upper = lower = np.zeros(0)
-    finite_pair = np.isfinite(upper) & np.isfinite(lower)
-
-    if scale is None:
-        off_values = np.concatenate([upper[finite_pair], lower[finite_pair]])
-        off_med, off_sigma = _robust_scale(off_values)
-        diag_med, diag_sigma = _robust_scale(finite_diag)
-        scale = (off_med, off_sigma, diag_med, diag_sigma)
-    off_med, off_sigma, diag_med, diag_sigma = (float(v) for v in scale)
-
-    asymmetric: List[Entry] = []
-    outliers: List[Entry] = []
-    dominance: List[Entry] = []
-    if keys:
-        resid = np.abs(upper - lower)
-        deviation = np.maximum(np.abs(upper - off_med), np.abs(lower - off_med))
-        magnitude = np.maximum(np.abs(upper), np.abs(lower))
-        bound = policy.dominance_slack * np.sqrt(
-            np.clip(diag[rows], 0.0, None) * np.clip(diag[cols], 0.0, None)
-        ) + policy.outlier_tol * off_sigma
-        sym_thr = policy.symmetry_tol * off_sigma
-        out_thr = policy.outlier_tol * off_sigma
-        for k, key in enumerate(keys):
-            if not finite_pair[k]:
-                continue  # already in the non-finite list
-            if resid[k] > sym_thr:
-                asymmetric.append(key)
-            if deviation[k] > out_thr:
-                outliers.append(key)
-            if magnitude[k] > bound[k]:
-                dominance.append(key)
-    for v in range(nvars):
-        if np.isfinite(diag[v]) and abs(diag[v] - diag_med) > (
-            policy.outlier_tol * diag_sigma
-        ):
-            outliers.append((v, v))
-
-    if nonfinite or nvars == 0:
-        psd_neg = psd_total = cond = float("nan")
-    else:
-        # Conditioning math is confined to the audited module (lint rule
-        # 5); imported lazily because repro.core imports this package.
-        from ..core.psd import condition_number, psd_violation
-
-        psd_neg, psd_total = psd_violation(m)
-        cond = condition_number(m)
-
-    return GMatrixHealth(
-        num_vars=nvars,
-        num_measured=len(keys),
-        nonfinite=nonfinite,
-        asymmetric=tuple(asymmetric),
-        outliers=tuple(sorted(set(outliers))),
-        dominance=tuple(dominance),
-        cancellation=tuple(cancellation),
-        scale=(off_med, off_sigma, diag_med, diag_sigma),
-        psd_neg_mass=float(psd_neg),
-        psd_total_mass=float(psd_total),
-        condition_number=float(cond),
-        measured=keys,
-        confirmed=frozenset(confirmed),
-    )
-
-
-def _apply_symmetric_average(m: np.ndarray) -> None:
-    """Rung 2: replace each entry pair with its mean; where only one
-    direction is finite keep it, where neither is, zero the entry."""
-    finite = np.isfinite(m)
-    both = finite & finite.T
-    with np.errstate(invalid="ignore", over="ignore"):
-        avg = 0.5 * (m + m.T)
-    np.copyto(m, np.where(both, avg, np.where(finite, m, np.where(finite.T, m.T, 0.0))))
-
-
-def _apply_shrink(
-    m: np.ndarray, flagged: Iterable[Entry], num_choices: int, factor: float
-) -> None:
-    """Rung 3: attenuate every cross-layer block containing a suspect
-    entry toward the CLADO* diagonal (off-diagonal mass scaled by
-    ``factor``; the trusted diagonal is untouched)."""
-    nb = max(1, int(num_choices))
-    layer_pairs = set()
-    for r, c in flagged:
-        if r == c:
-            continue
-        lr, lc = r // nb, c // nb
-        if lr != lc:
-            layer_pairs.add((min(lr, lc), max(lr, lc)))
-    for lr, lc in layer_pairs:
-        rows = slice(lr * nb, (lr + 1) * nb)
-        cols = slice(lc * nb, (lc + 1) * nb)
-        m[rows, cols] *= factor
-        m[cols, rows] *= factor
-
-
-def _apply_block_diagonal(
-    m: np.ndarray,
-    flagged: Iterable[Entry],
-    blocks: Optional[Sequence[str]],
-    num_choices: int,
-    diag_median: float,
-) -> None:
-    """Rung 4 (floor): zero cross-block interactions (BRECQ-style), zero
-    any still-suspect off-diagonal entry, and impute still-suspect
-    diagonal entries with the median diagonal sensitivity."""
-    nb = max(1, int(num_choices))
-    num_layers = m.shape[0] // nb if nb else 0
-    if blocks is None:
-        blocks = [str(i) for i in range(num_layers)]
-    for lr in range(num_layers):
-        for lc in range(num_layers):
-            if lr != lc and blocks[lr] != blocks[lc]:
-                m[lr * nb : (lr + 1) * nb, lc * nb : (lc + 1) * nb] = 0.0
-    for r, c in flagged:
-        if r == c:
-            m[r, r] = diag_median
-        else:
-            m[r, c] = 0.0
-            m[c, r] = 0.0
-
-
-def repair_ladder(
-    matrix: np.ndarray,
-    health: GMatrixHealth,
-    policy: Optional[HealthPolicy] = None,
-    *,
-    blocks: Optional[Sequence[str]] = None,
-    num_choices: int = 1,
-) -> Tuple[np.ndarray, dict]:
-    """Descend the structural repair rungs until the re-diagnosis is clean.
-
-    ``health`` is the engine's post-remeasure report (rung "remeasure"
-    already ran inside the sweep); this applies symmetric-average →
-    shrink → block-diagonal to a *copy* of ``matrix``, re-diagnosing
-    after each rung against the report's frozen robust scale, and stops
-    at the first rung whose output carries no flags.  Returns the
-    (possibly repaired) matrix and a JSON-safe record of the descent for
-    ``AllocationResult.extras`` / the run manifest.
-    """
-    policy = policy or HealthPolicy()
-    m = np.array(matrix, dtype=np.float64, copy=True)
-    measured = health.measured or None
-    flagged = set(health.flagged)
-    rung = "remeasure" if health.remeasured else "none"
-    ladder: List[dict] = []
-
-    def rediagnose() -> set:
-        report = diagnose_matrix(
-            m,
-            measured,
-            policy,
-            cancellation=health.cancellation,
-            scale=health.scale,
-            confirmed=health.confirmed,
-        )
-        return set(report.flagged)
-
-    if flagged and policy.repair:
-        for name in ("symmetric_average", "shrink", "block_diagonal"):
-            before = len(flagged)
-            if name == "symmetric_average":
-                _apply_symmetric_average(m)
-            elif name == "shrink":
-                _apply_shrink(m, flagged, num_choices, policy.shrink_factor)
-            else:
-                _apply_block_diagonal(
-                    m, flagged, blocks, num_choices, health.scale[2]
-                )
-            flagged = rediagnose()
-            rung = name
-            ladder.append(
-                {
-                    "rung": name,
-                    "flagged_before": before,
-                    "flagged_after": len(flagged),
-                }
-            )
-            if not flagged:
-                break
-
-    healthy = not flagged
-    _RUNG.set(REPAIR_RUNGS.index(rung))
-    record = {
-        "rung": rung,
-        "rung_index": REPAIR_RUNGS.index(rung),
-        "healthy": bool(healthy),
-        "repair": bool(policy.repair),
-        "flagged_final": len(flagged),
-        "ladder": ladder,
-        "quarantined": int(health.quarantined),
-        "remeasured": int(health.remeasured),
-        "confirmed": len(health.confirmed),
-        "persistent": len(health.persistent),
-        "pre_psd_violation": [
-            float(health.psd_neg_mass),
-            float(health.psd_total_mass),
-        ],
-        "pre_condition_number": float(health.condition_number),
-        "pre": health.to_dict(policy.max_listed),
-    }
-    return m, record

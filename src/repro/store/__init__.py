@@ -7,7 +7,8 @@ seconds.  This package makes the sweep a durable, shareable artifact:
 - :mod:`repro.store.keys` — content addressing (model weights ×
   sensitivity set × quantizer config fingerprints);
 - :mod:`repro.store.artifact` — the self-verifying single-file entry
-  (payload + manifest + embedded checksum, full health report included);
+  (payload + manifest + embedded checksum, the determinism audit
+  included);
 - :mod:`repro.store.store` — the crash-safe store itself (atomic
   publishes, single-writer locks with stale takeover, verify-on-read
   with typed corrupt/stale attribution, quarantine);
@@ -23,8 +24,6 @@ from .artifact import (
     ARTIFACT_SCHEMA,
     GhatArtifact,
     StaleArtifactError,
-    health_from_doc,
-    health_to_doc,
 )
 from .keys import (
     StoreKey,
@@ -47,8 +46,6 @@ __all__ = [
     "StoreMissError",
     "allocate_cached",
     "data_fingerprint",
-    "health_from_doc",
-    "health_to_doc",
     "prepare_cached",
     "quantizer_fingerprint",
     "request_key",

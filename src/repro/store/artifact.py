@@ -9,9 +9,9 @@ The file carries:
 - the measurement arrays (``matrix``, ``single_losses``, scalars),
 - ``__manifest__`` — a JSON document with the schema version, the
   three-way fingerprint (:class:`~repro.store.keys.StoreKey`), model
-  name, mode, and the full serialized health report (PR 5's
-  ``GMatrixHealth``), so a cached matrix re-enters the repair ladder
-  exactly as a freshly measured one would,
+  name, mode, and the determinism audit the measurement passed
+  (:meth:`~repro.robustness.DeterminismAudit.to_dict`, ``None`` when
+  health checking was off), which ``to_result`` rebuilds,
 - ``__checksum__`` — a SHA-256 over every other array's key, dtype,
   shape, and bytes (:func:`repro.atomicio.payload_checksum`).
 
@@ -36,19 +36,18 @@ import numpy as np
 
 from ..atomicio import CHECKSUM_KEY, payload_checksum
 from ..quant.export import CorruptArtifactError
-from ..robustness.health import GMatrixHealth
+from ..robustness.health import DeterminismAudit
 from .keys import StoreKey
 
 __all__ = [
     "ARTIFACT_SCHEMA",
     "GhatArtifact",
     "StaleArtifactError",
-    "health_from_doc",
-    "health_to_doc",
 ]
 
 #: Bump when the entry layout changes; older entries read as stale.
-ARTIFACT_SCHEMA = 1
+#: Schema 2: the manifest's ``health`` is a determinism audit.
+ARTIFACT_SCHEMA = 2
 
 #: npz key carrying the embedded JSON manifest.
 _MANIFEST_KEY = "__manifest__"
@@ -70,67 +69,6 @@ class StaleArtifactError(RuntimeError):
         self.mismatches = tuple(mismatches)
 
 
-def health_to_doc(health: Optional[GMatrixHealth]) -> Optional[dict]:
-    """Full JSON round-trip form of a health report (``None`` passes through)."""
-    if health is None:
-        return None
-
-    def entries(items) -> list:
-        return [[int(r), int(c)] for r, c in sorted(items)]
-
-    return {
-        "num_vars": int(health.num_vars),
-        "num_measured": int(health.num_measured),
-        "nonfinite": entries(health.nonfinite),
-        "asymmetric": entries(health.asymmetric),
-        "outliers": entries(health.outliers),
-        "dominance": entries(health.dominance),
-        "cancellation": entries(health.cancellation),
-        "scale": [float(v) for v in health.scale],
-        "psd_neg_mass": float(health.psd_neg_mass),
-        "psd_total_mass": float(health.psd_total_mass),
-        "condition_number": float(health.condition_number),
-        "measured": entries(health.measured),
-        "confirmed": entries(health.confirmed),
-        "persistent": [
-            [int(r), int(c), float(v)]
-            for (r, c), v in sorted(health.persistent.items())
-        ],
-        "quarantined": int(health.quarantined),
-        "remeasured": int(health.remeasured),
-    }
-
-
-def health_from_doc(doc: Optional[dict]) -> Optional[GMatrixHealth]:
-    """Rebuild the :class:`GMatrixHealth` a cached artifact was stored with."""
-    if doc is None:
-        return None
-
-    def entries(name: str) -> Tuple[Tuple[int, int], ...]:
-        return tuple((int(r), int(c)) for r, c in doc.get(name, ()))
-
-    return GMatrixHealth(
-        num_vars=int(doc["num_vars"]),
-        num_measured=int(doc["num_measured"]),
-        nonfinite=entries("nonfinite"),
-        asymmetric=entries("asymmetric"),
-        outliers=entries("outliers"),
-        dominance=entries("dominance"),
-        cancellation=entries("cancellation"),
-        scale=tuple(float(v) for v in doc["scale"]),
-        psd_neg_mass=float(doc["psd_neg_mass"]),
-        psd_total_mass=float(doc["psd_total_mass"]),
-        condition_number=float(doc["condition_number"]),
-        measured=entries("measured"),
-        confirmed=frozenset(entries("confirmed")),
-        persistent={
-            (int(r), int(c)): float(v) for r, c, v in doc.get("persistent", ())
-        },
-        quarantined=int(doc.get("quarantined", 0)),
-        remeasured=int(doc.get("remeasured", 0)),
-    )
-
-
 @dataclass
 class GhatArtifact:
     """One publishable/servable Ĝ measurement plus its provenance."""
@@ -144,7 +82,7 @@ class GhatArtifact:
     bits: Tuple[int, ...]
     fingerprints: StoreKey
     model_name: str = ""
-    health: Optional[dict] = None  # health_to_doc form
+    health: Optional[dict] = None  # DeterminismAudit.to_dict() form
     created_at: float = 0.0
     schema: int = ARTIFACT_SCHEMA
     meta: dict = field(default_factory=dict)
@@ -169,7 +107,7 @@ class GhatArtifact:
             bits=tuple(int(b) for b in result.bits),
             fingerprints=fingerprints,
             model_name=str(model_name),
-            health=health_to_doc(result.health),
+            health=None if result.health is None else result.health.to_dict(),
             created_at=float(created_at),
             meta=dict(meta or {}),
         )
@@ -189,7 +127,10 @@ class GhatArtifact:
             mode=self.mode,
             bits=tuple(self.bits),
             extras={"strategy": "store", "store_key": self.fingerprints.key},
-            health=health_from_doc(self.health),
+            health=(
+                None if self.health is None
+                else DeterminismAudit.from_dict(self.health)
+            ),
         )
 
     def manifest(self) -> dict:

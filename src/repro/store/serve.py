@@ -6,14 +6,16 @@ grid of budgets it descends a fixed ladder:
 
 1. **cache hit** — the store entry for this request's
    :class:`~repro.store.keys.StoreKey` verifies; its sensitivities are
-   installed via ``set_sensitivity`` (re-entering the PR 5 repair
-   ladder) and every budget is solved with ``solve_with_fallback``
-   under the request deadline.  Zero forward evaluations are spent.
+   installed via ``set_sensitivity`` and every budget is solved with
+   ``solve_with_fallback`` under the request deadline.  Zero forward
+   evaluations are spent.
 2. **integrity failure** — the entry exists but is corrupt (damaged
    bytes) or stale (fingerprints from another world).  It is
    quarantined with an attributed reason, and — when measuring is
    permitted — the request falls through to a fresh health-checked
-   sweep whose result is published back.
+   sweep whose result is published back if its determinism audit
+   passed (or health checking is off): the store never serves an
+   unconfirmed Ĝ as truth.
 3. **miss** — no entry: fresh sweep + publish, same as (2).
 4. **offline** — when ``offline=True`` measuring is forbidden, so (2)
    and (3) raise :class:`StoreMissError` instead; the CLI maps it to
@@ -78,10 +80,11 @@ def prepare_cached(
     Runs the cache-hit / quarantine / fresh-sweep ladder for the request
     ``(algo, x, y, sensitivity)``: a verified entry is installed with
     ``set_sensitivity``, anything else (under ``offline=False``) runs
-    ``algo.prepare`` and publishes the result.  ``sensitivity`` defaults
-    to ``algo.sensitivity_config``.  Returns the request's
-    :class:`StoreKey` and the source tag (``store`` / ``sweep`` /
-    ``quarantine_remeasure``).
+    ``algo.prepare`` and publishes the result unless its determinism
+    audit disagreed (a ``warn`` run still serves its own allocations
+    from it).  ``sensitivity`` defaults to ``algo.sensitivity_config``.
+    Returns the request's :class:`StoreKey` and the source tag
+    (``store`` / ``sweep`` / ``quarantine_remeasure``).
     """
     config = sensitivity or algo.sensitivity_config
     key = request_key(algo, x, y, config)
@@ -115,16 +118,17 @@ def prepare_cached(
     # Fresh health-checked sweep; publish the measurement back so the next
     # identical request is a hit.
     algo.prepare(x, y, config)
-    store.publish(
-        key,
-        GhatArtifact.from_result(
-            algo.raw,
+    if algo.raw.health is None or algo.raw.health.healthy:
+        store.publish(
             key,
-            model_name=algo.model_name,
-            created_at=wall_now(),
-            meta={"requantified_from": integrity} if integrity else None,
-        ),
-    )
+            GhatArtifact.from_result(
+                algo.raw,
+                key,
+                model_name=algo.model_name,
+                created_at=wall_now(),
+                meta={"requantified_from": integrity} if integrity else None,
+            ),
+        )
     _SERVED_FRESH.add()
     return key, "quarantine_remeasure" if integrity else "sweep"
 

@@ -76,19 +76,27 @@ class TestSensitivityConfig:
             "max_retries",
             "fault_plan",
             "health",
-            "health_rounds",
-            "health_repair",
             "probes",
             "seed",
         ]
 
     @pytest.mark.parametrize(
-        "name", ["cache_budget", "cache_bytes", "group_deadline", "checkpoint_every"]
+        "name",
+        [
+            "cache_budget",
+            "cache_bytes",
+            "group_deadline",
+            "checkpoint_every",
+            "health_rounds",
+            "health_repair",
+        ],
     )
     def test_removed_fields_rejected(self, name):
         """The prefix cache keeps every cut its plan replays from, the
-        hang deadline derives from the groups already timed and the
-        checkpoint saves once per group: none of these is an option."""
+        hang deadline derives from the groups already timed, the
+        checkpoint saves once per group and the determinism audit has
+        no rounds to budget and nothing to repair: none of these is an
+        option."""
         with pytest.raises(TypeError):
             SensitivityConfig(**{name: 1})
         with pytest.raises(TypeError):

@@ -33,14 +33,12 @@ class TestUsageErrors:
         [
             ["allocate", "--workers", "-3"],
             ["allocate", "--eval-batch-k", "-1"],
-            ["allocate", "--health-rounds", "-1"],
             ["allocate", "--max-retries", "-1"],
-            ["allocate-cached", "--health-rounds", "-1"],
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )
     def test_invalid_sweep_option_exits_2_before_loading(
-        self, argv, tmp_path, monkeypatch, capsys
+        self, argv, monkeypatch, capsys
     ):
         import repro.models
 
@@ -48,12 +46,30 @@ class TestUsageErrors:
             raise AssertionError("model loaded before the options were checked")
 
         monkeypatch.setattr(repro.models, "get_pretrained", loaded)
-        if argv[0] == "allocate-cached":
-            argv = [*argv, "--store", str(tmp_path / "store")]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["allocate", "--health-rounds", "2"],
+            ["allocate", "--no-health-repair"],
+            ["allocate-cached", "--store", "s", "--health-rounds", "2"],
+        ],
+        ids=[
+            "allocate --health-rounds",
+            "allocate --no-health-repair",
+            "allocate-cached --health-rounds",
+        ],
+    )
+    def test_removed_health_flags_are_usage_errors(self, argv, capsys):
+        """The determinism audit has no rounds and no repair to switch."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["allocate", "allocate-cached"])
     @pytest.mark.parametrize("size", ["0", "-4"])

@@ -21,6 +21,7 @@ from repro.models import build_model, quantizable_layers
 from repro.nn import Linear, Module, ReLU, Sequential
 from repro.quant import QuantConfig, QuantizedWeightTable
 from repro.robustness import (
+    FAULT_KINDS,
     DeadlineExpired,
     FaultPlan,
     FaultSpec,
@@ -353,66 +354,55 @@ class TestQATNonFinite:
             )
 
 
-def _pair_spec_index(setup):
-    """A real pair-spec index of the deterministic plan for ``setup``."""
-    from repro.core.sweep import build_eval_plan
-
-    model, layers, table, _x, _y = setup
-    probe = SensitivityEngine(model, table)
-    segments, layer_segments = probe._segment_map()
-    num_layers = len(layers)
-    pair_list = [
-        (i, j) for i in range(num_layers) for j in range(i + 1, num_layers)
-    ]
-    plan = build_eval_plan(
-        num_layers, (4, 8), pair_list, layer_segments, len(segments), "full"
+def _audited_index(setup):
+    """The first plan index the determinism audit of ``setup`` replays."""
+    model, _layers, table, x, y = setup
+    session = sensitivity.SweepSession(
+        SensitivityEngine(model, table), x, y,
+        SensitivityConfig(batch_size=8), mode="full",
     )
-    return next(p.index for g in plan.groups for p in g.pairs)
+    return session.plan.audit_specs()[0]
 
 
 class TestMeasurementFaults:
-    """The PR-5 fault kinds: corrupted *values* (not crashes) that only the
-    health pass can see.  Deep quarantine/repair coverage lives in
+    """The measurement fault kind: a corrupted *value* (not a crash) that
+    only the determinism audit can see.  Deep audit coverage lives in
     test_matrix_health.py; here we pin the fault-plan semantics."""
 
     def test_new_kinds_accepted(self):
         FaultSpec("outlier_loss", at=3)
-        FaultSpec("asymmetric_pair", at=7, times=1)
 
     def test_new_kinds_roundtrip_json(self):
         plan = FaultPlan(
             seed=4,
             faults=(
-                FaultSpec("outlier_loss", at=3, times=2),
-                FaultSpec("asymmetric_pair", at=7),
+                FaultSpec("outlier_loss", at=3),
+                FaultSpec("nonfinite_loss", at=7, times=2),
             ),
         )
         assert FaultPlan.parse(plan.to_json()) == plan
 
-    def test_deltas_are_round_salted(self):
-        """A fault poisoning several measurements must poison them
-        *differently* — identical corruption would agree with itself on
-        re-measure and be wrongly confirmed as stable."""
-        plan = FaultPlan(seed=4, faults=(FaultSpec("outlier_loss", at=3, times=3),))
-        outlier = [plan.outlier_delta(3, r) for r in range(3)]
-        assert len(set(outlier)) == 3
-        assert plan.outlier_delta(3, 3) is None  # budget consumed
-        assert plan.outlier_delta(4, 0) is None  # other specs untouched
-
     @pytest.mark.parametrize("times", [2, 3])
-    def test_asymmetric_pair_rejects_more_than_one_time(self, times):
-        """Only the sweep's one assembly applies an asymmetry (the health
-        pass rebuilds Ĝ without faults), so a second time never fires."""
-        with pytest.raises(ValueError, match="asymmetric_pair"):
-            FaultSpec("asymmetric_pair", at=7, times=times)
-        with pytest.raises(ValueError, match="asymmetric_pair"):
+    def test_outlier_loss_rejects_more_than_one_time(self, times):
+        """Only the sweep's assembly applies an outlier (the audit replays
+        without faults), so a second time never fires."""
+        with pytest.raises(ValueError, match="outlier_loss"):
+            FaultSpec("outlier_loss", at=3, times=times)
+        with pytest.raises(ValueError, match="outlier_loss"):
             FaultPlan.parse(
-                '{"faults": [{"kind": "asymmetric_pair", "at": 7, "times": %d}]}'
+                '{"faults": [{"kind": "outlier_loss", "at": 3, "times": %d}]}'
                 % times
             )
-        plan = FaultPlan(seed=4, faults=(FaultSpec("asymmetric_pair", at=7),))
-        assert plan.asymmetry_delta(7) is not None
-        assert plan.asymmetry_delta(8) is None
+        plan = FaultPlan(seed=4, faults=(FaultSpec("outlier_loss", at=3),))
+        assert plan.outlier_delta(3) is not None
+        assert plan.outlier_delta(4) is None  # other specs untouched
+
+    def test_asymmetric_pair_is_not_a_kind(self):
+        """Ĝ is assembled symmetric from its loss table, so no real
+        failure is left for an asymmetry fault to model."""
+        assert "asymmetric_pair" not in FAULT_KINDS
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSpec("asymmetric_pair")
 
     def test_outlier_corrupts_matrix_without_health_pass(self, fault_mlp):
         clean = _measure(fault_mlp, workers=1, eval_batch_k=1)
@@ -420,35 +410,13 @@ class TestMeasurementFaults:
         injected = _measure(fault_mlp, workers=1, fault_plan=plan, eval_batch_k=1)
         assert not np.array_equal(clean.matrix, injected.matrix)
 
-    def test_outlier_repaired_bitwise_with_health_pass(self, fault_mlp):
-        clean = _measure(fault_mlp, workers=1, eval_batch_k=1)
-        plan = FaultPlan(seed=4, faults=(FaultSpec("outlier_loss", at=3),))
-        injected = _measure(
-            fault_mlp, workers=1, fault_plan=plan, eval_batch_k=1, health="warn"
-        )
-        np.testing.assert_array_equal(clean.matrix, injected.matrix)
-        assert injected.health.healthy
-        assert injected.health.quarantined >= 1
-
-    def test_asymmetric_pair_repaired_bitwise(self, fault_mlp):
-        clean = _measure(fault_mlp, workers=1, eval_batch_k=1)
-        plan = FaultPlan(
-            seed=4,
-            faults=(FaultSpec("asymmetric_pair", at=_pair_spec_index(fault_mlp)),),
-        )
-        injected = _measure(
-            fault_mlp, workers=1, fault_plan=plan, eval_batch_k=1, health="warn"
-        )
-        np.testing.assert_array_equal(clean.matrix, injected.matrix)
-        assert injected.health.healthy
-
     def test_env_activation_with_health(self, fault_mlp, monkeypatch):
         """``REPRO_FAULT_PLAN`` drives measurement faults too."""
-        clean = _measure(fault_mlp, workers=1, eval_batch_k=1)
-        plan = FaultPlan(seed=4, faults=(FaultSpec("outlier_loss", at=3),))
+        index = _audited_index(fault_mlp)
+        plan = FaultPlan(seed=4, faults=(FaultSpec("outlier_loss", at=index),))
         monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
         injected = _measure(fault_mlp, workers=1, eval_batch_k=1, health="warn")
-        np.testing.assert_array_equal(clean.matrix, injected.matrix)
+        assert [d[0] for d in injected.health.disagreements] == [index]
         assert injected.extras["injected_fault_plan"] == plan.describe()
 
 

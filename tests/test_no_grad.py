@@ -9,7 +9,6 @@ import pytest
 
 from helpers import Unsegmented
 from repro.core import SensitivityConfig, SensitivityEngine, sensitivity
-from repro.core.sensitivity import SweepSession
 from repro.hessian import loss_and_grads
 from repro.models import MODEL_REGISTRY, build_model, quantizable_layers
 from repro.nn import (
@@ -213,26 +212,19 @@ class TestSweepLeavesNoState:
         assert np.isfinite(loss)
         assert all(np.isfinite(g).all() and g.any() for g in grads)
 
-    def test_shard_session_and_coordinator_health_pass(self):
-        """A health pass that re-measures an outlier (stacked sweep, plain
-        suffix replays off the clean cache) replays without state too."""
+    def test_audit_replays_leave_no_state(self):
+        """The determinism audit (a stacked sweep, then plain suffix
+        replays off the clean cache) replays without state too."""
         model, layers, table, x, y = _engine_setup("vit_s")
         engine = SensitivityEngine(model, table)
-        probe = SweepSession(
-            engine, x, y, SensitivityConfig(batch_size=4), mode="full"
-        )
-        diag = probe.plan.groups[0].diag.index
-        plan = FaultPlan(seed=3, faults=(FaultSpec("outlier_loss", at=diag),))
         seen = _recording_segments(engine)
         result = engine.measure(
             x, y,
-            SensitivityConfig(
-                batch_size=4, eval_batch_k=4, fault_plan=plan, health="warn"
-            ),
+            SensitivityConfig(batch_size=4, eval_batch_k=4, health="warn"),
             mode="full",
         )
-        extras = result.extras["health"]
-        assert extras["remeasured"] > 0
+        assert result.health.remeasured == 16
+        assert result.health.healthy
         (segments,) = seen
         roots = (model, *segments)
         assert _cached(*roots) == []

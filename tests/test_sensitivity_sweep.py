@@ -561,12 +561,11 @@ class TestSweepCheckpoint:
         assert SweepCheckpoint(path, "fp-b").load() == {}
 
     @pytest.mark.parametrize("health", ["off", "warn"])
-    def test_one_save_per_group_and_after_health(
-        self, mlp_setup, tmp_path, monkeypatch, health
-    ):
+    def test_one_save_per_group(self, mlp_setup, tmp_path, monkeypatch, health):
         """A group is what a resume restores, so each executed group is
-        saved once; a health pass adds one save of the healed losses.  A
-        full resume executes no group and saves nothing."""
+        saved once, and the determinism audit, which writes no loss,
+        saves nothing.  A full resume executes no group and saves
+        nothing."""
         model, layers, table, x, y = mlp_setup
         saves = []
         save = SweepCheckpoint.save
@@ -581,13 +580,13 @@ class TestSweepCheckpoint:
         engine = SensitivityEngine(model, table)
         first = engine.measure(x, y, config)
         groups = first.extras["plan_groups"]
-        extra = 1 if health != "off" else 0
-        assert len(saves) == groups + extra
-        assert saves[groups - 1] == first.extras["plan_evals"]
+        assert len(saves) == groups
+        assert saves[-1] == first.extras["plan_evals"]
+        assert (first.health is None) == (health == "off")
         saves.clear()
         again = engine.measure(x, y, config)
         assert again.extras["resumed_evals"] == again.extras["plan_evals"]
-        assert len(saves) == extra
+        assert saves == []
 
 
 class TestSegmentedForward:

@@ -2,7 +2,7 @@
 
 Covers content addressing (fingerprint determinism + mismatch
 attribution), the self-verifying artifact file (round-trip incl. the
-full health report, layered corrupt/stale attribution on read), the
+determinism audit, layered corrupt/stale attribution on read), the
 store itself (crash-safe publish, single-writer locking with stale-lock
 takeover, quarantine, reaping), the serve ladder
 (hit / miss / integrity-failure / offline), and the warm solver rung.
@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core import CLADO, SensitivityConfig, SolverConfig
+from repro.core import CLADO, SensitivityConfig, SensitivityEngine, SolverConfig
+from repro.core.sensitivity import SweepSession
 from repro.nn import Linear, ReLU, Sequential
 from repro.quant import QuantConfig
 from repro.quant.export import CorruptArtifactError
 from repro.robustness import FaultPlan, FaultSpec
-from repro.robustness.health import GMatrixHealth
+from repro.robustness.health import DeterminismAudit
 from repro.solvers import MPQProblem, solve_with_fallback
 from repro.solvers.fallback import WARM_RUNG, warm_start_solve
 from repro.store import (
@@ -34,8 +35,6 @@ from repro.store import (
     StoreMissError,
     allocate_cached,
     data_fingerprint,
-    health_from_doc,
-    health_to_doc,
     quantizer_fingerprint,
     request_key,
     weights_fingerprint,
@@ -81,23 +80,10 @@ def _data(n=12, seed=3):
 
 
 def _health():
-    return GMatrixHealth(
-        num_vars=6,
-        num_measured=21,
-        nonfinite=((0, 1),),
-        asymmetric=((1, 2),),
-        outliers=(),
-        dominance=((2, 2),),
+    return DeterminismAudit(
+        audited=(0, 3, 5),
+        disagreements=((3, 1.25, 1.5),),
         cancellation=((3, 4),),
-        scale=(0.1, 1.0, 2.0, 10.0),
-        psd_neg_mass=0.01,
-        psd_total_mass=1.5,
-        condition_number=42.0,
-        measured=((0, 0), (0, 1)),
-        confirmed=frozenset({(0, 1)}),
-        persistent={(1, 2): 0.5},
-        quarantined=3,
-        remeasured=2,
     )
 
 
@@ -192,7 +178,7 @@ class TestStoreKey:
 class TestArtifactRoundTrip:
     def test_roundtrip_with_full_health(self, tmp_path):
         health = _health()
-        art = _artifact(health=health_to_doc(health))
+        art = _artifact(health=health.to_dict())
         path = _entry(tmp_path, art)
         back = deserialize(path, expect=KEY)
         assert np.array_equal(back.matrix, art.matrix)
@@ -201,14 +187,11 @@ class TestArtifactRoundTrip:
         assert back.bits == (2, 4, 8)
         assert back.fingerprints == KEY
         assert back.meta == {"origin": "test"}
-        assert health_from_doc(back.health) == health
-
-    def test_health_doc_roundtrip_none(self):
-        assert health_to_doc(None) is None
-        assert health_from_doc(None) is None
+        assert back.health == health.to_dict()
+        assert back.to_result().health == health
 
     def test_to_result_reenters_as_store_measurement(self, tmp_path):
-        art = _artifact(health=health_to_doc(_health()))
+        art = _artifact(health=_health().to_dict())
         result = deserialize(_entry(tmp_path, art), expect=KEY).to_result()
         assert result.extras["strategy"] == "store"
         assert result.extras["store_key"] == KEY.key
@@ -496,6 +479,60 @@ class TestServe:
             make(), x, y, budgets, store, solver, config, offline=True
         )
         assert self._same(fresh, cached)
+
+    def test_schema_one_entry_is_quarantined_and_remeasured(
+        self, tmp_path, setup
+    ):
+        """An entry a schema-1 writer published (its health a robust-z
+        report) is refused as stale, quarantined and measured again."""
+        make, x, y, budgets, config, solver = setup
+        store = ArtifactStore(tmp_path / "store")
+        fresh = allocate_cached(make(), x, y, budgets, store, solver, config)
+        path = store.entry_path(request_key(make(), x, y, config))
+        current = deserialize(path)
+        current.schema = 1
+        current.health = {"flagged": 0, "rung": "none", "persistent": 0}
+        path.write_bytes(current.serialize())
+        with pytest.raises(StaleArtifactError) as exc:
+            deserialize(path)
+        assert exc.value.mismatches == ("schema",)
+        with telemetry.start_run("test", manifest_dir=tmp_path) as run:
+            healed = allocate_cached(
+                make(), x, y, budgets, store, solver, config
+            )
+            doc = run.document()
+        assert self._same(fresh, healed)
+        assert doc["results"]["store_source"] == "quarantine_remeasure"
+        assert len(list(store.quarantine_dir.glob("*.npz"))) == 1
+        assert deserialize(path).schema == ARTIFACT_SCHEMA
+
+    def test_unconfirmed_sweep_is_served_but_not_published(
+        self, tmp_path, setup
+    ):
+        """A ``warn`` sweep whose audit disagreed answers its own request
+        and publishes nothing, so no later request is served from it."""
+        make, x, y, budgets, config, solver = setup
+        store = ArtifactStore(tmp_path / "store")
+        warn = config.with_overrides(health="warn")
+        algo = make()
+        audited = SweepSession(
+            SensitivityEngine(algo.model, algo.table), x, y, warn, mode="full"
+        ).plan.audit_specs()
+        faulty = warn.with_overrides(
+            fault_plan=FaultPlan(
+                seed=3, faults=(FaultSpec("outlier_loss", at=audited[0]),)
+            )
+        )
+        with pytest.warns(RuntimeWarning, match="unhealthy"):
+            results = allocate_cached(algo, x, y, budgets, store, solver, faulty)
+        assert len(results) == len(budgets)
+        assert not algo.raw.health.healthy
+        assert list(store.entries()) == []
+        with telemetry.start_run("test", manifest_dir=tmp_path) as run:
+            allocate_cached(make(), x, y, budgets, store, solver, warn)
+            doc = run.document()
+        assert doc["results"]["store_source"] == "sweep"
+        assert len(list(store.entries())) == 1
 
     def test_integrity_failure_offline_refuses(self, tmp_path, setup):
         make, x, y, budgets, config, solver = setup
