@@ -31,13 +31,11 @@ bench:
 smoke:
 	REPRO_SCALE=smoke PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
-# Tiny perf gate: runtime profile + segmented-sweep and config-batched
-# speedups, appending JSON rows to reports/BENCH_sensitivity_cache.json
-# and reports/BENCH_batched_eval.json per run.
+# Tiny perf gate: runtime profile + segmented-sweep speedup, appending a
+# JSON row to reports/BENCH_sensitivity_cache.json per run.
 bench-smoke:
 	REPRO_SCALE=smoke PYTHONPATH=src pytest benchmarks/bench_runtime.py \
-		benchmarks/bench_sensitivity_cache.py \
-		benchmarks/bench_batched_eval.py --benchmark-only -q
+		benchmarks/bench_sensitivity_cache.py --benchmark-only -q
 
 pretrain:
 	python -m repro pretrain

@@ -2,8 +2,7 @@
 
 The naive Algorithm 1 re-runs the full network for every one of its
 ``O((|B|I)^2)`` loss evaluations; the baseline here is exactly that work:
-a sequential sweep (``eval_batch_k=1``) of the model wrapped so it exposes
-no forward segments.  The segmented sweep checkpoints the clean prefix
+a sweep of the model wrapped so it exposes no forward segments.  The segmented sweep checkpoints the clean prefix
 once per batch and replays only perturbed suffixes (see
 ``docs/algorithm.md`` §3a); this benchmark measures the realized speedup
 on a 10-layer ResNet-20 at smoke size, checks the acceptance bar
@@ -67,9 +66,7 @@ def test_sensitivity_cache_speedup(benchmark, report):
     model, table, x, y = _setup()
 
     def run():
-        naive, t_naive = _timed_measure(
-            _Unsegmented(model), table, x, y, eval_batch_k=1
-        )
+        naive, t_naive = _timed_measure(_Unsegmented(model), table, x, y)
         cached, t_cached = _timed_measure(model, table, x, y)
         # 0 workers = all cores; on a single-core host this degrades to the
         # serial cached path, which must clear the bar on its own.

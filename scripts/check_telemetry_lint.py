@@ -14,9 +14,9 @@ Fourteen rules (see docs/observability.md and docs/robustness.md):
 3. No per-iteration GEMMs in functions marked ``@hot_path``
    (``repro.core.sweep.hot_path``) — inside their ``for``/``while``
    bodies, ``@`` (matmul), ``np.matmul``, ``np.einsum``, ``np.dot`` and
-   ``np.tensordot`` are rejected.  Hot sweep functions must hand whole
-   candidate stacks to the batched kernels in ``repro.nn.functional``
-   instead of looping tiny GEMMs in Python.
+   ``np.tensordot`` are rejected.  Hot sweep loops hand whole batches
+   to the layer forwards, whose kernels in ``repro.nn.functional`` run
+   the GEMMs, instead of looping tiny GEMMs in Python.
 4. No silent error swallows — bare ``except:`` is always rejected, and
    ``except Exception:`` (or ``BaseException``) whose body only
    passes/returns is rejected unless the site is explicitly allowlisted
@@ -64,7 +64,7 @@ Fourteen rules (see docs/observability.md and docs/robustness.md):
    are fine.
 9. No full-batch patch matrices in forward passes — ``im2col(...)`` may
    be called only from ``conv2d_backward``.  A 3x3 patch matrix is 9x
-   its input; built for a whole folded batch it is written to DRAM and
+   its input; built for a whole batch it is written to DRAM and
    read back by the GEMMs, which made it most of a CNN sweep's conv time
    and its peak memory.  Every forward path goes through the blocked
    gather in ``repro.nn.functional._conv_into`` instead; backward, which
@@ -686,7 +686,7 @@ def _violations(path: Path, tree: ast.AST, source_lines):
                 yield (
                     lineno,
                     f"{op} inside a loop in @hot_path {node.name}(); "
-                    "stack candidates and call the batched kernels instead",
+                    "hand whole batches to the layer forwards instead",
                 )
         if not isinstance(node, ast.Call):
             continue

@@ -72,7 +72,6 @@ def _allocate_sensitivity(args):
     return SensitivityConfig(
         num_workers=args.workers,
         checkpoint_path=args.sweep_checkpoint,
-        eval_batch_k=args.eval_batch_k,
         max_retries=args.max_retries,
         health=args.health,
     )
@@ -177,13 +176,6 @@ def _allocate_body(args, run) -> int:
             f"{e['resumed_evals']}/{e['plan_evals']} evals resumed, "
             f"{float(e['segment_work_saved']):.0%} layer-work saved"
         )
-        if e.get("batched_chunks"):
-            emit(
-                f"  config-batched evals: {e['batched_evals']} in "
-                f"{e['batched_chunks']} stacked replays "
-                f"(width mean {float(e['batch_width_mean']):.1f}, "
-                f"max {e['batch_width_max']}, cap {e['eval_batch_k']})"
-            )
     health_record = getattr(algo, "health_record", None)
     if health_record is not None:
         emit(
@@ -541,13 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="sweep checkpoint, saved after every group (its directory is "
         "created if absent); reruns resume from it",
-    )
-    p.add_argument(
-        "--eval-batch-k",
-        type=int,
-        default=0,
-        help="candidate configs stacked per sweep replay "
-        "(0 = memory-aware auto, 1 = sequential)",
     )
     p.add_argument(
         "--health",

@@ -22,18 +22,14 @@ from .qat import QATConfig, qat_finetune
 from .sensitivity import (
     SensitivityEngine,
     SensitivityResult,
-    auto_eval_batch_k,
-    auto_waste_factor,
     block_id_from_name,
 )
 from .sweep import (
-    BatchChunk,
     EvalPlan,
     EvalSpec,
     GroupPlan,
     PrefixCache,
     SweepCheckpoint,
-    build_batch_chunks,
     build_eval_plan,
 )
 
@@ -53,16 +49,12 @@ __all__ = [
     "upq_assignment",
     "SensitivityEngine",
     "SensitivityResult",
-    "auto_eval_batch_k",
-    "auto_waste_factor",
     "block_id_from_name",
-    "BatchChunk",
     "EvalPlan",
     "EvalSpec",
     "GroupPlan",
     "PrefixCache",
     "SweepCheckpoint",
-    "build_batch_chunks",
     "build_eval_plan",
     "psd_project",
     "min_eigenvalue",

@@ -7,7 +7,7 @@ interpreted its own untyped ``**kwargs`` (``HAWQ(probes=, seed=)``,
 algorithms.  This module is the single vocabulary both speak:
 
 - :class:`SensitivityConfig` — every measurement-phase knob
-  (worker fan-out, checkpoint resume, stack width, Hutchinson
+  (worker fan-out, checkpoint resume, retries, Hutchinson
   probes...); the sensitivity engine reads all of its
   execution options from it;
 - :class:`SolverConfig` — every allocation-phase knob (method, time
@@ -66,7 +66,6 @@ class SensitivityConfig:
     # CLADO sweep execution (see SensitivityEngine / SweepSession)
     num_workers: int = 1  # fork workers; 0 = all cores
     checkpoint_path: Optional[str] = None  # resume checkpoint, saved per group
-    eval_batch_k: int = 0  # candidate configs per stacked replay; 0 = auto
     # Fault tolerance (see docs/robustness.md)
     max_retries: int = DEFAULT_MAX_RETRIES
     fault_plan: Optional[FaultPlan] = None  # chaos-test injection schedule
@@ -81,8 +80,6 @@ class SensitivityConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.num_workers < 0:
             raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
-        if self.eval_batch_k < 0:
-            raise ValueError(f"eval_batch_k must be >= 0, got {self.eval_batch_k}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.health not in ("off", "warn", "strict"):

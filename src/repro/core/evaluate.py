@@ -7,13 +7,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..models import evaluate_model
-from ..nn import (
-    fold_candidates,
-    folded_accuracy,
-    folded_cross_entropy,
-)
 from ..quant import QuantizedWeightTable, calibrate_activations
-from .sensitivity import auto_eval_batch_k
 
 __all__ = [
     "evaluate_assignment",
@@ -82,23 +76,12 @@ def evaluate_assignments(
     images: np.ndarray,
     labels: np.ndarray,
     batch_size: int = 256,
-    eval_batch_k: int = 0,
 ) -> List[Tuple[float, float]]:
-    """Score many bit-width assignments in stacked batched forwards.
+    """Score many bit-width assignments, one :func:`evaluate_assignment`
+    each.
 
-    Each chunk of up to ``eval_batch_k`` assignments is evaluated in one
-    pass per mini-batch: every searched layer gets a
-    :class:`~repro.nn.BatchedWeightOverlay` with a row for every candidate
-    (row ``k`` holding ``Q(w, a_k)``), every other ``Linear`` one with no
-    rows (:meth:`QuantizedWeightTable.batched`), and the mini-batch is
-    folded candidate-major, so the pass computes all ``K`` candidates'
-    logits in one forward, each slice by the GEMMs of its plain forward.
-    Per-candidate loss and accuracy reduce over the same slices the
-    sequential :func:`evaluate_assignment` sees, giving results bitwise
-    equal to the one-by-one loop.
-
-    ``eval_batch_k=0`` picks a memory-aware width; ``1`` degenerates to
-    the sequential loop.  Every forward runs in no-grad mode.  Returns
+    Every assignment is checked before the first forward, so a malformed
+    one fails the call without spending any.  Returns
     ``[(loss, accuracy), ...]`` in ``assignments`` order.
     """
     assignments = [list(map(int, a)) for a in assignments]
@@ -109,40 +92,7 @@ def evaluate_assignments(
             )
     if not assignments:
         return []
-    batch_size = _check_eval_set(images, batch_size)
-    if eval_batch_k < 0:
-        raise ValueError(f"eval_batch_k must be >= 0, got {eval_batch_k}")
-    max_k = eval_batch_k or auto_eval_batch_k(images, batch_size)
-    if max_k == 1:
-        return [
-            evaluate_assignment(model, table, a, images, labels, batch_size)
-            for a in assignments
-        ]
-
-    model.eval()
-    n = len(images)
-    results: List[Tuple[float, float]] = []
-    for start in range(0, len(assignments), max_k):
-        chunk = assignments[start : start + max_k]
-        width = len(chunk)
-        rows = {
-            layer_idx: {
-                k: table.quantized(layer_idx, a[layer_idx])
-                for k, a in enumerate(chunk)
-            }
-            for layer_idx in range(table.num_layers)
-        }
-        loss_totals = np.zeros(width)
-        correct_totals = np.zeros(width)
-        with table.batched([model], width, rows), model.no_grad():
-            for s in range(0, n, batch_size):
-                xb = images[s : s + batch_size]
-                yb = labels[s : s + batch_size]
-                logits = model.forward(fold_candidates(xb, width))
-                loss_totals += folded_cross_entropy(logits, yb, width) * len(xb)
-                correct_totals += folded_accuracy(logits, yb, width) * len(xb)
-        results.extend(
-            (float(loss_totals[k] / n), float(correct_totals[k] / n))
-            for k in range(width)
-        )
-    return results
+    return [
+        evaluate_assignment(model, table, a, images, labels, batch_size)
+        for a in assignments
+    ]

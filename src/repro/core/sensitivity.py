@@ -30,14 +30,12 @@ checkpointed once per batch at the model's forward segments
 (``Module.segments``), each anchor perturbation ``(i, b_m)`` replays once
 from its segment (checkpointing the perturbed suffix, which *is* the
 Eq. 12 evaluation), and each pair ``(i, j)`` replays only from layer
-``j``'s segment.  Pair evaluations run as chunks from
-:func:`~repro.core.sweep.build_batch_chunks`: a chunk of width ``K > 1``
-replays once with its candidates stacked on the batch axis, a width-1
-chunk is a plain perturbed replay.  A model whose segments do not cover
-every searched layer runs as the single segment ``[model]``, where every
-replay is a full forward.  Groups can fan out across supervised fork
-workers; the measured matrix is bitwise identical across worker counts
-because losses are keyed by their plan index before assembly.
+``j``'s segment.  Every replay is a plain perturbed forward of whole
+batches.  A model whose segments do not cover every searched layer runs
+as the single segment ``[model]``, where every replay is a full forward.
+Groups can fan out across supervised fork workers; the measured matrix
+is bitwise identical across worker counts because losses are keyed by
+their plan index before assembly.
 
 Every forward the engine runs is a no-grad forward
 (:meth:`repro.nn.Module.no_grad`): no layer keeps a backward cache, and
@@ -69,11 +67,7 @@ except ImportError:  # non-POSIX: sweeps report no page faults
     resource = None
 
 from .. import telemetry
-from ..nn import (
-    CrossEntropyLoss,
-    fold_candidates,
-    folded_cross_entropy,
-)
+from ..nn import CrossEntropyLoss
 from ..nn.module import Activation
 from ..quant import QuantizedWeightTable
 from ..robustness import InjectedWorkerCrash, SweepFailure
@@ -83,13 +77,10 @@ from ..robustness.faults import FaultPlan, resolve_fault_plan
 from ..robustness.health import DeterminismAudit
 from .api import SensitivityConfig
 from .sweep import (
-    BatchChunk,
     EvalPlan,
     EvalSpec,
-    GroupPlan,
     PrefixCache,
     SweepCheckpoint,
-    build_batch_chunks,
     build_eval_plan,
     hot_path,
 )
@@ -101,29 +92,7 @@ __all__ = [
     "block_id_from_name",
     "build_pair_list",
     "assemble_from_losses",
-    "auto_eval_batch_k",
-    "auto_waste_factor",
 ]
-
-#: Soft memory budget for the auto ``eval_batch_k`` choice: the folded
-#: activation batch is ``K`` replicas of one mini-batch, and intermediate
-#: activations can outgrow the input by a wide margin, so the auto default
-#: bounds ``K * batch_size * sample_bytes * ACT_EXPANSION`` by this budget.
-_BATCH_MEMORY_BUDGET = 128 * 1024 * 1024
-_ACT_EXPANSION = 8
-_MAX_AUTO_BATCH_K = 32
-_MAX_AUTO_BATCH_K_TINY = 128
-
-#: Folded mini-batch volume (floats) separating the two batching regimes.
-#: Below it each segment forward is a tiny GEMM whose cost is Python and
-#: BLAS *dispatch*, so chunks may trade redundant flops for width
-#: (:data:`_WASTE_FACTOR_DISPATCH`); above it the flops themselves are the
-#: cost and chunks only coalesce cuts at zero waste
-#: (:data:`_WASTE_FACTOR_COMPUTE` — pair specs sharing a partner layer
-#: still stack for free, because they replay the identical suffix).
-_DISPATCH_BOUND_FLOATS = 4096
-_WASTE_FACTOR_DISPATCH = 2.0
-_WASTE_FACTOR_COMPUTE = 1.0
 
 #: The C library, for its allocator settings (``mallopt`` exists in glibc).
 _LIBC = ctypes.CDLL(None) if os.name == "posix" else None
@@ -136,6 +105,9 @@ _M_MMAP_THRESHOLD = -3
 #: Requests at or above this size are mmapped: the ceiling glibc's own
 #: dynamic mmap threshold climbs to on 64-bit hosts.
 _MMAP_THRESHOLD = 32 * 1024 * 1024
+#: Free heap top kept mapped between replays instead of being returned to
+#: the OS.
+_TRIM_THRESHOLD = 128 * 1024 * 1024
 
 #: A group running on a fork worker longer than the larger of these is
 #: taken for hung: the floor, or this multiple of the slowest group the
@@ -147,19 +119,9 @@ _HANG_FACTOR = 10.0
 #: not count).
 _FORWARD_EVALS = telemetry.counter("sensitivity.forward_evals")
 #: Individual segment forwards the sweep paid (prefix + replays).
-#: A stacked (config-batched) segment forward counts once: it is one
-#: dispatch, however many candidates ride in it.
 _SEGMENT_FORWARDS = telemetry.counter("sensitivity.segment_forwards")
 #: Evaluations restored from a resume checkpoint instead of re-running.
 _RESUMED_EVALS = telemetry.counter("sensitivity.resumed_evals")
-#: Evaluations executed through stacked (width > 1) replays.
-_BATCHED_EVALS = telemetry.counter("sweep.batched_evals")
-#: Stacked replays executed (each carries >= 2 candidate configs).
-_BATCHED_CHUNKS = telemetry.counter("sweep.batched_chunks")
-#: Widest candidate stack seen in one replay.
-_BATCH_WIDTH_MAX = telemetry.gauge("sweep.batch_width_max")
-#: Mean realized candidate-stack width of the last sweep.
-_BATCH_WIDTH_MEAN = telemetry.gauge("sweep.batch_width_mean")
 #: Supervised workers that died mid-group (signal, OOM kill, injected crash).
 _WORKER_CRASHES = telemetry.counter("sweep.worker_crashes")
 #: Groups whose worker reported an in-process error (worker survived).
@@ -208,47 +170,6 @@ class SensitivityResult:
         """The ``(|B|, |B|)`` cross-sensitivity block for layer pair (i, j)."""
         nb = self.num_choices
         return self.matrix[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb].copy()
-
-
-def auto_eval_batch_k(x: np.ndarray, batch_size: int) -> int:
-    """Memory-aware default candidate-stack width.
-
-    Bounds the folded-activation footprint ``K * batch_size * sample_bytes``
-    (inflated by :data:`_ACT_EXPANSION` for intermediate activations) by
-    :data:`_BATCH_MEMORY_BUDGET`.  Dispatch-bound workloads (see
-    :func:`auto_waste_factor`) may stack up to
-    :data:`_MAX_AUTO_BATCH_K_TINY` candidates — their per-segment arrays
-    are so small that width is pure dispatch savings; everything else is
-    clamped to :data:`_MAX_AUTO_BATCH_K`.
-    """
-    sample_bytes = max(1, int(x[0].nbytes)) if len(x) else 1
-    rows = min(batch_size, max(1, len(x)))
-    per_candidate = rows * sample_bytes
-    auto = _BATCH_MEMORY_BUDGET // max(1, per_candidate * _ACT_EXPANSION)
-    sample_floats = max(1, int(x[0].size)) if len(x) else 1
-    cap = (
-        _MAX_AUTO_BATCH_K_TINY
-        if rows * sample_floats <= _DISPATCH_BOUND_FLOATS
-        else _MAX_AUTO_BATCH_K
-    )
-    return int(min(cap, max(1, auto)))
-
-
-def auto_waste_factor(x: np.ndarray, batch_size: int) -> float:
-    """Chunk-coalescing waste bound matched to the workload regime.
-
-    Tiny folded batches (``rows * floats-per-sample`` at or below
-    :data:`_DISPATCH_BOUND_FLOATS`) are dispatch-bound — redundant flops
-    are nearly free next to per-call overhead, so cuts coalesce
-    aggressively.  Larger batches are compute-bound and only zero-waste
-    merges (same-cut specs, e.g. the ``|B|`` bit choices of one partner
-    layer) pay off.
-    """
-    sample_floats = max(1, int(x[0].size)) if len(x) else 1
-    rows = min(batch_size, max(1, len(x)))
-    if rows * sample_floats <= _DISPATCH_BOUND_FLOATS:
-        return _WASTE_FACTOR_DISPATCH
-    return _WASTE_FACTOR_COMPUTE
 
 
 def block_id_from_name(name: str) -> str:
@@ -365,17 +286,16 @@ def _retain_freed_heap() -> bool:
     at 128 KiB and climbs with the mappings freed) and returns a free heap
     top larger than twice that threshold to the OS, so each replay faulted
     the same activation pages in again.  Two ``mallopt`` calls stop that:
-    requests below 32 MiB come from the heap, and up to
-    ``_BATCH_MEMORY_BUDGET`` of free heap top stays mapped.  Setting
-    either one alone switches glibc's adjustment off and leaves the other
-    at its 128 KiB default.  Fork workers inherit the setting.  Returns
-    whether it was applied; a C library without ``mallopt`` is left as it
-    is.
+    requests below 32 MiB come from the heap, and up to 128 MiB of free
+    heap top stays mapped.  Setting either one alone switches glibc's
+    adjustment off and leaves the other at its 128 KiB default.  Fork
+    workers inherit the setting.  Returns whether it was applied; a C
+    library without ``mallopt`` is left as it is.
     """
     if not hasattr(_LIBC, "mallopt"):
         return False
     mmap_set = _LIBC.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    trim_set = _LIBC.mallopt(_M_TRIM_THRESHOLD, _BATCH_MEMORY_BUDGET)
+    trim_set = _LIBC.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
     return bool(mmap_set and trim_set)
 
 
@@ -467,13 +387,6 @@ class _SupervisedWorker:
         self.conn = conn
         self.group: Optional[int] = None  # in-flight plan-group index
         self.started: float = 0.0  # when the in-flight group was dispatched
-
-
-def _merge_chunk_stats(agg: Dict[str, int], stats: Dict[str, int]) -> None:
-    agg["evals"] += stats["evals"]
-    agg["chunks"] += stats["chunks"]
-    agg["width_max"] = max(agg["width_max"], stats["width_max"])
-    agg["extra_flops"] += stats["extra_flops"]
 
 
 def _hang_deadline(slowest: float) -> float:
@@ -698,9 +611,9 @@ class SensitivityEngine:
         Parameters
         ----------
         config:
-            Every execution knob (batching, workers, resume, stack
-            width, retries, faults, health checks); the defaults
-            when omitted.  ``config.num_workers > 1`` fans the groups out
+            Every execution knob (batching, workers, resume, retries,
+            faults, health checks); the defaults when omitted.
+            ``config.num_workers > 1`` fans the groups out
             across supervised fork workers; the matrix is bitwise
             identical to the single-process sweep.
         mode:
@@ -745,7 +658,6 @@ class SensitivityEngine:
         tick(resumed)
 
         segment_work = 0
-        chunk_stats = {"evals": 0, "chunks": 0, "width_max": 0, "extra_flops": 0}
         recovery = {
             "worker_crashes": 0,
             "worker_errors": 0,
@@ -754,12 +666,9 @@ class SensitivityEngine:
             "serial_fallback_groups": 0,
         }
 
-        def deliver(
-            results: List[Tuple[int, float]], work: int, stats: Dict[str, int]
-        ) -> None:
+        def deliver(results: List[Tuple[int, float]], work: int) -> None:
             nonlocal segment_work
             segment_work += work
-            _merge_chunk_stats(chunk_stats, stats)
             losses.update(results)
             # A group is the unit a resume restores: save each one whole.
             if checkpoint is not None:
@@ -792,12 +701,6 @@ class SensitivityEngine:
         prefix_work = nseg * num_batches
         naive_work = total_evals * nseg * num_batches
         executed = plan.num_evals - resumed
-        batch_width_mean = (
-            chunk_stats["evals"] / chunk_stats["chunks"]
-            if chunk_stats["chunks"]
-            else 0.0
-        )
-        _BATCH_WIDTH_MEAN.set(batch_width_mean)
         fault_plan = session.fault_plan
         extras: Dict[str, object] = {
             "strategy": "segmented",
@@ -809,21 +712,13 @@ class SensitivityEngine:
             "executed_evals": executed,
             "prefix_cuts_cached": session.clean.num_checkpoints,
             "clean_cache_stored_bytes": session.clean.stored_bytes,
-            "eval_batch_k": session.eval_batch_k,
             "max_retries": config.max_retries,
             "injected_fault_plan": (
                 fault_plan.describe() if fault_plan is not None else []
             ),
             **recovery,
-            "batched_evals": chunk_stats["evals"],
-            "batched_chunks": chunk_stats["chunks"],
-            "batch_width_max": chunk_stats["width_max"],
-            "batch_width_mean": batch_width_mean,
             "segment_forwards": prefix_work + segment_work,
             "segment_forwards_naive": naive_work,
-            "segment_flop_units": prefix_work
-            + segment_work
-            + chunk_stats["extra_flops"],
             "segment_work_saved": 1.0
             - (prefix_work + segment_work) / max(1, naive_work),
             "time_plan": session.time_plan,
@@ -860,11 +755,9 @@ class SweepSession:
     worker count.
 
     The constructor validates the sensitivity set, resolves every option
-    once — the stack width (auto when ``config.eval_batch_k`` is 0), the
-    chunk waste factor, the worker count and the fault plan
-    (``REPRO_FAULT_PLAN`` included) — builds the plan, opens the resume
-    checkpoint and runs the clean prefix pass; nothing on the session
-    changes afterwards.  Group execution and the audit expect the caller
+    once — the worker count and the fault plan (``REPRO_FAULT_PLAN``
+    included) — builds the plan, opens the resume checkpoint and runs the
+    clean prefix pass; nothing on the session changes afterwards.  Group execution and the audit expect the caller
     to hold :meth:`no_grad`, as :meth:`SensitivityEngine.measure` does.
     """
 
@@ -894,10 +787,6 @@ class SweepSession:
                 build_pair_list(table.layers, mode, blocks),
                 self.layer_segments, len(self.segments), mode,
             )
-        self.eval_batch_k = config.eval_batch_k or auto_eval_batch_k(
-            x, config.batch_size
-        )
-        self.waste_factor = auto_waste_factor(x, config.batch_size)
         self.num_workers = _resolve_workers(config.num_workers)
         self.fault_plan = resolve_fault_plan(config.fault_plan)
         # Opened before the first forward, so a checkpoint directory that
@@ -958,9 +847,8 @@ class SweepSession:
         Covers what a measured loss depends on: the data, the original
         weights of the searched layers, the batching, the quantizer scheme,
         each searched layer's activation quantizer (bits and calibrated
-        scale), and the plan's structure.  The stack width is left out,
-        like the worker count: a stacked replay measures bitwise the
-        losses of the plain replays it stands for.
+        scale), and the plan's structure.  The worker count is left out:
+        every worker measures bitwise the losses of a serial sweep.
         """
         table = self.engine.table
         h = hashlib.sha256()
@@ -988,20 +876,12 @@ class SweepSession:
         """Plan-spec indices measured by plan group ``group_idx``."""
         return [s.index for s in self.plan.groups[group_idx].specs()]
 
-    def group_chunks(self, g: GroupPlan) -> List[BatchChunk]:
-        """The chunks group ``g``'s pairs replay as: one width-``K`` chunk
-        per stacked replay, one width-1 chunk per plain replay."""
-        return build_batch_chunks(
-            g.pairs, self.plan.num_segments, self.eval_batch_k,
-            waste_factor=self.waste_factor,
-        )
-
     # -- group execution ----------------------------------------------------------
     def run_group(
         self, group_idx: int, attempt: int = 0
-    ) -> Tuple[List[Tuple[int, float]], int, Dict[str, int]]:
-        """Execute one plan group: ``(plan_index, loss)`` pairs, segment
-        forwards spent, and stacked-replay statistics.
+    ) -> Tuple[List[Tuple[int, float]], int]:
+        """Execute one plan group: ``(plan_index, loss)`` pairs and the
+        segment forwards spent.
 
         This is the fault-injection point for sweep faults: it runs
         identically in fork workers and serial execution, and it sees the
@@ -1021,14 +901,14 @@ class SweepSession:
                     f"(attempt {attempt})"
                 )
             poison = fault.nonfinite_now(group_idx, attempt)
-        return self._run_group_batched(group_idx, poison)
+        return self._run_group(group_idx, poison)
 
     def run_group_resilient(
         self,
         group_idx: int,
         recovery: Dict[str, int],
         start_attempt: int = 0,
-    ) -> Tuple[List[Tuple[int, float]], int, Dict[str, int]]:
+    ) -> Tuple[List[Tuple[int, float]], int]:
         """Execute one group in-process with bounded retries.
 
         The retry loop is safe because a failed attempt leaves no partial
@@ -1095,19 +975,18 @@ class SweepSession:
         return (self.clean.activation(b, cut) for b in range(len(self.batches)))
 
     @hot_path
-    def _run_group_batched(
+    def _run_group(
         self, group_idx: int, poison: bool = False
-    ) -> Tuple[List[Tuple[int, float]], int, Dict[str, int]]:
+    ) -> Tuple[List[Tuple[int, float]], int]:
         """All evaluations of one anchor group ``(i, b_m)``.
 
         The diagonal replay builds the group's perturbed-suffix cache:
         activations entering each later segment (with ``(i, b_m)`` applied)
-        are checkpointed.  The pair evaluations are coalesced into
-        waste-bounded :class:`BatchChunk`s, and each chunk replays its
-        suffix **once**.  Losses land under plan indices, so reassembly,
-        checkpointing, and resume are oblivious to the chunking.  Returns
-        ``((plan_index, loss), ...)``, the segment forwards spent, and the
-        statistics of the stacked (width > 1) chunks.
+        are checkpointed.  Each pair ``(j, b_n)`` then replays plain from
+        its partner's segment, off that cache — or off the clean cache when
+        the partner's segment comes before the anchor's, where the anchor
+        weight is applied on the way.  Returns ``((plan_index, loss), ...)``
+        and the segment forwards spent.
         """
         g = self.plan.groups[group_idx]
         bits = self.plan.bits
@@ -1115,11 +994,10 @@ class SweepSession:
         nbatch = len(self.batches)
         table = self.engine.table
         out: List[Tuple[int, float]] = []
-        stats = {"evals": 0, "chunks": 0, "width_max": 0, "extra_flops": 0}
 
-        chunks = self.group_chunks(g)
         group_cache = PrefixCache(
-            {g.segment} | {c.cut for c in chunks if c.cut > g.segment}
+            {g.segment}
+            | {p.start_segment for p in g.pairs if p.start_segment > g.segment}
         )
         work = (nseg - g.segment) * nbatch
 
@@ -1134,78 +1012,20 @@ class SweepSession:
                 out.append((g.diag.index, _check_finite(loss, poison)))
             _FORWARD_EVALS.add()
 
-            for chunk in chunks:
-                with telemetry.span("sweep.chunk", i=g.i, width=chunk.width):
-                    out.extend(self._run_chunk(chunk, g, group_cache))
-                work += (nseg - chunk.cut) * nbatch
-                if chunk.width > 1:
-                    stats["evals"] += chunk.width
-                    stats["chunks"] += 1
-                    stats["width_max"] = max(stats["width_max"], chunk.width)
-                    stats["extra_flops"] += (
-                        (chunk.width - 1) * (nseg - chunk.cut) * nbatch
-                    )
+            for p in g.pairs:
+                cut = p.start_segment
+                source = group_cache if cut >= g.segment else self.clean
+                acts = (source.activation(b, cut) for b in range(nbatch))
+                with telemetry.span("sweep.pair", i=g.i), table.perturbed(
+                    (p.j, bits[p.n])
+                ):
+                    loss = self._replay(cut, acts)
+                _FORWARD_EVALS.add()
+                out.append((p.index, _check_finite(loss)))
+                work += (nseg - cut) * nbatch
 
         _SEGMENT_FORWARDS.add(work)
-        return out, work, stats
-
-    @hot_path
-    def _run_chunk(
-        self, chunk: BatchChunk, g: GroupPlan, group_cache: PrefixCache
-    ) -> List[Tuple[int, float]]:
-        """One suffix replay evaluating every spec in ``chunk``.
-
-        Runs inside the group's anchor context (``(i, b_m)`` applied
-        globally).  A width-1 chunk is a plain replay with its partner
-        ``(j, b_n)`` applied.  In a wider chunk, candidate ``k`` overlays
-        its partner layer ``j_k`` with ``Q(w, b_{n_k})``; every other
-        overlaid layer shows candidate ``k`` its current in-context
-        weight, and every slice's GEMMs have the plain replay's shapes
-        (:meth:`QuantizedWeightTable.batched`), so each candidate row
-        computes bitwise the plain pair evaluation it replaces.  When the
-        chunk cut sits before the anchor's segment the replay starts from
-        the clean cache and re-applies the anchor on the way.
-        """
-        segments = self.segments
-        nseg = len(segments)
-        table = self.engine.table
-        bits = self.plan.bits
-        width = chunk.width
-        cut = chunk.cut
-        source = group_cache if cut >= g.segment else self.clean
-        acts = [source.activation(b, cut) for b in range(len(self.batches))]
-        if width == 1:
-            # A lone candidate needs no fold and no overlay: a plain
-            # perturbed replay, the forward a sequential sweep runs.
-            spec = chunk.specs[0]
-            with table.perturbed((spec.j, bits[spec.n])):
-                loss = self._replay(cut, acts)
-            _FORWARD_EVALS.add()
-            return [(spec.index, _check_finite(loss))]
-        # Sparse rows: at each partner layer, every candidate but the
-        # spec's own row sees the current in-context weight.
-        rows: Dict[int, Dict[int, np.ndarray]] = {}
-        for k, spec in enumerate(chunk.specs):
-            rows.setdefault(spec.j, {})[k] = table.quantized(spec.j, bits[spec.n])
-        totals = [0.0] * width
-        with table.batched(segments[cut:], width, rows):
-            for b, (xb, yb) in enumerate(self.batches):
-                a = fold_candidates(acts[b], width)
-                for s in range(cut, nseg):
-                    a = segments[s].forward(a)
-                # Row-wise folded loss: entry k bitwise equals a solo
-                # criterion.forward on candidate k's logit slice.
-                losses = folded_cross_entropy(a, yb, width)
-                for k in range(width):
-                    totals[k] += losses[k] * len(xb)
-        _FORWARD_EVALS.add(width)
-        _BATCHED_EVALS.add(width)
-        _BATCHED_CHUNKS.add()
-        _BATCH_WIDTH_MAX.record_max(width)
-        return [
-            (spec.index, _check_finite(totals[k] / self.n))
-            for k, spec in enumerate(chunk.specs)
-        ]
+        return out, work
 
     # -- measurement integrity: the determinism audit ---------------------------
     def audit(self, losses: Dict[int, float]) -> DeterminismAudit:
@@ -1213,9 +1033,8 @@ class SweepSession:
 
         Every spec of :meth:`EvalPlan.audit_specs` is replayed plain off
         the clean prefix cache, and its loss must equal ``losses`` bit for
-        bit — a stacked replay measures bitwise its plain replay, so one
-        rule covers every spec.  The audit reads the loss table and
-        rewrites nothing: a disagreement is reported, never repaired.
+        bit.  The audit reads the loss table and rewrites nothing: a
+        disagreement is reported, never repaired.
         """
         plan = self.plan
         specs = {s.index: s for s in plan.specs()}

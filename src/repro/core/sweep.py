@@ -44,9 +44,7 @@ __all__ = [
     "EvalSpec",
     "GroupPlan",
     "EvalPlan",
-    "BatchChunk",
     "build_eval_plan",
-    "build_batch_chunks",
     "hot_path",
     "PrefixCache",
     "SweepCheckpoint",
@@ -58,9 +56,9 @@ def hot_path(fn):
 
     ``scripts/check_telemetry_lint.py`` rejects Python-level GEMM dispatch
     loops (``@`` / ``np.matmul`` / ``einsum`` / ``dot`` inside ``for`` or
-    ``while`` bodies) in functions carrying this marker: per-iteration
-    matmuls are exactly the dispatch-bound pattern the config-batched
-    engine exists to eliminate, and must stay stacked.
+    ``while`` bodies) in functions carrying this marker: a hot sweep loop
+    hands whole batches to the layer forwards, whose kernels run the
+    GEMMs, and never multiplies per iteration itself.
     """
     fn.__sweep_hot__ = True
     return fn
@@ -140,7 +138,7 @@ class EvalPlan:
 
         ``min(16, num_evals)`` indices drawn with a fixed seed: they depend
         on the plan alone, so every run of it — any worker count, any
-        stack width — audits the same specs.
+        resume — audits the same specs.
         """
         count = min(_AUDIT_SPECS, self.num_evals)
         drawn = np.random.default_rng(0).choice(
@@ -238,89 +236,6 @@ def build_eval_plan(
         bits=tuple(int(b) for b in bits),
         mode=mode,
     )
-
-
-# ---------------------------------------------------------------------------
-# Config-batched chunking
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BatchChunk:
-    """A set of pair evaluations replayed as one stacked forward.
-
-    All member specs share the anchor perturbation of their group; the
-    stacked replay starts at ``cut`` (the minimum of the members' start
-    segments) with the batch folded candidate-major, each candidate row
-    carrying its partner's weight overlay.  Members whose own start
-    segment is later than ``cut`` replay a few clean-under-overlay
-    segments redundantly — the waste :func:`build_batch_chunks` bounds.
-    """
-
-    cut: int
-    specs: Tuple[EvalSpec, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.specs)
-
-    def cost(self, num_segments: int) -> int:
-        """K-weighted segment-compute units of the stacked replay."""
-        return self.width * (num_segments - self.cut)
-
-    def solo_cost(self, num_segments: int) -> int:
-        """Segment units the members would cost replayed one by one."""
-        return sum(num_segments - s.start_segment for s in self.specs)
-
-
-@hot_path
-def build_batch_chunks(
-    specs: Sequence[EvalSpec],
-    num_segments: int,
-    max_k: int,
-    waste_factor: float = 2.0,
-) -> List[BatchChunk]:
-    """Greedily coalesce pair specs into waste-bounded stacked chunks.
-
-    Specs are taken in descending start-segment order (ties broken by plan
-    index, so the result is deterministic) and merged into the open chunk
-    while (a) the chunk stays within ``max_k`` candidates and (b) the
-    stacked compute ``K * (num_segments - cut)`` stays within
-    ``waste_factor`` times the summed solo costs.  The bound keeps cut
-    coalescing from turning a near-free late-layer replay into a full-depth
-    one just to ride in a wide batch; ``waste_factor=2`` accepts at most a
-    2x flop overhead in exchange for K-fold fewer Python-dispatched
-    segment forwards (the flops run inside one BLAS call, so the trade
-    wins by a wide margin on CPU).
-    """
-    if max_k < 1:
-        raise ValueError(f"max_k must be >= 1, got {max_k}")
-    ordered = sorted(specs, key=lambda s: (-s.start_segment, s.index))
-    chunks: List[BatchChunk] = []
-    current: List[EvalSpec] = []
-    cut = 0
-    solo = 0
-    for spec in ordered:
-        if not current:
-            current = [spec]
-            cut = spec.start_segment
-            solo = num_segments - spec.start_segment
-            continue
-        new_cut = min(cut, spec.start_segment)
-        new_solo = solo + (num_segments - spec.start_segment)
-        stacked = (len(current) + 1) * (num_segments - new_cut)
-        if len(current) < max_k and stacked <= waste_factor * new_solo:
-            current.append(spec)
-            cut = new_cut
-            solo = new_solo
-        else:
-            chunks.append(BatchChunk(cut=cut, specs=tuple(current)))
-            current = [spec]
-            cut = spec.start_segment
-            solo = num_segments - spec.start_segment
-    if current:
-        chunks.append(BatchChunk(cut=cut, specs=tuple(current)))
-    return chunks
 
 
 # ---------------------------------------------------------------------------

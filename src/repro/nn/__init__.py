@@ -40,15 +40,12 @@ from .layers import (
     Sigmoid,
     SiLU,
 )
-from .functional import BatchedWeightOverlay
-from .loss import CrossEntropyLoss, accuracy, folded_accuracy, folded_cross_entropy
+from .loss import CrossEntropyLoss, accuracy
 from .module import (
     Module,
     Parameter,
     ResidualState,
     Sequential,
-    fold_candidates,
-    unfold_candidates,
 )
 from .optim import Adam, SGD, cosine_lr
 
@@ -57,9 +54,6 @@ __all__ = [
     "Parameter",
     "Sequential",
     "ResidualState",
-    "fold_candidates",
-    "unfold_candidates",
-    "BatchedWeightOverlay",
     "Conv2d",
     "Linear",
     "BatchNorm2d",
@@ -92,8 +86,6 @@ __all__ = [
     "MultiHeadSelfAttention",
     "CrossEntropyLoss",
     "accuracy",
-    "folded_accuracy",
-    "folded_cross_entropy",
     "SGD",
     "Adam",
     "cosine_lr",

@@ -5,10 +5,9 @@ zero-copy ``numpy.lib.stride_tricks.as_strided`` view, and the convolution
 becomes one BLAS GEMM per ``(sample, group)`` over the gathered patches,
 which is the only way to get acceptable CPU throughput for the
 ``O((|B|I)^2)`` forward sweeps CLADO performs.  A 3x3 patch matrix is 9x
-its input, so both forward paths (:func:`conv2d_forward` and the
-candidate-overlay :func:`conv2d_forward_overlay`) go through
-:func:`_conv_into`, which gathers the patches of one cache-sized block of
-samples at a time instead of the whole batch.
+its input, so :func:`conv2d_forward` goes through :func:`_conv_into`,
+which gathers the patches of one cache-sized block of samples at a time
+instead of the whole batch.
 Backward rebuilds the full patch matrix with :func:`im2col` from the cached
 input.
 """
@@ -24,9 +23,6 @@ __all__ = [
     "col2im",
     "conv2d_forward",
     "conv2d_backward",
-    "BatchedWeightOverlay",
-    "linear_forward_overlay",
-    "conv2d_forward_overlay",
     "softmax",
     "log_softmax",
 ]
@@ -114,24 +110,6 @@ def col2im(
 _BLOCK_BYTES = 1 << 20
 
 
-def _empty_conv_out(
-    x: np.ndarray, weight: np.ndarray, stride: int, pad: int, groups: int
-) -> np.ndarray:
-    """Validate a grouped convolution and allocate its ``(N, C_out, OH, OW)``
-    output.  ``weight`` may carry a leading candidate axis."""
-    c_in, h, w = x.shape[1:]
-    c_out, c_in_g, kh, kw = weight.shape[-4:]
-    if c_in != c_in_g * groups:
-        raise ValueError(
-            f"input channels {c_in} incompatible with weight "
-            f"{weight.shape} and groups={groups}"
-        )
-    oh, ow = _out_hw(h, w, kh, kw, stride, pad)
-    return np.empty(
-        (x.shape[0], c_out, oh, ow), dtype=np.result_type(x.dtype, weight.dtype)
-    )
-
-
 def _conv_into(
     out: np.ndarray,
     x: np.ndarray,
@@ -204,7 +182,17 @@ def conv2d_forward(
         ``out`` has shape ``(N, C_out, OH, OW)``; ``cache`` carries what the
         backward pass needs (the input, not its 9x larger patch matrix).
     """
-    out = _empty_conv_out(x, weight, stride, pad, groups)
+    c_in, h, w = x.shape[1:]
+    c_out, c_in_g, kh, kw = weight.shape
+    if c_in != c_in_g * groups:
+        raise ValueError(
+            f"input channels {c_in} incompatible with weight "
+            f"{weight.shape} and groups={groups}"
+        )
+    oh, ow = _out_hw(h, w, kh, kw, stride, pad)
+    out = np.empty(
+        (x.shape[0], c_out, oh, ow), dtype=np.result_type(x.dtype, weight.dtype)
+    )
     _conv_into(out, x, weight, stride, pad, groups)
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
@@ -237,117 +225,6 @@ def conv2d_backward(
     dcols = dcols_g.reshape(n, c_in, kh, kw, oh, ow)
     dx = col2im(dcols, x.shape, stride, pad)
     return dx, dw, dbias
-
-
-class BatchedWeightOverlay:
-    """Candidate-axis weight stack: ``base`` everywhere but ``rows``.
-
-    Candidate ``k`` of ``width`` sees ``rows[k]`` when it has a row and
-    ``base`` otherwise.  The sweep's chunks are sparse — each candidate
-    perturbs one layer, so at any given layer all but a few candidate
-    rows equal the in-context weight, and a layer no candidate perturbs
-    has no rows at all — while ``evaluate_assignments`` gives every
-    candidate a row at every searched layer.  Both overlay kernels
-    (:func:`linear_forward_overlay`, :func:`conv2d_forward_overlay`)
-    compute each candidate slice once, with the GEMM shapes the plain
-    forward of one slice uses, so every slice is bitwise equal to that
-    plain forward under its own weight.
-    """
-
-    __slots__ = ("width", "base", "rows")
-
-    def __init__(self, width: int, base: np.ndarray, rows: dict) -> None:
-        base = np.asarray(base)
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        for k, w in rows.items():
-            if not 0 <= k < width:
-                raise ValueError(f"row index {k} out of range for width {width}")
-            if np.shape(w) != base.shape:
-                raise ValueError(
-                    f"row {k} shape {np.shape(w)} != base shape {base.shape}"
-                )
-        self.width = int(width)
-        self.base = base
-        self.rows = dict(rows)
-
-
-def _fold_slices(kn: int, width: int) -> int:
-    if kn % width:
-        raise ValueError(
-            f"folded batch {kn} not divisible by candidate count {width}"
-        )
-    return kn // width
-
-
-def linear_forward_overlay(
-    x: np.ndarray, overlay: BatchedWeightOverlay, bias: np.ndarray
-) -> np.ndarray:
-    """Affine map under a candidate-weight overlay.
-
-    ``x`` is folded candidate-major (``(K*N, ..., in_features)``).  The
-    candidate slices are walked once: a run of consecutive slices without
-    a row is one ``np.matmul`` on the base weight over ``(run, N, ...)``,
-    each slice with a row one ``np.matmul`` on that row's weight.  Either
-    way BLAS sees the ``(N, ...)`` GEMMs of one slice: OpenBLAS rounds a
-    GEMM differently as its row count changes, so one GEMM over the whole
-    folded batch would not be bitwise equal to the plain forward of a
-    slice, and every slice here is.
-    """
-    n = _fold_slices(x.shape[0], overlay.width)
-    base = overlay.base
-    out = np.empty(
-        (*x.shape[:-1], base.shape[0]), dtype=np.result_type(x.dtype, base.dtype)
-    )
-    start = 0
-    for k in [*sorted(overlay.rows), overlay.width]:
-        if start < k:
-            run = (k - start, n, *x.shape[1:-1])
-            sl = slice(start * n, k * n)
-            np.matmul(
-                x[sl].reshape(*run, x.shape[-1]), base.T,
-                out=out[sl].reshape(*run, base.shape[0]),
-            )
-        if k < overlay.width:
-            sl = slice(k * n, (k + 1) * n)
-            np.matmul(x[sl], overlay.rows[k].T, out=out[sl])
-        start = k + 1
-    if bias is not None:
-        out += bias
-    return out
-
-
-def conv2d_forward_overlay(
-    x: np.ndarray,
-    overlay: BatchedWeightOverlay,
-    bias: np.ndarray,
-    stride: int,
-    pad: int,
-    groups: int,
-) -> np.ndarray:
-    """Grouped convolution under a candidate-weight overlay.
-
-    ``x`` is folded candidate-major (``(K*N, C, H, W)``).  The candidate
-    slices are walked once: each run of consecutive slices without a row
-    is one :func:`_conv_into` call on the base weight, each slice with a
-    row one call on that row's weight, so no slice is computed twice.
-    Every slice is bitwise equal to the sequential :func:`conv2d_forward`
-    under its own weight.
-    """
-    n = _fold_slices(x.shape[0], overlay.width)
-    out = _empty_conv_out(x, overlay.base, stride, pad, groups)
-    start = 0
-    for k in [*sorted(overlay.rows), overlay.width]:
-        if start < k:
-            sl = slice(start * n, k * n)
-            _conv_into(out[sl], x[sl], overlay.base, stride, pad, groups)
-        if k < overlay.width:
-            sl = slice(k * n, (k + 1) * n)
-            _conv_into(out[sl], x[sl], overlay.rows[k], stride, pad, groups)
-        start = k + 1
-    if bias is not None:
-        out += bias.reshape(1, -1, 1, 1)
-    return out
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -85,12 +85,6 @@ class Conv2d(Module, _CacheMixin):
         # Optional activation fake-quantizer (set by repro.quant); callable
         # applied to the input in forward, treated as identity in backward.
         self.act_quant = None
-        # Optional F.BatchedWeightOverlay of K candidate weights: when set,
-        # forward expects a candidate-major folded batch (K*N, ...) and
-        # evaluates all K candidates in one call.  Eval-only — the overlay
-        # path drops any backward cache, so a backward after it raises
-        # instead of using an earlier forward's input.
-        self.weight_batch = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.act_quant is not None:
@@ -98,11 +92,6 @@ class Conv2d(Module, _CacheMixin):
             # Backward treats this as identity (straight-through estimator).
             x = self.act_quant(x)
         bias = self.bias.data if self.bias is not None else None
-        if self.weight_batch is not None:
-            self._cache = None
-            return F.conv2d_forward_overlay(
-                x, self.weight_batch, bias, self.stride, self.padding, self.groups
-            )
         out, cache = F.conv2d_forward(
             x, self.weight.data, bias, self.stride, self.padding, self.groups
         )
@@ -136,16 +125,10 @@ class Linear(Module, _CacheMixin):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
         # Optional activation fake-quantizer, see Conv2d.act_quant.
         self.act_quant = None
-        # Optional candidate-weight overlay, see Conv2d.weight_batch.
-        self.weight_batch = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.act_quant is not None:
             x = self.act_quant(x)
-        if self.weight_batch is not None:
-            self._cache = None
-            bias = self.bias.data if self.bias is not None else None
-            return F.linear_forward_overlay(x, self.weight_batch, bias)
         self._stash(x)
         out = x @ self.weight.data.T
         if self.bias is not None:

@@ -15,8 +15,6 @@ from .functional import log_softmax, softmax
 __all__ = [
     "CrossEntropyLoss",
     "accuracy",
-    "folded_cross_entropy",
-    "folded_accuracy",
 ]
 
 
@@ -61,44 +59,3 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy in [0, 1]."""
     preds = logits.argmax(axis=1)
     return float((preds == np.asarray(labels)).mean())
-
-
-def folded_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray, k: int
-) -> np.ndarray:
-    """Per-candidate mean cross-entropy of candidate-major folded logits.
-
-    ``logits`` has shape ``(k * N, classes)`` — ``k`` candidates' logits
-    stacked candidate-major (see :func:`repro.nn.fold_candidates`); the
-    ``N`` labels apply to every candidate.  Every operation is row-wise
-    (log-softmax) or reduces a contiguous length-``N`` slice exactly the
-    way :meth:`CrossEntropyLoss.forward` reduces its batch, so entry ``i``
-    is bitwise equal to a solo ``forward`` call on candidate ``i``'s
-    slice.  Returns a ``(k,)`` float64 array.
-    """
-    if logits.ndim != 2:
-        raise ValueError(f"expected (k*N, classes) logits, got {logits.shape}")
-    kn = logits.shape[0]
-    if kn % k:
-        raise ValueError(f"folded batch {kn} not divisible by candidate count {k}")
-    n = kn // k
-    labels = np.asarray(labels)
-    if labels.shape[0] != n:
-        raise ValueError("logits / labels batch size mismatch")
-    logp = log_softmax(logits.astype(np.float64), axis=1)
-    nll = -logp[np.arange(kn), np.tile(labels, k)]
-    return nll.reshape(k, n).mean(axis=1)
-
-
-def folded_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Per-candidate top-1 accuracy of candidate-major folded logits.
-
-    Same layout contract as :func:`folded_cross_entropy`; entry ``i`` is
-    bitwise equal to :func:`accuracy` on candidate ``i``'s slice.
-    """
-    kn = logits.shape[0]
-    if kn % k:
-        raise ValueError(f"folded batch {kn} not divisible by candidate count {k}")
-    n = kn // k
-    preds = logits.argmax(axis=1).reshape(k, n)
-    return (preds == np.asarray(labels)).mean(axis=1)

@@ -30,8 +30,6 @@ __all__ = [
     "Module",
     "Sequential",
     "ResidualState",
-    "fold_candidates",
-    "unfold_candidates",
 ]
 
 # Global parameter/activation dtype for the framework.
@@ -61,34 +59,6 @@ class ResidualState(NamedTuple):
 
 #: What a segment takes and returns: an array, or a residual block's state.
 Activation = Union[np.ndarray, ResidualState]
-
-
-def fold_candidates(x: Activation, k: int) -> Activation:
-    """Replicate a batch ``K`` times, candidate-major: ``(N,...) -> (K*N,...)``.
-
-    The result stacks ``K`` contiguous copies of ``x``, so candidate ``k``
-    owns rows ``[k*N, (k+1)*N)``.  Because every eval-mode layer op is
-    per-sample independent, the folded batch flows through ordinary
-    forwards untouched; layers holding a ``weight_batch`` overlay unfold
-    it to apply candidate ``k``'s weights to slice ``k``, one GEMM per
-    slice as in that slice's plain forward.  A :class:`ResidualState`
-    folds field by field.
-    """
-    if isinstance(x, ResidualState):
-        return ResidualState(
-            fold_candidates(x.branch, k), fold_candidates(x.skip, k)
-        )
-    if k < 1:
-        raise ValueError(f"candidate count must be >= 1, got {k}")
-    return np.broadcast_to(x, (k, *x.shape)).reshape(k * x.shape[0], *x.shape[1:])
-
-
-def unfold_candidates(x: np.ndarray, k: int) -> np.ndarray:
-    """Inverse view of :func:`fold_candidates`: ``(K*N,...) -> (K,N,...)``."""
-    kn = x.shape[0]
-    if k < 1 or kn % k:
-        raise ValueError(f"folded batch {kn} not divisible by candidate count {k}")
-    return x.reshape(k, kn // k, *x.shape[1:])
 
 
 class Parameter:
@@ -177,13 +147,6 @@ class Module:
         an array.  Containers may return freshly-built wrapper modules
         that register only the modules they run; only the identity of the
         *leaf* modules inside each segment matters to callers.
-
-        Segments additionally propagate the *candidate axis* used by the
-        config-batched sweeps: every eval-mode layer operation is
-        per-sample independent, so an input whose batch dimension holds
-        ``K`` candidate replicas folded candidate-major (``(K*N, ...)``,
-        built by :func:`fold_candidates`) flows through unchanged; only
-        weighted leaves with a ``weight_batch`` overlay unfold it.
         """
         return None
 

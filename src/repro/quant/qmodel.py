@@ -17,7 +17,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..nn import BatchedWeightOverlay, Linear, Module
 from .qconfig import QuantConfig
 from .quantizers import PerChannelAffineQuantizer, UniformSymmetricQuantizer
 
@@ -172,51 +171,3 @@ class QuantizedWeightTable:
         finally:
             for layer_idx, _ in pairs:
                 self.set_layer(layer_idx, None)
-
-    @contextmanager
-    def batched(
-        self,
-        roots: Sequence[Module],
-        width: int,
-        rows: Dict[int, Dict[int, np.ndarray]],
-    ) -> Iterator[None]:
-        """Install candidate-weight overlays for one folded forward.
-
-        The forward runs ``roots`` in order on a batch of ``width``
-        candidates folded candidate-major (``(width*N, ...)``).
-        ``rows[layer_idx][k]`` is candidate ``k``'s weight at searched
-        layer ``layer_idx``; every other candidate sees the layer's
-        current (possibly perturbed) weight.  Each searched layer with
-        rows gets a :class:`repro.nn.functional.BatchedWeightOverlay`
-        holding them, and every other ``Linear`` under ``roots`` one with
-        no rows, so each of its GEMMs covers one candidate slice, as in
-        the plain forward of that slice (a plain ``Linear`` on a 2-D
-        folded batch would run one taller GEMM, which BLAS rounds
-        differently).  Convolutions without rows keep their plain
-        forward, whose GEMMs already run per sample.  Every candidate
-        slice of the folded forward is therefore bitwise equal to the
-        plain forward under that candidate's weights.  Overlays always
-        come off on exit, so plain forwards resume untouched.
-        """
-        modules = {id(m): m for root in roots for _, m in root.named_modules()}
-        overlays: Dict[int, BatchedWeightOverlay] = {}
-        for layer_idx, layer_rows in rows.items():
-            module = self.layers[layer_idx].module
-            if id(module) not in modules:
-                raise ValueError(
-                    f"layer {layer_idx} has candidate rows but is not under "
-                    "the roots of the folded forward"
-                )
-            overlays[id(module)] = BatchedWeightOverlay(
-                width, module.weight.data, layer_rows
-            )
-        for key, module in modules.items():
-            if isinstance(module, Linear) and key not in overlays:
-                overlays[key] = BatchedWeightOverlay(width, module.weight.data, {})
-        try:
-            for key, overlay in overlays.items():
-                modules[key].weight_batch = overlay
-            yield
-        finally:
-            for key in overlays:
-                modules[key].weight_batch = None

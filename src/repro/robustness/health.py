@@ -1,11 +1,11 @@
 """Measurement integrity for the sensitivity matrix Ĝ: the determinism audit.
 
 Every Ω entry is a four-point difference of forward losses on a fixed
-sensitivity set (Eq. 12–13), and every replay the sweep runs — stacked or
-plain, in-process or on a fork worker — repeats its loss bit for bit.  So
-the one integrity check a real run can fail is that a loss does *not*
-repeat: a nondeterministic kernel, a stacked replay that stopped matching
-its plain replay, or a value corrupted between measurement and assembly.
+sensitivity set (Eq. 12–13), and every replay the sweep runs — in-process
+or on a fork worker — repeats its loss bit for bit.  So the one integrity
+check a real run can fail is that a loss does *not* repeat: a
+nondeterministic kernel, or a value corrupted between measurement and
+assembly.
 
 The audit (``SweepSession.audit``) re-measures a fixed sample of plan
 specs (:meth:`repro.core.sweep.EvalPlan.audit_specs`) by plain replay

@@ -17,12 +17,10 @@ What goes into each fingerprint:
   ``(x, y)``.
 - **quant** — the quantizer config (candidate bits, scheme, activation
   bits) plus every measurement knob that changes Ĝ's *numerics*:
-  measurement mode and ``batch_size``.  Execution knobs proven
-  bitwise-invariant — the worker count and the stack width
-  ``eval_batch_k`` (a stacked replay measures bitwise the losses of the
-  plain replays it stands for) — are deliberately *excluded*, so a sweep
-  on 8 fork workers and a single-process sweep, or a stacked and a
-  sequential one, share one entry.
+  measurement mode and ``batch_size``.  The one execution knob left, the
+  worker count, is proven bitwise-invariant and deliberately *excluded*,
+  so a sweep on 8 fork workers and a single-process sweep share one
+  entry.
 """
 
 from __future__ import annotations

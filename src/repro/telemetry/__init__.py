@@ -2,7 +2,7 @@
 
 Three layers (see ``docs/observability.md`` for conventions and schema):
 
-- **spans** — ``with telemetry.span("sweep.chunk", i=i, width=k): ...``
+- **spans** — ``with telemetry.span("sweep.pair", i=i): ...``
   hierarchical monotonic timers aggregated by name (thread- and
   fork-safe; forked workers report per-worker totals);
 - **counters / gauges** — ``telemetry.counter("sensitivity.forward_evals")``

@@ -8,7 +8,7 @@ Design goals (see ``docs/observability.md``):
   unconditionally;
 - **aggregated, not logged** — spans with the same dotted name under the
   same parent merge into one node carrying ``(count, total_s)``; a sweep
-  with 10⁴ ``sweep.chunk`` spans costs one tree node, not 10⁴ records;
+  with 10⁴ ``sweep.pair`` spans costs one tree node, not 10⁴ records;
 - **thread- and fork-safe** — each thread keeps its own span stack
   (``threading.local``), all shared mutation happens under one lock, and
   forked workers capture their local deltas with :class:`fork_capture`
@@ -219,9 +219,9 @@ def gauge(name: str) -> Gauge:
 class span:
     """Context manager timing one named region of the current thread.
 
-    ``with span("sweep.chunk", i=i, width=k): ...`` — attributes are
+    ``with span("sweep.pair", i=i): ...`` — attributes are
     accepted for call-site readability and live debugging hooks but are
-    not stored in the aggregated tree (10⁴ chunk spans fold into one node).
+    not stored in the aggregated tree (10⁴ pair spans fold into one node).
     """
 
     __slots__ = ("name", "attrs", "_t0", "_node")

@@ -36,19 +36,18 @@ def small_setup():
 class TestSensitivityConfig:
     def test_defaults_are_auto_single_worker(self):
         cfg = SensitivityConfig()
-        assert cfg.eval_batch_k == 0  # auto stack width
         assert cfg.num_workers == 1
         assert cfg.checkpoint_path is None
 
     def test_frozen(self):
         cfg = SensitivityConfig()
         with pytest.raises(Exception):
-            cfg.eval_batch_k = 1
+            cfg.num_workers = 2
 
     def test_with_overrides(self):
-        cfg = SensitivityConfig().with_overrides(num_workers=4, eval_batch_k=1)
+        cfg = SensitivityConfig().with_overrides(num_workers=4, max_retries=0)
         assert cfg.num_workers == 4
-        assert cfg.eval_batch_k == 1
+        assert cfg.max_retries == 0
         assert cfg.batch_size == SensitivityConfig().batch_size
 
     def test_with_overrides_rejects_unknown(self):
@@ -72,7 +71,6 @@ class TestSensitivityConfig:
             "batch_size",
             "num_workers",
             "checkpoint_path",
-            "eval_batch_k",
             "max_retries",
             "fault_plan",
             "health",
@@ -89,14 +87,15 @@ class TestSensitivityConfig:
             "checkpoint_every",
             "health_rounds",
             "health_repair",
+            "eval_batch_k",
         ],
     )
     def test_removed_fields_rejected(self, name):
         """The prefix cache keeps every cut its plan replays from, the
         hang deadline derives from the groups already timed, the
-        checkpoint saves once per group and the determinism audit has
-        no rounds to budget and nothing to repair: none of these is an
-        option."""
+        checkpoint saves once per group, the determinism audit has no
+        rounds to budget and nothing to repair, and every sweep replay is
+        plain: none of these is an option."""
         with pytest.raises(TypeError):
             SensitivityConfig(**{name: 1})
         with pytest.raises(TypeError):
@@ -140,7 +139,7 @@ class TestBuildAlgorithm:
 
     def test_sensitivity_config_threaded_through(self, small_setup):
         model, _, _ = small_setup
-        sens = SensitivityConfig(num_workers=2, eval_batch_k=1)
+        sens = SensitivityConfig(num_workers=2, max_retries=0)
         algo = build_algorithm("clado", model, "resnet_s20", CFG, sensitivity=sens)
         assert algo.sensitivity_config is sens
 
@@ -154,7 +153,7 @@ class TestAllocationResult:
             model,
             "resnet_s20",
             CFG,
-            sensitivity=SensitivityConfig(eval_batch_k=1),
+            sensitivity=SensitivityConfig(),
         )
         algo.prepare(x, y)
         budget = int(algo.layer_sizes().sum()) * 4

@@ -32,7 +32,6 @@ class TestUsageErrors:
         "argv",
         [
             ["allocate", "--workers", "-3"],
-            ["allocate", "--eval-batch-k", "-1"],
             ["allocate", "--max-retries", "-1"],
         ],
         ids=lambda argv: " ".join(argv[:2]),
@@ -57,15 +56,18 @@ class TestUsageErrors:
             ["allocate", "--health-rounds", "2"],
             ["allocate", "--no-health-repair"],
             ["allocate-cached", "--store", "s", "--health-rounds", "2"],
+            ["allocate", "--eval-batch-k", "4"],
         ],
         ids=[
             "allocate --health-rounds",
             "allocate --no-health-repair",
             "allocate-cached --health-rounds",
+            "allocate --eval-batch-k",
         ],
     )
-    def test_removed_health_flags_are_usage_errors(self, argv, capsys):
-        """The determinism audit has no rounds and no repair to switch."""
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        """The determinism audit has no rounds and no repair to switch, and
+        every sweep replay is plain, so there is no stack width to set."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -405,9 +405,9 @@ class TestMeasurementFaults:
             FaultSpec("asymmetric_pair")
 
     def test_outlier_corrupts_matrix_without_health_pass(self, fault_mlp):
-        clean = _measure(fault_mlp, workers=1, eval_batch_k=1)
+        clean = _measure(fault_mlp, workers=1)
         plan = FaultPlan(seed=4, faults=(FaultSpec("outlier_loss", at=3),))
-        injected = _measure(fault_mlp, workers=1, fault_plan=plan, eval_batch_k=1)
+        injected = _measure(fault_mlp, workers=1, fault_plan=plan)
         assert not np.array_equal(clean.matrix, injected.matrix)
 
     def test_env_activation_with_health(self, fault_mlp, monkeypatch):
@@ -415,7 +415,7 @@ class TestMeasurementFaults:
         index = _audited_index(fault_mlp)
         plan = FaultPlan(seed=4, faults=(FaultSpec("outlier_loss", at=index),))
         monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
-        injected = _measure(fault_mlp, workers=1, eval_batch_k=1, health="warn")
+        injected = _measure(fault_mlp, workers=1, health="warn")
         assert [d[0] for d in injected.health.disagreements] == [index]
         assert injected.extras["injected_fault_plan"] == plan.describe()
 

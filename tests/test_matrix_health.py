@@ -5,8 +5,7 @@ A fixed sample of plan specs is replayed after assembly and must repeat
 the sweep's losses bit for bit.  Seeded ``outlier_loss`` faults plant a
 loss no replay repeats: the audit reports it, the strict gate refuses
 it, and nothing rewrites a loss or the matrix.  On every zoo model the
-audit of a clean sweep agrees everywhere, at every worker count and
-stack width.
+audit of a clean sweep agrees everywhere, at every worker count.
 """
 
 import hashlib
@@ -145,11 +144,9 @@ def health_mlp():
     return _mlp_setup()
 
 
-def _session(setup, eval_batch_k=1, **overrides):
+def _session(setup, **overrides):
     model, _layers, table, x, y = setup
-    config = SensitivityConfig(
-        batch_size=8, eval_batch_k=eval_batch_k, **overrides
-    )
+    config = SensitivityConfig(batch_size=8, **overrides)
     return SweepSession(SensitivityEngine(model, table), x, y, config, mode="full")
 
 
@@ -162,11 +159,10 @@ def _outlier(index):
     return FaultPlan(seed=3, faults=(FaultSpec("outlier_loss", at=index),))
 
 
-def _measure(setup, fault_plan=None, eval_batch_k=1, **kwargs):
+def _measure(setup, fault_plan=None, **kwargs):
     model, _layers, table, x, y = setup
     config = SensitivityConfig(
         batch_size=8,
-        eval_batch_k=eval_batch_k,
         fault_plan=fault_plan,
         **kwargs,
     )
@@ -271,46 +267,6 @@ class TestEngineQuarantine:
         assert not np.array_equal(clean.matrix, injected.matrix)
 
 
-@pytest.fixture(scope="module")
-def stacked_vit():
-    """Untrained vit_s, 16 samples in batches of 8, and its health-off
-    sweeps at the auto stack width and at width 1."""
-    rng = np.random.default_rng(0)
-    model = build_model("vit_s", num_classes=10)
-    model.eval()
-    layers = quantizable_layers(model, "vit_s")
-    table = QuantizedWeightTable(layers, QuantConfig(bits=(2, 4, 8)))
-    x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
-    y = rng.integers(0, 10, size=16)
-    setup = (model, layers, table, x, y)
-    stacked = _measure(setup, eval_batch_k=0)
-    plain = _measure(setup)
-    return setup, stacked, plain
-
-
-class TestStackedQuarantine:
-    """At the auto width, pair losses come from stacked replays, which a
-    plain replay of the audit repeats bit for bit."""
-
-    def test_clean_stacked_run_unchanged_by_health_pass(self, stacked_vit):
-        setup, stacked, plain = stacked_vit
-        checked = _measure(setup, eval_batch_k=0, health="warn")
-        assert stacked.extras["batched_chunks"] > 0
-        np.testing.assert_array_equal(stacked.matrix, plain.matrix)
-        np.testing.assert_array_equal(checked.matrix, plain.matrix)
-        assert checked.health.healthy
-        # The sample covers losses a stacked replay measured.
-        session = _session(setup, eval_batch_k=0)
-        stacked_specs = {
-            spec.index
-            for g in session.plan.groups
-            for chunk in session.group_chunks(g)
-            if chunk.width > 1
-            for spec in chunk.specs
-        }
-        assert stacked_specs & set(checked.health.audited)
-
-
 class TestCladoHealthGates:
     """--health warn/strict gating at the allocator level."""
 
@@ -319,7 +275,6 @@ class TestCladoHealthGates:
         config = SensitivityConfig(
             batch_size=8,
             num_workers=1,
-            eval_batch_k=1,
             **overrides,
         )
         algo = CLADO(
@@ -380,13 +335,13 @@ ZOO_DIGESTS = {
     "resnet_s50": "ed0c7f2950908951",
     "vit_s": "a7b24c313b4893ad",
 }
-ZOO_CONFIGS = [(w, k) for w in (1, 2) for k in (1, 0)]
+ZOO_WORKERS = (1, 2)
 
 
 @pytest.fixture(scope="module", params=sorted(MODEL_REGISTRY))
 def zoo_audits(request):
-    """``(name, plan, {(workers, eval_batch_k): result})`` of health="warn"
-    sweeps of one untrained zoo model."""
+    """``(name, plan, {workers: result})`` of health="warn" sweeps of one
+    untrained zoo model."""
     name = request.param
     rng = np.random.default_rng(7)
     model = build_model(name, num_classes=10)
@@ -399,14 +354,12 @@ def zoo_audits(request):
     setup_activation_quant(model, layers, x, bits=config.act_bits)
     engine = SensitivityEngine(model, table)
     results = {
-        (w, k): engine.measure(
+        w: engine.measure(
             x, y,
-            SensitivityConfig(
-                batch_size=8, num_workers=w, eval_batch_k=k, health="warn"
-            ),
+            SensitivityConfig(batch_size=8, num_workers=w, health="warn"),
             mode="full",
         )
-        for w, k in ZOO_CONFIGS
+        for w in ZOO_WORKERS
     }
     plan = SweepSession(
         engine, x, y, SensitivityConfig(batch_size=8), mode="full"
@@ -415,8 +368,8 @@ def zoo_audits(request):
 
 
 class TestZooAudit:
-    """Every zoo model, ``num_workers`` {1, 2} × ``eval_batch_k`` {1, 0}:
-    the audit agrees everywhere and Ĝ is the health-off Ĝ."""
+    """Every zoo model at ``num_workers`` {1, 2}: the audit agrees
+    everywhere and Ĝ is the health-off Ĝ."""
 
     def test_health_checked_matrix_is_the_health_off_matrix(self, zoo_audits):
         name, _plan, results = zoo_audits

@@ -198,65 +198,18 @@ class TestBlockedConvBitwise:
             assert np.array_equal(got, want)
         assert np.array_equal(x, before)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "name", ["n_not_block_multiple", "stride2", "1x1_pad0", "groups2"]
-    )
-    def test_batched_one_candidate_at_a_time(self, name, dtype):
-        case = BLOCKED_CASES[name]
-        stride, pad, groups = case[5:]
-        x, w, b = _blocked_inputs(case, dtype)
-        k, n = 3, x.shape[0]
-        rng = np.random.default_rng(2)
-        ws = (rng.normal(size=(k, *w.shape)) * w).astype(dtype)
-        xs = np.concatenate([x, x[::-1], 2 * x])
-        before = xs.copy()
-        overlay = F.BatchedWeightOverlay(k, w, dict(enumerate(ws)))
-        out = F.conv2d_forward_overlay(xs, overlay, b, stride, pad, groups)
-        for i in range(k):
-            sl = slice(i * n, (i + 1) * n)
-            expected, _ = full_batch_conv2d(xs[sl], ws[i], b, stride, pad, groups)
-            assert np.array_equal(out[sl], expected)
-        assert np.array_equal(xs, before)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "rows", [(), (0,), (4,), (0, 1, 2, 3, 4), (1, 3)], ids=str
-    )
-    def test_overlay_matches_base_then_fixup(self, rows, dtype):
-        case = BLOCKED_CASES["n_not_block_multiple"]
-        stride, pad, groups = case[5:]
-        x, base, b = _blocked_inputs(case, dtype)
-        k, n = 5, 2
-        x = x[: k * n]
-        rng = np.random.default_rng(3)
-        weights = {r: rng.normal(size=base.shape).astype(dtype) for r in rows}
-        overlay = F.BatchedWeightOverlay(k, base, weights)
-        before = x.copy()
-        out = F.conv2d_forward_overlay(x, overlay, b, stride, pad, groups)
-        expected, _ = full_batch_conv2d(x, base, b, stride, pad, groups)
-        for r, w in weights.items():
-            sl = slice(r * n, (r + 1) * n)
-            expected[sl], _ = full_batch_conv2d(x[sl], w, b, stride, pad, groups)
-        assert out.dtype == dtype
-        assert np.array_equal(out, expected)
-        assert np.array_equal(x, before)
-
-    def test_overlay_peak_memory(self):
-        """No full-batch patch matrix: the extra peak of one overlay call stays
+    def test_forward_peak_memory(self):
+        """No full-batch patch matrix: the extra peak of one forward stays
         within its output, a copy's worth of input and a few MiB of blocks
         (the full-batch kernel needed ~65 MiB here: 9x the input)."""
         rng = np.random.default_rng(4)
-        k, n = 12, 16
-        x = rng.standard_normal((k * n, 8, 32, 32), dtype=np.float32)
-        base = rng.standard_normal((8, 8, 3, 3), dtype=np.float32)
-        rows = {r: rng.standard_normal(base.shape, dtype=np.float32) for r in (1, 3)}
+        x = rng.standard_normal((192, 8, 32, 32), dtype=np.float32)
+        w = rng.standard_normal((8, 8, 3, 3), dtype=np.float32)
         bias = rng.standard_normal(8, dtype=np.float32)
-        overlay = F.BatchedWeightOverlay(k, base, rows)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            out = F.conv2d_forward_overlay(x, overlay, bias, 1, 1, 1)
+            out, _ = F.conv2d_forward(x, w, bias, 1, 1, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -22,7 +22,6 @@ from repro.nn import (
     SelectToken,
     Sigmoid,
     SiLU,
-    fold_candidates,
 )
 
 from helpers import numeric_input_grad
@@ -47,10 +46,10 @@ def _check_input_grad(layer, x, rtol=2e-2, atol=2e-3, train=False):
 
 
 def _kernel_inputs(dtype):
-    """A (N, T, D) activation and its candidate-folded (K*N, T, D) batch."""
+    """A (N, T, D) activation and a 4x larger (4N, T, D) batch of it."""
     rng = np.random.default_rng(7)
     x = (rng.normal(size=(3, 5, 16)) * 2.0 + 0.5).astype(dtype)
-    return [x, fold_candidates(x, 4)]
+    return [x, np.concatenate([x] * 4)]
 
 
 class TestActivations:
@@ -355,10 +354,10 @@ class TestActQuantHook:
 
 
 def _image_inputs(dtype):
-    """A (N, C, H, W) activation and its candidate-folded batch."""
+    """A (N, C, H, W) activation and a 3x larger batch of it."""
     rng = np.random.default_rng(17)
     x = (rng.normal(size=(3, 4, 5, 5)) * 2.0 + 0.5).astype(dtype)
-    return [x, fold_candidates(x, 3)]
+    return [x, np.concatenate([x] * 3)]
 
 
 def _no_grad_forward(layer, x):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import fold_candidates
 from repro.quant import (
     ActivationQuantizer,
     PerChannelAffineQuantizer,
@@ -83,7 +82,7 @@ class TestSymmetricQuantizer:
         # (mse_optimal_scale, weight tables) promote differently.
         for scale in (float(np.abs(x).max()) / hi, mse_optimal_scale(x, bits)):
             ties = ((np.arange(lo, hi + 1) + 0.5) * scale).astype(dtype)
-            for w in (x, fold_candidates(x, 4), ties):
+            for w in (x, np.concatenate([x] * 4), ties):
                 before = w.copy()
                 out = quantize_symmetric(w, bits, scale)
                 expected = np.clip(np.round(w / scale), lo, hi) * scale

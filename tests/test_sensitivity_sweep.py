@@ -32,7 +32,6 @@ from repro.nn import (
     ResidualStage,
     ResidualState,
     Sequential,
-    unfold_candidates,
 )
 from repro.quant import QuantConfig, QuantizedWeightTable
 
@@ -155,8 +154,7 @@ class TestNaiveSegmentedEquivalence:
         ]
         assert result.extras["segment_work_saved"] > 0.3
 
-    @pytest.mark.parametrize("eval_batch_k", [1, 0])
-    def test_segment_per_layer_cnn_matches_naive(self, eval_batch_k):
+    def test_segment_per_layer_cnn_matches_naive(self):
         """Replays share checkpoints; a layer writing into its input would
         change the ones it reads.  The prefix pass runs the input
         BatchNorm2d on the frozen cut-0 checkpoint."""
@@ -169,7 +167,7 @@ class TestNaiveSegmentedEquivalence:
         naive = naive_sweep(model, table, x, y, batch_size=4)
         fast = SensitivityEngine(model, table).measure(
             x, y,
-            SensitivityConfig(batch_size=4, eval_batch_k=eval_batch_k),
+            SensitivityConfig(batch_size=4),
         )
         assert fast.extras["num_segments"] == len(model.layers)
         np.testing.assert_array_equal(fast.matrix, naive.matrix)
@@ -193,24 +191,17 @@ class TestNaiveSegmentedEquivalence:
 class TestStrategySelection:
     def test_auto_falls_back_without_segments(self, mlp_setup):
         """A model without segments runs as the one segment ``[model]``:
-        at width 1 that is exactly the literal Algorithm 1, bitwise."""
+        that is exactly the literal Algorithm 1, bitwise."""
         model, layers, table, x, y = mlp_setup
         opaque = Unsegmented(model)
         engine = SensitivityEngine(opaque, table)
         assert engine._segment_map() == ([opaque], (0,) * len(layers))
-        result = engine.measure(
-            x, y, SensitivityConfig(batch_size=8, eval_batch_k=1)
-        )
+        result = engine.measure(x, y, SensitivityConfig(batch_size=8))
         assert result.extras["strategy"] == "segmented"
         assert result.extras["num_segments"] == 1
-        assert result.extras["batched_chunks"] == 0
         naive = naive_sweep(opaque, table, x, y, batch_size=8)
         np.testing.assert_array_equal(result.matrix, naive.matrix)
         assert result.base_loss == naive.base_loss
-        # Stacked one-segment replays are bitwise the plain ones too.
-        stacked = engine.measure(x, y, SensitivityConfig(batch_size=8))
-        assert stacked.extras["batched_chunks"] > 0
-        np.testing.assert_array_equal(stacked.matrix, naive.matrix)
 
     def test_unknown_strategy_rejected(self, mlp_setup):
         """Execution knobs live in SensitivityConfig only; there is no
@@ -295,7 +286,7 @@ class TestResume:
         y = rng.integers(0, 4, size=8)
         setup_activation_quant(model, layers, x, bits=8)
         path = str(tmp_path / "sweep.ckpt")
-        config = SensitivityConfig(batch_size=8, eval_batch_k=1)
+        config = SensitivityConfig(batch_size=8)
         first = SensitivityEngine(
             model, QuantizedWeightTable(layers, QuantConfig(bits=(2, 4)))
         ).measure(
@@ -318,10 +309,10 @@ class TestResume:
         assert again.extras["resumed_evals"] == 0
         np.testing.assert_array_equal(again.matrix, fresh.matrix)
 
-    def test_checkpoint_resumes_across_stack_widths(self, tmp_path):
-        """The stack width is not in the resume fingerprint: a checkpoint
-        of sequential (width-1) replays serves a stacked sweep in full,
-        which would have measured the same losses bitwise."""
+    def test_checkpoint_resumes_across_worker_counts(self, tmp_path):
+        """The worker count is not in the resume fingerprint: a checkpoint
+        written by a two-worker sweep serves a serial sweep in full, which
+        would have measured the same losses bitwise."""
         model = build_model("resnet_s20", num_classes=4)
         model.eval()
         layers = quantizable_layers(model, "resnet_s20")
@@ -331,17 +322,17 @@ class TestResume:
         y = rng.integers(0, 4, size=8)
         engine = SensitivityEngine(model, table)
         path = str(tmp_path / "sweep.ckpt")
-        config = SensitivityConfig(batch_size=8, eval_batch_k=1)
-        first = engine.measure(x, y, config.with_overrides(checkpoint_path=path))
-        stacked = engine.measure(x, y, config.with_overrides(eval_batch_k=0))
-        assert stacked.extras["batched_chunks"] > 0
-        resumed = engine.measure(
-            x, y, config.with_overrides(eval_batch_k=0, checkpoint_path=path)
+        config = SensitivityConfig(batch_size=8)
+        first = engine.measure(
+            x, y, config.with_overrides(num_workers=2, checkpoint_path=path)
         )
+        assert first.extras["workers"] == 2
+        serial = engine.measure(x, y, config)
+        resumed = engine.measure(x, y, config.with_overrides(checkpoint_path=path))
         assert resumed.extras["resumed_evals"] == resumed.extras["plan_evals"]
         assert resumed.extras["executed_evals"] == 0
         np.testing.assert_array_equal(resumed.matrix, first.matrix)
-        np.testing.assert_array_equal(stacked.matrix, first.matrix)
+        np.testing.assert_array_equal(serial.matrix, first.matrix)
 
     def test_checkpoint_resumes_across_segmentations(self, tmp_path):
         """The segmentation is not in the resume fingerprint: a checkpoint

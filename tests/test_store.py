@@ -146,7 +146,8 @@ class TestStoreKey:
         assert quantizer_fingerprint(QuantConfig(bits=(4, 8)), "full") != base
         assert quantizer_fingerprint(CFG, "diagonal") != base
         assert quantizer_fingerprint(CFG, "full", batch_size=8) != base
-        # The stack width is numerics-invariant, like the worker count.
+        # Execution knobs are not key parameters: the removed stack width
+        # never was one.
         with pytest.raises(TypeError):
             quantizer_fingerprint(CFG, "full", eval_batch_k=1)
 
@@ -421,29 +422,6 @@ class TestServe:
         assert doc["results"]["store_budgets"] == [int(b) for b in budgets]
         assert doc["counters"].get("sensitivity.forward_evals", 0) == 0
         assert doc["counters"].get("store.hits", 0) == 1
-
-    def test_sequential_entry_serves_stacked_request(self, tmp_path, setup):
-        """An entry measured at width 1 answers a request at the auto
-        width offline, with no forward evaluations: a stacked sweep
-        measures the same Ĝ bit for bit."""
-        make, x, y, budgets, config, solver = setup
-        store = ArtifactStore(tmp_path / "store")
-        sequential = config.with_overrides(eval_batch_k=1)
-        stacked = config.with_overrides(eval_batch_k=0)
-        fresh = allocate_cached(make(), x, y, budgets, store, solver, sequential)
-        served_algo = make()
-        with telemetry.start_run("test", manifest_dir=tmp_path) as run:
-            served = allocate_cached(
-                served_algo, x, y, budgets, store, solver, stacked, offline=True
-            )
-            doc = run.document()
-        assert doc["results"]["store_source"] == "store"
-        assert doc["counters"].get("sensitivity.forward_evals", 0) == 0
-        assert self._same(fresh, served)
-        swept = make()
-        swept.prepare(x, y, stacked)
-        assert swept.raw.extras["batched_chunks"] > 0
-        np.testing.assert_array_equal(served_algo.raw.matrix, swept.raw.matrix)
 
     def test_offline_miss_raises_typed(self, tmp_path, setup):
         make, x, y, budgets, config, solver = setup

@@ -309,7 +309,6 @@ class TestSweepEvalAccounting:
         config = SensitivityConfig()
         if strategy == "naive":
             model = Unsegmented(model)
-            config = SensitivityConfig(eval_batch_k=1)
         telemetry.enable()
         result = SensitivityEngine(model, table).measure(x, y, config, mode="full")
         assert result.extras["num_segments"] == (
