@@ -19,8 +19,8 @@ test:
 	PYTHONPATH=src pytest tests/
 
 # Deterministic fault-injection gate: injected worker crashes, corrupted
-# checkpoints, and solver-deadline expiry must leave results bitwise
-# unchanged / feasible (scripts/chaos_smoke.py).
+# checkpoints and store entries must leave results bitwise unchanged, and
+# a node-capped solve must stay feasible (scripts/chaos_smoke.py).
 chaos-smoke:
 	python scripts/chaos_smoke.py
 

@@ -11,10 +11,10 @@ as ``make chaos-smoke`` inside the default ``make`` target:
 2. **Corrupted-checkpoint resume** — resuming from the truncated
    checkpoint file the previous run left on disk restarts cleanly and
    still reproduces the exact matrix.
-3. **Solver ladder** — ``solve_with_fallback`` returns a feasible
-   assignment within its deadline on a problem sized from every zoo
-   model even when branch-and-bound's budget is forced to expire, and
-   the winning rung plus the injected faults land in the run manifest.
+3. **Solver floor** — on a problem sized from every zoo model,
+   branch-and-bound stopped by a one-node cap returns a feasible,
+   uncertified assignment marked ``degraded`` whose objective is no
+   worse than ``solve_greedy``'s: the floor every stopped solve keeps.
 4. **Fork-supervisor equivalence** — a sweep on 3 supervised fork
    workers, with a worker crash (``worker_crash``) and a non-finite loss
    (``nonfinite_loss``) injected, produces a Ĝ, single losses and base
@@ -46,8 +46,9 @@ as ``make chaos-smoke`` inside the default ``make`` target:
    writer lock (``stale_writer_lock``) is taken over, not deadlocked on.
 
 Everything is driven by seeded :class:`repro.robustness.FaultPlan`
-schedules — no monkeypatching, no timing dependence — so failures here
-reproduce exactly under ``REPRO_FAULT_PLAN`` at the command line.
+schedules and node caps — no monkeypatching, no timing dependence — so
+failures here reproduce exactly under ``REPRO_FAULT_PLAN`` at the
+command line.
 """
 
 from __future__ import annotations
@@ -67,7 +68,11 @@ from repro.models import MODEL_REGISTRY, build_model, quantizable_layers  # noqa
 from repro.nn import Linear, ReLU, Sequential  # noqa: E402
 from repro.quant import QuantConfig, QuantizedWeightTable  # noqa: E402
 from repro.robustness import FaultPlan, FaultSpec  # noqa: E402
-from repro.solvers import MPQProblem, solve_with_fallback  # noqa: E402
+from repro.solvers import (  # noqa: E402
+    MPQProblem,
+    solve_branch_and_bound,
+    solve_greedy,
+)
 
 CHECKS = []
 
@@ -171,9 +176,8 @@ def sweep_chaos(tmp: Path) -> None:
     )
 
 
-def ladder_chaos(tmp: Path) -> None:
-    """Check 3: the ladder stays feasible on zoo-scale problems."""
-    expiry = FaultPlan(seed=0, faults=(FaultSpec("solver_deadline", rung="bb"),))
+def solver_floor_chaos() -> None:
+    """Check 3: a node-capped solve keeps the greedy floor at zoo scale."""
     for i, name in enumerate(sorted(MODEL_REGISTRY)):
         model = build_model(name, num_classes=10)
         sizes = [layer.num_params for layer in quantizable_layers(model, name)]
@@ -187,30 +191,21 @@ def ladder_chaos(tmp: Path) -> None:
             bits=bits,
             budget_bits=int(5 * sum(sizes)),
         )
-        with telemetry.start_run("chaos-smoke", manifest_dir=tmp) as run:
-            result = solve_with_fallback(
-                problem, deadline=10.0, fault_plan=expiry
-            )
-            recorded = (
-                run.results.get("solver_rung") == result.extras["rung"]
-                and run.results.get("solver_degraded") is True
-                and any(
-                    f["kind"] == "solver_deadline"
-                    for f in run.results.get("injected_faults", ())
-                )
-            )
-        feasible = (
-            result.size_bits <= problem.budget_bits
-            and result.extras["rung"] in ("qp_round", "greedy")
-            and result.extras["degraded"]
-            and result.extras["ladder_wall_time"] <= 10.0
+        result = solve_branch_and_bound(problem, max_nodes=1)
+        floor = solve_greedy(problem)
+        check(
+            f"node-capped solve feasible, uncertified + degraded on {name} "
+            f"({len(sizes)} layers)",
+            problem.is_feasible(result.choice)
+            and not result.optimal
+            and result.extras["degraded"],
+            f"nodes={result.nodes}",
         )
         check(
-            f"ladder feasible + degraded on {name} ({len(sizes)} layers)",
-            feasible,
-            f"rung={result.extras['rung']}",
+            f"node-capped objective <= greedy floor on {name}",
+            result.objective <= floor.objective,
+            f"{result.objective:.4f} <= {floor.objective:.4f}",
         )
-        check(f"manifest records rung + injected fault on {name}", recorded)
 
 
 def fork_chaos() -> None:
@@ -639,7 +634,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as tmpdir:
         tmp = Path(tmpdir)
         sweep_chaos(tmp)
-        ladder_chaos(tmp)
+        solver_floor_chaos()
         fork_chaos()
         measurement_chaos(tmp)
         cli_health_chaos(tmp)

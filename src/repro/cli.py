@@ -84,17 +84,25 @@ def _allocate_cached_sensitivity(args):
     return SensitivityConfig(health=args.health)
 
 
+_DEGRADED_WARNING = (
+    "warning: branch-and-bound stopped at its node cap or time limit, or on "
+    "a numerical failure; the allocation is its best incumbent (exit code 3)"
+)
+
+
 def _run_allocation(args, body, run_name: str, run_config: dict) -> int:
     """Run an allocation command's ``body`` under the exit-code contract.
 
     The single authoritative table lives in docs/robustness.md
     ("Exit-code contract").  In brief: 0 success, 2 infeasible budget (or
-    a usage error, raised before this runs), 3 degraded (fallback rung),
-    4 sweep failure, 5 unhealthy matrix under ``--health strict``, 7 store
-    refusal (``allocate-cached --offline``), 130 interrupted.
+    a usage error, raised before this runs), 3 degraded (branch-and-bound
+    stopped at its node cap or time limit, or on a numerical failure, and
+    returned its best incumbent), 4 sweep failure, 5 unhealthy matrix
+    under ``--health strict``, 7 store refusal (``allocate-cached
+    --offline``), 130 interrupted.
     """
     from .core import InfeasibleBudgetError
-    from .robustness import DeadlineExpired, SweepFailure, UnhealthyMatrixError
+    from .robustness import SweepFailure, UnhealthyMatrixError
     from .store import STORE_EXIT_CODE, StoreMissError
 
     run = None
@@ -111,9 +119,6 @@ def _run_allocation(args, body, run_name: str, run_config: dict) -> int:
             emit(f"  smallest representable model: {exc.min_size_bits} bits; "
                  "raise --avg-bits")
         return 2
-    except DeadlineExpired as exc:
-        emit(f"error: solver deadline expired without a feasible result — {exc}")
-        return 3
     except SweepFailure as exc:
         emit(f"error: unrecoverable sweep failure — {exc}")
         if exc.group >= 0:
@@ -156,7 +161,6 @@ def _allocate_body(args, run) -> int:
     model, _ = get_pretrained(args.model, dataset, verbose=True)
     config = model_quant_config(args.model)
     x_sens, y_sens = sensitivity_set(dataset, size=args.set_size)
-    degraded_exit = 0  # flips to 3 when the allocation came from a fallback rung
 
     ctx = ExperimentContext()
     algo = ctx.make_algorithm(
@@ -204,27 +208,21 @@ def _allocate_body(args, run) -> int:
             budget,
             extra_constraints=((coeffs, bound),),
         )
-        result = solve_branch_and_bound(problem, time_limit=args.time_limit)
-        bits = problem.choice_bits(result.choice)
+        solver_result = solve_branch_and_bound(problem, time_limit=args.time_limit)
+        bits = problem.choice_bits(solver_result.choice)
     else:
         result = algo.allocate(
-            budget,
-            solver=SolverConfig(
-                time_limit=args.time_limit, deadline=args.deadline
-            ),
+            budget, solver=SolverConfig(time_limit=args.time_limit)
         )
         bits = result.bits
         emit(f"solver: {result.solver_method} ({result.solver_status}), "
              f"{result.solve_seconds:.2f}s, "
              f"budget utilization {result.utilization:.1%}")
         solver_result = result.solver
-        if solver_result is not None and solver_result.extras.get("degraded"):
-            emit(
-                "warning: solver deadline expired — allocation came from "
-                f"fallback rung {solver_result.extras.get('rung')!r} "
-                "(exit code 3)"
-            )
-            degraded_exit = 3
+    degraded_exit = 0
+    if solver_result is not None and solver_result.extras.get("degraded"):
+        emit(_DEGRADED_WARNING)
+        degraded_exit = 3
 
     emit(f"\nbudget {bytes_to_mb(budget / 8):.4f} MB "
          f"({args.avg_bits}-bit average)")
@@ -291,9 +289,8 @@ def _allocate_cached_body(args, run) -> int:
         y_sens,
         budgets,
         store,
-        solver=SolverConfig(time_limit=args.time_limit, deadline=args.deadline),
+        solver=SolverConfig(time_limit=args.time_limit),
         offline=args.offline,
-        warm_chain=not args.no_warm_chain,
     )
     degraded_exit = 0
     run_doc = telemetry.current_run()
@@ -308,10 +305,7 @@ def _allocate_cached_body(args, run) -> int:
         )
         solver_result = result.solver
         if solver_result is not None and solver_result.extras.get("degraded"):
-            emit(
-                "warning: allocation came from fallback rung "
-                f"{solver_result.extras.get('rung')!r} (exit code 3)"
-            )
+            emit(_DEGRADED_WARNING)
             degraded_exit = 3
         if args.verbose:
             for layer, b in zip(algo.layers, result.bits):
@@ -499,13 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="clado", choices=list(ALGORITHM_KINDS))
     p.add_argument("--avg-bits", type=float, default=4.0)
     p.add_argument("--set-size", type=_set_size, default=64)
-    p.add_argument("--time-limit", type=float, default=20.0)
     p.add_argument(
-        "--deadline",
+        "--time-limit",
         type=float,
-        default=None,
-        help="total wall-clock budget (s) for the solver degradation ladder; "
-        "expiry falls back bb -> qp_round -> greedy (exit code 3)",
+        default=20.0,
+        help="wall-clock cap (s) of each branch-and-bound solve; a solve it "
+        "stops returns its best incumbent (exit code 3)",
     )
     p.add_argument(
         "--max-retries",
@@ -574,13 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         nargs="+",
         default=[4.0],
-        help="budget grid as average bits per weight; adjacent budgets "
-        "chain warm starts through the solver ladder",
+        help="budget grid as average bits per weight, one solve each",
     )
     p.add_argument("--set-size", type=_set_size, default=64)
     p.add_argument("--time-limit", type=float, default=20.0)
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-budget wall-clock allowance for the solver ladder")
     p.add_argument(
         "--store",
         required=True,
@@ -591,12 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="forbid measuring: a miss or integrity failure exits 7 "
         "instead of running a fresh sweep",
-    )
-    p.add_argument(
-        "--no-warm-chain",
-        action="store_true",
-        help="solve every budget cold (skip the warm rung between "
-        "adjacent budgets)",
     )
     p.add_argument(
         "--health",

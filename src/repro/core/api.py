@@ -98,14 +98,11 @@ class SolverConfig:
     ``max_capacity_units`` for the DP) without widening this schema.
     """
 
-    method: str = "auto"  # "auto" | "bb" | "fallback" | "dp" | "greedy" | ...
+    method: str = "auto"  # "auto" | "bb" | "dp" | "greedy" | "exhaustive"
     time_limit: float = 20.0
     max_nodes: int = 20_000
     gap_tol: float = 1e-9
     assume_psd: Optional[bool] = None
-    #: Total wall-clock allowance for the degradation ladder (CLI
-    #: ``--deadline``); ``None`` leaves branch-and-bound on ``time_limit``.
-    deadline: Optional[float] = None
     options: Mapping[str, object] = field(default_factory=dict)
 
     def with_overrides(self, **overrides) -> "SolverConfig":

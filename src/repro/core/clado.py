@@ -182,6 +182,10 @@ class MPQAlgorithm:
                 budget_bits=budget_bits,
                 achieved_size_bits=result.achieved_size_bits,
                 solver_status=result.solver_status,
+                solver_degraded=bool(
+                    assignment.solver is not None
+                    and assignment.solver.extras.get("degraded")
+                ),
                 solver_method=result.solver_method,
                 predicted_loss_increase=assignment.predicted_loss_increase,
             )
@@ -292,20 +296,19 @@ class CLADO(MPQAlgorithm):
         if method == "auto" and self.mode == "diagonal":
             method = "dp"
         solver_kwargs = dict(solver.options)
-        if method in ("auto", "bb", "fallback"):
-            # Quadratic objectives go down the degradation ladder: exact
-            # branch-and-bound first, QP-relax-and-round then greedy on
-            # deadline expiry or numerical failure — an allocation always
-            # comes back (see repro.solvers.fallback).
+        if method in ("auto", "bb"):
+            # Quadratic objectives go to branch-and-bound, which starts from
+            # the greedy incumbent: stopped by a cap or a numerical failure,
+            # it returns its best incumbent marked ``degraded``, so an
+            # allocation always comes back.
             solver_kwargs.setdefault("time_limit", solver.time_limit)
-            solver_kwargs.setdefault("deadline", solver.deadline)
             solver_kwargs.setdefault("max_nodes", solver.max_nodes)
             solver_kwargs.setdefault("gap_tol", solver.gap_tol)
             solver_kwargs.setdefault(
                 "assume_psd",
                 self.use_psd if solver.assume_psd is None else solver.assume_psd,
             )
-            method = "fallback"
+            method = "bb"
         result = solve(problem, method=method, **solver_kwargs)
         extras = {
             "mode": self.mode,

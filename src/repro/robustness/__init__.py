@@ -4,10 +4,10 @@ The sensitivity sweep is the system's longest-running stage and the IQP
 solve its least-predictable one; this package holds what lets both
 survive partial failure instead of discarding hours of measurement:
 
-- typed failure vocabulary (:class:`SweepFailure`, :class:`DeadlineExpired`,
+- typed failure vocabulary (:class:`SweepFailure`,
   :class:`InjectedWorkerCrash`, :class:`UnhealthyMatrixError`) shared by
-  the sweep supervisor, the solver ladder, and the CLI exit-code contract
-  (see ``docs/robustness.md``);
+  the sweep supervisor and the CLI exit-code contract (see
+  ``docs/robustness.md``);
 - the deterministic fault-injection harness (:mod:`repro.robustness.faults`)
   driving chaos tests and ``make chaos-smoke``;
 - measurement integrity for Ĝ (:mod:`repro.robustness.health`): the
@@ -16,9 +16,10 @@ survive partial failure instead of discarding hours of measurement:
   a disagreement is reported, never repaired.
 
 The recovery machinery itself lives where the work happens — the worker
-supervisor in :mod:`repro.core.sensitivity`, the degradation ladder in
-:mod:`repro.solvers.fallback` — and consults this package for faults and
-failure types.
+supervisor in :mod:`repro.core.sensitivity` — and consults this package
+for faults and failure types.  The IQP solve needs none of it:
+branch-and-bound starts from a feasible greedy incumbent and returns its
+best one when a cap or a numerical failure stops it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "canonical_entry",
     "cancellation_flags",
     "SweepFailure",
-    "DeadlineExpired",
     "InjectedWorkerCrash",
 ]
 
@@ -67,20 +67,6 @@ class SweepFailure(RuntimeError):
         super().__init__(message)
         self.group = group
         self.attempts = attempts
-
-
-class DeadlineExpired(RuntimeError):
-    """A wall-clock budget ran out before the stage finished.
-
-    Raised internally by the solver ladder to move to the next rung; it
-    only escapes when even the final rung cannot produce a feasible
-    result within the deadline.
-    """
-
-    def __init__(self, message: str, rung: str = "", deadline: float = 0.0) -> None:
-        super().__init__(message)
-        self.rung = rung
-        self.deadline = deadline
 
 
 class InjectedWorkerCrash(RuntimeError):

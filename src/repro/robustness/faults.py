@@ -2,17 +2,17 @@
 
 A :class:`FaultPlan` is a *seeded, declarative* schedule of failures —
 worker crashes at a given sweep group, non-finite losses, corrupted
-checkpoint files, solver-deadline expiry — that the production code
-consults at well-defined injection points.  Because every fault is keyed
-by structural position (plan-group index, flush ordinal, ladder rung) and
-by the retry attempt rather than by wall-clock or PID, the same plan
-replays **bitwise identically** in unit tests, in ``make chaos-smoke``,
-and across worker counts.
+checkpoint files and store entries, an outlier loss — that the production
+code consults at well-defined injection points.  Because every fault is
+keyed by structural position (plan-group index, plan spec index, flush or
+publish ordinal) and by the retry attempt rather than by wall-clock or
+PID, the same plan replays **bitwise identically** in unit tests, in
+``make chaos-smoke``, and across worker counts.
 
 Activation
 ----------
-- programmatically: ``SensitivityConfig(fault_plan=FaultPlan(...))`` or a
-  ``fault_plan=`` argument to :func:`repro.solvers.solve_with_fallback`;
+- programmatically: ``SensitivityConfig(fault_plan=FaultPlan(...))`` or
+  ``ArtifactStore(..., fault_plan=...)``;
 - from the environment: ``REPRO_FAULT_PLAN`` holding either the JSON
   document itself or ``@/path/to/plan.json``.
 
@@ -24,7 +24,6 @@ JSON schema::
        {"kind": "nonfinite_loss",    "at": 5, "times": 1},
        {"kind": "corrupt_checkpoint","at": 0, "times": 1},
        {"kind": "outlier_loss",      "at": 7, "times": 1},
-       {"kind": "solver_deadline",   "rung": "bb"},
        {"kind": "truncated_artifact",    "at": 0, "times": 1},
        {"kind": "checksum_flip",         "at": 1, "times": 1},
        {"kind": "stale_writer_lock",     "at": 0, "times": 1},
@@ -37,8 +36,7 @@ JSON schema::
 publish ordinal for artifact-store faults (``truncated_artifact``,
 ``checksum_flip``, ``stale_writer_lock``, ``fingerprint_mismatch``);
 ``times`` is how many *attempts* fail before the fault stops firing (so
-bounded retries deterministically recover); ``rung`` names the ladder
-rung whose deadline is forced to expire.  ``outlier_loss`` strikes the
+bounded retries deterministically recover).  ``outlier_loss`` strikes the
 sweep's one loss table, so its ``times`` must be 1.
 
 Faults fire through the same code paths real failures take: an injected
@@ -72,7 +70,6 @@ FAULT_KINDS = (
     "worker_crash",
     "nonfinite_loss",
     "corrupt_checkpoint",
-    "solver_deadline",
     "outlier_loss",
     "truncated_artifact",
     "checksum_flip",
@@ -110,15 +107,14 @@ class FaultSpec:
     """One scheduled fault.
 
     ``at`` positions the fault structurally (plan-group index for sweep
-    faults, flush ordinal for checkpoint faults; ignored for solver
-    faults); ``times`` bounds how many attempts it poisons; ``rung``
-    selects the ladder rung for ``solver_deadline``.
+    faults, plan spec index for ``outlier_loss``, flush ordinal for
+    checkpoint faults, publish ordinal for store faults); ``times`` bounds
+    how many attempts it poisons.
     """
 
     kind: str
     at: int = 0
     times: int = 1
-    rung: str = "bb"
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -136,10 +132,7 @@ class FaultSpec:
             )
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "at": self.at, "times": self.times}
-        if self.kind == "solver_deadline":
-            out["rung"] = self.rung
-        return out
+        return {"kind": self.kind, "at": self.at, "times": self.times}
 
 
 @dataclass(frozen=True)
@@ -151,8 +144,8 @@ class FaultPlan:
     checkpoint or store entry, the byte a checksum flip hits, the delta
     of an outlier loss — so a plan's effect is replayable too.  Every
     kind models a real failure: a dead or hung worker, a diverged loss,
-    a damaged file, an expired deadline, and (``outlier_loss``) a loss
-    that its replay does not repeat.
+    a damaged file, and (``outlier_loss``) a loss that its replay does
+    not repeat.
     """
 
     seed: int = 0
@@ -258,15 +251,6 @@ class FaultPlan:
         """
         return self._fires("fingerprint_mismatch", publish_ordinal, 0)
 
-    # -- solver faults ---------------------------------------------------------
-    def solver_expired(self, rung: str) -> bool:
-        """Force the ladder rung ``rung`` to behave as deadline-expired."""
-        for fault in self.faults:
-            if fault.kind == "solver_deadline" and fault.rung == rung:
-                self._record(fault)
-                return True
-        return False
-
     # -- shared ----------------------------------------------------------------
     def _fires(self, kind: str, at: int, attempt: int) -> bool:
         for fault in self.faults:
@@ -300,7 +284,6 @@ class FaultPlan:
                 kind=str(entry["kind"]),
                 at=int(entry.get("at", 0)),
                 times=int(entry.get("times", 1)),
-                rung=str(entry.get("rung", "bb")),
             )
             for entry in doc.get("faults", ())
         )

@@ -3,6 +3,9 @@
 ``solve`` is the front door: it dispatches to the knapsack DP for separable
 (diagonal) objectives and to branch-and-bound for quadratic ones, mirroring
 how the paper routes baselines to an ILP and CLADO to the Gurobi IQP.
+Branch-and-bound is the one quadratic solve: it starts from the greedy
+incumbent and, stopped by a cap or a numerical failure, returns its best
+incumbent marked ``extras["degraded"]``.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from .branch_bound import solve_branch_and_bound
 from .dp import solve_dp
 from .exhaustive import solve_exhaustive
-from .fallback import LADDER_RUNGS, relax_and_round, solve_with_fallback
 from .greedy import greedy_construct, local_search, solve_greedy
 from .problem import InfeasibleBudgetError, MPQProblem, SolveResult
 from .qp_relax import RelaxationResult, solve_relaxation
@@ -25,9 +27,6 @@ __all__ = [
     "solve_greedy",
     "solve_branch_and_bound",
     "solve_relaxation",
-    "solve_with_fallback",
-    "relax_and_round",
-    "LADDER_RUNGS",
     "RelaxationResult",
     "greedy_construct",
     "local_search",
@@ -38,9 +37,7 @@ def solve(problem: MPQProblem, method: str = "auto", **kwargs) -> SolveResult:
     """Solve an MPQ instance.
 
     ``method`` is one of ``auto`` (DP for diagonal objectives, otherwise
-    branch-and-bound), ``dp``, ``bb``, ``fallback`` (the degradation
-    ladder — see :func:`solve_with_fallback`), ``greedy``, or
-    ``exhaustive``.
+    branch-and-bound), ``dp``, ``bb``, ``greedy``, or ``exhaustive``.
     """
     if method == "auto":
         method = "dp" if problem.is_diagonal() else "bb"
@@ -48,8 +45,6 @@ def solve(problem: MPQProblem, method: str = "auto", **kwargs) -> SolveResult:
         return solve_dp(problem, **kwargs)
     if method == "bb":
         return solve_branch_and_bound(problem, **kwargs)
-    if method == "fallback":
-        return solve_with_fallback(problem, **kwargs)
     if method == "greedy":
         return solve_greedy(problem, **kwargs)
     if method == "exhaustive":

@@ -1,9 +1,9 @@
 """Greedy construction and local search for the IQP.
 
-Used (a) to seed branch-and-bound with a good incumbent, (b) as the
-standalone fallback for indefinite sensitivity matrices (the paper's
-no-PSD ablation, where the exact solver stops converging), and (c) to
-repair rounded relaxation solutions.
+Used (a) to seed branch-and-bound with a good incumbent, which is also
+what it returns when a numerical failure stops it before any node, (b)
+as the fast heuristic ``solve(method="greedy")``, and (c) to polish
+rounded relaxation solutions.
 """
 
 from __future__ import annotations

@@ -18,7 +18,9 @@ __all__ = ["InfeasibleBudgetError", "MPQProblem", "SolveResult"]
 
 
 class InfeasibleBudgetError(ValueError):
-    """The size budget is below the all-minimum-bits model size.
+    """A budget is below the all-minimum-bits cost: the size budget (with
+    ``budget_bits`` and ``min_size_bits`` set) or an extra linear budget
+    (both ``None``).
 
     Raised uniformly by solvers and allocators (instead of bare asserts or
     ``None`` returns) so callers — in particular the CLI — can turn an

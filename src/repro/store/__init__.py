@@ -13,7 +13,7 @@ seconds.  This package makes the sweep a durable, shareable artifact:
   publishes, single-writer locks with stale takeover, verify-on-read
   with typed corrupt/stale attribution, quarantine);
 - :mod:`repro.store.serve` — the degradation-aware request path
-  (cache hit → verified load + fallback-ladder solve; integrity failure
+  (cache hit → verified load + solve; integrity failure
   → quarantine + remeasure; ``--offline`` → typed refusal).
 
 See docs/store.md for the design and docs/robustness.md for how the

@@ -6,9 +6,8 @@ grid of budgets it descends a fixed ladder:
 
 1. **cache hit** — the store entry for this request's
    :class:`~repro.store.keys.StoreKey` verifies; its sensitivities are
-   installed via ``set_sensitivity`` and every budget is solved with
-   ``solve_with_fallback`` under the request deadline.  Zero forward
-   evaluations are spent.
+   installed via ``set_sensitivity`` and every budget is solved by
+   ``algo.allocate``.  Zero forward evaluations are spent.
 2. **integrity failure** — the entry exists but is corrupt (damaged
    bytes) or stale (fingerprints from another world).  It is
    quarantined with an attributed reason, and — when measuring is
@@ -20,11 +19,6 @@ grid of budgets it descends a fixed ladder:
 4. **offline** — when ``offline=True`` measuring is forbidden, so (2)
    and (3) raise :class:`StoreMissError` instead; the CLI maps it to
    exit code :data:`STORE_EXIT_CODE`.
-
-Adjacent budgets in the grid chain warm starts: each solved choice is
-offered to the next solve as the optional ``warm`` rung, which is
-attempted after every cold rung and therefore can only improve the
-incumbent, never change a tie (cold solves stay bitwise reproducible).
 """
 
 from __future__ import annotations
@@ -133,15 +127,6 @@ def prepare_cached(
     return key, "quarantine_remeasure" if integrity else "sweep"
 
 
-def _warm_eligible(algo, solver: SolverConfig) -> bool:
-    """Whether this solve goes down the fallback ladder (which can accept
-    a warm start); the diagonal mode's ``auto`` resolves to the DP."""
-    method = solver.method
-    if method == "auto" and getattr(algo, "mode", None) == "diagonal":
-        return False
-    return method in ("auto", "bb", "fallback")
-
-
 def allocate_cached(
     algo,
     x: np.ndarray,
@@ -151,7 +136,6 @@ def allocate_cached(
     solver: Optional[SolverConfig] = None,
     sensitivity: Optional[SensitivityConfig] = None,
     offline: bool = False,
-    warm_chain: bool = True,
 ) -> List[AllocationResult]:
     """Serve allocations for ``budgets`` from the store when possible.
 
@@ -167,21 +151,9 @@ def allocate_cached(
             f"{type(algo).__name__} does not support cached serving "
             "(no set_sensitivity); use a CLADO-family algorithm"
         )
-    solver = solver or SolverConfig()
     with telemetry.span("store.serve"):
         key, source = prepare_cached(algo, x, y, store, sensitivity, offline)
-        results: List[AllocationResult] = []
-        prev_choice: Optional[np.ndarray] = None
-        chain = warm_chain and _warm_eligible(algo, solver)
-        for budget in budgets:
-            cfg = solver
-            if chain and prev_choice is not None:
-                options = dict(solver.options)
-                options["warm_choice"] = [int(c) for c in prev_choice]
-                cfg = solver.with_overrides(options=options)
-            result = algo.allocate(int(budget), cfg)
-            prev_choice = np.asarray(result.assignment.choice)
-            results.append(result)
+        results = [algo.allocate(int(budget), solver) for budget in budgets]
     run = telemetry.current_run()
     if run is not None:
         run.add_result(

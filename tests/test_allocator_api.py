@@ -113,6 +113,15 @@ class TestSolverConfig:
         assert cfg.max_nodes == 5
         assert cfg.method == "auto"
 
+    def test_field_names(self):
+        """Branch-and-bound's ``time_limit`` is the one solver deadline."""
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "method", "time_limit", "max_nodes", "gap_tol", "assume_psd",
+            "options",
+        ]
+        with pytest.raises(TypeError):
+            SolverConfig(deadline=1)
+
 
 class TestBuildAlgorithm:
     def test_kinds_registry_complete(self):
@@ -195,6 +204,7 @@ class TestAllocationResult:
         assert str(run.path) == res.manifest_path
         doc = telemetry.load_manifest(run.path)
         assert doc["results"]["budget_bits"] == budget
+        assert doc["results"]["solver_degraded"] is False
 
 
 class TestLegacyShims:

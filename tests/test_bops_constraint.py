@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.models import build_model, quantizable_layers
 from repro.quant import assignment_bops, bops_table, measure_macs
 from repro.solvers import (
+    InfeasibleBudgetError,
     MPQProblem,
     greedy_construct,
     solve_branch_and_bound,
@@ -124,6 +125,15 @@ class TestConstrainedProblem:
         bb = solve_branch_and_bound(p, time_limit=30)
         assert bb.objective == pytest.approx(ex.objective, abs=1e-6)
         assert p.is_feasible(bb.choice)
+
+    def test_bops_below_all_minimum_raises_typed_error(self):
+        """An extra budget that no assignment meets is a problem property,
+        like a size budget below the all-minimum size; its error carries no
+        size fields, so the CLI prints no "raise --avg-bits" hint."""
+        p = self._problem(np.random.default_rng(4), bops_ratio=-0.5)
+        with pytest.raises(InfeasibleBudgetError, match="extra budget 0") as exc:
+            solve_branch_and_bound(p)
+        assert exc.value.min_size_bits is None
 
     def test_greedy_respects_bops(self):
         rng = np.random.default_rng(1)

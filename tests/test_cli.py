@@ -57,17 +57,24 @@ class TestUsageErrors:
             ["allocate", "--no-health-repair"],
             ["allocate-cached", "--store", "s", "--health-rounds", "2"],
             ["allocate", "--eval-batch-k", "4"],
+            ["allocate", "--deadline", "5"],
+            ["allocate-cached", "--store", "s", "--deadline", "5"],
+            ["allocate-cached", "--store", "s", "--no-warm-chain"],
         ],
         ids=[
             "allocate --health-rounds",
             "allocate --no-health-repair",
             "allocate-cached --health-rounds",
             "allocate --eval-batch-k",
+            "allocate --deadline",
+            "allocate-cached --deadline",
+            "allocate-cached --no-warm-chain",
         ],
     )
     def test_removed_flags_are_usage_errors(self, argv, capsys):
-        """The determinism audit has no rounds and no repair to switch, and
-        every sweep replay is plain, so there is no stack width to set."""
+        """The determinism audit has no rounds and no repair to switch,
+        every sweep replay is plain, so there is no stack width to set, and
+        branch-and-bound's ``--time-limit`` is the one solver deadline."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

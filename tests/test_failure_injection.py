@@ -1,6 +1,7 @@
 """Failure-injection tests: corrupt inputs must fail loudly, not silently,
-and injected faults (worker crashes, damaged checkpoints, solver deadline
-expiry) must be recovered without changing results.
+injected faults (worker crashes, damaged checkpoints) must be recovered
+without changing results, and a solve stopped early must still return a
+feasible assignment.
 
 The fault tests are driven end-to-end by seeded
 :class:`repro.robustness.FaultPlan` schedules through the production
@@ -20,19 +21,10 @@ from repro.core.qat import QATConfig, qat_finetune
 from repro.models import build_model, quantizable_layers
 from repro.nn import Linear, Module, ReLU, Sequential
 from repro.quant import QuantConfig, QuantizedWeightTable
-from repro.robustness import (
-    FAULT_KINDS,
-    DeadlineExpired,
-    FaultPlan,
-    FaultSpec,
-    SweepFailure,
-)
+from repro.robustness import FAULT_KINDS, FaultPlan, FaultSpec, SweepFailure
 from repro.robustness.faults import in_worker
-from repro.solvers import (
-    MPQProblem,
-    solve_branch_and_bound,
-    solve_with_fallback,
-)
+from repro.solvers import MPQProblem, solve_branch_and_bound, solve_greedy
+from repro.solvers.qp_relax import Relaxation
 
 
 class TestNonFiniteGuards:
@@ -259,7 +251,11 @@ class TestCheckpointCorruption:
         np.testing.assert_array_equal(first.matrix, resumed.matrix)
 
 
-class TestSolverLadderFallback:
+class TestSolverFloor:
+    """Branch-and-bound builds the greedy incumbent before any relaxation,
+    so a solve that a cap or a numerical failure stops still returns a
+    feasible assignment, marked ``degraded``."""
+
     def _problem(self, n=5, seed=2):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(3 * n, 3 * n))
@@ -270,73 +266,43 @@ class TestSolverLadderFallback:
             budget_bits=int(5 * sum(50 + 10 * i for i in range(n))),
         )
 
-    def test_injected_bb_expiry_falls_through(self):
+    def test_node_capped_solve_is_degraded(self):
         problem = self._problem()
-        plan = FaultPlan(faults=(FaultSpec("solver_deadline", rung="bb"),))
-        result = solve_with_fallback(problem, deadline=5.0, fault_plan=plan)
-        assert result.size_bits <= problem.budget_bits
-        assert result.extras["rung"] in ("qp_round", "greedy")
+        result = solve_branch_and_bound(problem, max_nodes=1)
+        assert problem.is_feasible(result.choice)
+        assert not result.optimal
         assert result.extras["degraded"] is True
-        assert result.extras["ladder"][0]["status"] == "deadline_injected"
+        assert result.objective <= solve_greedy(problem).objective
 
-    def test_greedy_floor_when_upper_rungs_expire(self):
+    def test_zero_time_limit_returns_greedy_incumbent(self):
         problem = self._problem()
-        plan = FaultPlan(
-            faults=(
-                FaultSpec("solver_deadline", rung="bb"),
-                FaultSpec("solver_deadline", rung="qp_round"),
-            )
-        )
-        result = solve_with_fallback(problem, deadline=5.0, fault_plan=plan)
-        assert result.method == "greedy"
-        assert result.extras["rung"] == "greedy"
-        assert result.size_bits <= problem.budget_bits
+        result = solve_branch_and_bound(problem, time_limit=0.0)
+        assert np.array_equal(result.choice, solve_greedy(problem).choice)
+        assert result.nodes == 0
+        assert result.extras["degraded"] is True
 
-    def test_all_rungs_expired_raises_deadline(self):
-        problem = self._problem()
-        plan = FaultPlan(
-            faults=tuple(
-                FaultSpec("solver_deadline", rung=r)
-                for r in ("bb", "qp_round", "greedy")
-            )
-        )
-        with pytest.raises(DeadlineExpired):
-            solve_with_fallback(problem, deadline=5.0, fault_plan=plan)
-
-    def test_clean_ladder_not_degraded(self):
+    def test_finished_solve_not_degraded(self):
+        """A finished search is not degraded, certified or not."""
         problem = self._problem(n=3)
-        result = solve_with_fallback(problem, deadline=30.0)
-        assert result.extras["rung"] == "bb"
+        result = solve_branch_and_bound(problem)
+        assert result.optimal
         assert result.extras["degraded"] is False
+        uncertified = solve_branch_and_bound(problem, assume_psd=False)
+        assert not uncertified.optimal
+        assert uncertified.extras["degraded"] is False
 
-    def test_preexpired_deadline_degrades_straight_to_greedy(self):
-        # A coordinator handing over a dead budget must not spin through
-        # bb/qp_round just to rediscover the expired clock: the fast path
-        # records both upper rungs as pre-expired and lands on greedy.
+    def test_linalg_error_returns_greedy_incumbent(self, monkeypatch):
+        def singular(self, *args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(Relaxation, "solve", singular)
         problem = self._problem()
-        result = solve_with_fallback(problem, deadline=0.0)
-        assert result.method == "greedy"
-        assert result.size_bits <= problem.budget_bits
-        assert result.extras["rung"] == "greedy"
+        result = solve_branch_and_bound(problem)
+        assert np.array_equal(result.choice, solve_greedy(problem).choice)
+        assert not result.optimal
+        assert result.lower_bound is None
         assert result.extras["degraded"] is True
-        assert result.extras["deadline_expired"] is True
-        statuses = {e["rung"]: e["status"] for e in result.extras["ladder"]}
-        assert statuses["bb"] == "deadline_preexpired"
-        assert statuses["qp_round"] == "deadline_preexpired"
-
-    def test_negative_deadline_same_fast_path(self):
-        problem = self._problem(n=3)
-        result = solve_with_fallback(problem, deadline=-1.5)
-        assert result.extras["rung"] == "greedy"
-        assert result.extras["ladder"][0]["status"] == "deadline_preexpired"
-
-    def test_preexpired_deadline_with_greedy_fault_raises(self):
-        # Even the fast path honours an injected greedy expiry: with no
-        # rung left to produce a candidate, the typed error propagates.
-        problem = self._problem(n=3)
-        plan = FaultPlan(faults=(FaultSpec("solver_deadline", rung="greedy"),))
-        with pytest.raises(DeadlineExpired):
-            solve_with_fallback(problem, deadline=0.0, fault_plan=plan)
+        assert "LinAlgError" in result.message
 
 
 class TestQATNonFinite:
@@ -404,6 +370,14 @@ class TestMeasurementFaults:
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultSpec("asymmetric_pair")
 
+    def test_solver_deadline_is_not_a_kind(self):
+        """Branch-and-bound's own caps stop a solve, which then returns its
+        best incumbent, so there is no solver deadline to inject."""
+        assert len(FAULT_KINDS) == 8
+        assert "solver_deadline" not in FAULT_KINDS
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultPlan.parse('{"faults": [{"kind": "solver_deadline"}]}')
+
     def test_outlier_corrupts_matrix_without_health_pass(self, fault_mlp):
         clean = _measure(fault_mlp, workers=1)
         plan = FaultPlan(seed=4, faults=(FaultSpec("outlier_loss", at=3),))
@@ -426,7 +400,7 @@ class TestFaultPlanActivation:
             seed=9,
             faults=(
                 FaultSpec("worker_crash", at=2, times=3),
-                FaultSpec("solver_deadline", rung="qp_round"),
+                FaultSpec("checksum_flip", at=1),
             ),
         )
         assert FaultPlan.parse(plan.to_json()) == plan

@@ -12,14 +12,12 @@ from repro.solvers import (
     MPQProblem,
     greedy_construct,
     local_search,
-    relax_and_round,
     solve,
     solve_branch_and_bound,
     solve_dp,
     solve_exhaustive,
     solve_greedy,
     solve_relaxation,
-    solve_with_fallback,
 )
 from repro.solvers.qp_relax import Relaxation
 
@@ -418,14 +416,15 @@ class TestRelaxation:
 
 class TestLadderAgainstExhaustive:
     def test_qp_round_bound_holds_on_indefinite_matrices(self):
-        """The ``qp_round`` rung bounds with the shifted convex surrogate."""
+        """A one-node solve rounds the root relaxation of the shifted convex
+        surrogate, so its bound holds on an indefinite matrix too."""
         for seed in range(60):
             rng = np.random.default_rng(seed)
             a = rng.normal(size=(12, 12))
             sizes = rng.integers(10, 400, size=4)
             budget = int(sizes.sum() * rng.uniform(2.5, 7.0))
             p = MPQProblem(0.5 * (a + a.T), sizes, (2, 4, 8), budget)
-            rounded = relax_and_round(p)
+            rounded = solve_branch_and_bound(p, max_nodes=1)
             optimum = solve_exhaustive(p).objective
             assert p.is_feasible(rounded.choice)
             assert rounded.lower_bound <= optimum + 1e-12 * max(1.0, abs(optimum))
@@ -457,9 +456,8 @@ class TestLadderAgainstExhaustive:
         }[budget]
         extra = (bops_constraint(rng, sizes, bits, rng.uniform()),) if bops else ()
         p = MPQProblem(g, sizes, bits, budget_bits, extra)
-        result = solve_with_fallback(p)
+        result = solve(p, method="bb")
         exact = solve_exhaustive(p)
-        assert result.extras["rung"] == "bb"
         assert result.optimal
         assert result.objective == pytest.approx(exact.objective, rel=1e-12)
 
@@ -484,3 +482,9 @@ class TestSolveDispatch:
         p = MPQProblem(np.eye(4), [1, 1], (2, 4), 100)
         with pytest.raises(ValueError):
             solve(p, method="quantum")
+
+    def test_fallback_is_not_a_method(self):
+        """Branch-and-bound is the one quadratic solve."""
+        p = random_psd_problem(np.random.default_rng(17), 3)
+        with pytest.raises(ValueError, match="fallback"):
+            solve(p, method="fallback")

@@ -4,8 +4,8 @@ Covers content addressing (fingerprint determinism + mismatch
 attribution), the self-verifying artifact file (round-trip incl. the
 determinism audit, layered corrupt/stale attribution on read), the
 store itself (crash-safe publish, single-writer locking with stale-lock
-takeover, quarantine, reaping), the serve ladder
-(hit / miss / integrity-failure / offline), and the warm solver rung.
+takeover, quarantine, reaping), and the serve ladder
+(hit / miss / integrity-failure / offline).
 The cross-model integrity gate runs in ``scripts/chaos_smoke.py``
 (``make chaos-smoke``).
 """
@@ -23,8 +23,6 @@ from repro.quant import QuantConfig
 from repro.quant.export import CorruptArtifactError
 from repro.robustness import FaultPlan, FaultSpec
 from repro.robustness.health import DeterminismAudit
-from repro.solvers import MPQProblem, solve_with_fallback
-from repro.solvers.fallback import WARM_RUNG, warm_start_solve
 from repro.store import (
     ARTIFACT_SCHEMA,
     STORE_EXIT_CODE,
@@ -526,59 +524,8 @@ class TestServe:
         assert exc.value.reason == "integrity"
         assert len(list(store.quarantine_dir.glob("*.npz"))) == 1
 
-    def test_warm_chain_matches_cold_solves(self, tmp_path, setup):
-        make, x, y, budgets, config, solver = setup
-        store = ArtifactStore(tmp_path / "store")
-        warm = allocate_cached(
-            make(), x, y, budgets, store, solver, config, warm_chain=True
-        )
-        cold = allocate_cached(
-            make(), x, y, budgets, store, solver, config, warm_chain=False
-        )
-        assert self._same(warm, cold)
-
     def test_rejects_algorithms_without_set_sensitivity(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         x, y = _data()
         with pytest.raises(TypeError, match="set_sensitivity"):
             allocate_cached(object(), x, y, [100], store)
-
-
-class TestWarmRung:
-    def _problem(self, seed=5, budget_avg=4):
-        rng = np.random.default_rng(seed)
-        sizes = [12, 20, 8, 16]
-        bits = (2, 4, 8)
-        n = len(sizes) * len(bits)
-        a = rng.normal(size=(n, n)) / np.sqrt(n)
-        return MPQProblem(
-            sensitivity=a @ a.T,
-            layer_sizes=sizes,
-            bits=bits,
-            budget_bits=int(budget_avg * sum(sizes)),
-        )
-
-    def test_warm_start_solve_is_feasible(self):
-        problem = self._problem()
-        result = warm_start_solve(problem, [1, 1, 1, 1])
-        assert result.method == WARM_RUNG
-        assert result.size_bits <= problem.budget_bits
-
-    def test_warm_start_repairs_infeasible_seed(self):
-        problem = self._problem()
-        result = warm_start_solve(problem, [2, 2, 2, 2])  # all 8-bit: over
-        assert result.size_bits <= problem.budget_bits
-
-    def test_warm_start_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="warm start"):
-            warm_start_solve(self._problem(), [1, 1])
-
-    def test_warm_rung_never_changes_a_cold_win(self):
-        # the warm candidate is attempted last, so on a problem the cold
-        # ladder solves to optimality it loses every tie: bitwise parity
-        problem = self._problem()
-        cold = solve_with_fallback(problem)
-        warm = solve_with_fallback(problem, warm_choice=[0, 0, 0, 0])
-        assert np.array_equal(cold.choice, warm.choice)
-        assert cold.objective == warm.objective
-        assert warm.extras["rung"] == cold.extras["rung"]
