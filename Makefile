@@ -18,9 +18,11 @@ lint:
 test:
 	PYTHONPATH=src pytest tests/
 
-# Deterministic fault-injection gate: injected worker crashes, corrupted
-# checkpoints and store entries must leave results bitwise unchanged, and
-# a node-capped solve must stay feasible (scripts/chaos_smoke.py).
+# Fault gate: injected worker crashes and checkpoints and store entries
+# damaged on disk must leave results bitwise unchanged, a group that raises
+# must fail the sweep, and a node-capped solve must stay feasible
+# (scripts/chaos_smoke.py).  REPRO_FAULT_PLAN reproduces only the two
+# injected kinds, worker_crash and outlier_loss.
 chaos-smoke:
 	python scripts/chaos_smoke.py
 

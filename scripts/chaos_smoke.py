@@ -1,26 +1,25 @@
 #!/usr/bin/env python
-"""Chaos smoke: injected faults must never change results, only timings.
+"""Chaos smoke: a dead worker or a damaged file never changes results.
 
 The executable form of the robustness contract (docs/robustness.md), run
 as ``make chaos-smoke`` inside the default ``make`` target:
 
 1. **Sweep equivalence** — a segmented parallel sweep with an injected
-   worker crash, an injected non-finite loss, and injected checkpoint
-   corruption produces a sensitivity matrix **bitwise identical** to an
-   uninjected run, and the recovery is visible in the result extras.
-2. **Corrupted-checkpoint resume** — resuming from the truncated
-   checkpoint file the previous run left on disk restarts cleanly and
-   still reproduces the exact matrix.
+   worker crash, checkpointed after every group, produces a sensitivity
+   matrix **bitwise identical** to an uninjected run, and the recovery
+   is visible in the result extras.
+2. **Corrupted-checkpoint resume** — resuming from that checkpoint file,
+   cut short on disk, restarts cleanly, attributes the rejection to
+   ``checkpoint.truncated`` and still reproduces the exact matrix.
 3. **Solver floor** — on a problem sized from every zoo model,
    branch-and-bound stopped by a one-node cap returns a feasible,
    uncertified assignment marked ``degraded`` whose objective is no
    worse than ``solve_greedy``'s: the floor every stopped solve keeps.
 4. **Fork-supervisor equivalence** — a sweep on 3 supervised fork
-   workers, with a worker crash (``worker_crash``) and a non-finite loss
-   (``nonfinite_loss``) injected, produces a Ĝ, single losses and base
-   loss **bitwise identical** to the in-process sweep on **every zoo
-   model**, and the crash and the retries are visible in the result
-   extras.
+   workers, with a worker crash (``worker_crash``) injected, produces a
+   Ĝ, single losses and base loss **bitwise identical** to the
+   in-process sweep on **every zoo model**, and the crash and the
+   requeue are visible in the result extras.
 5. **Measurement integrity** — the determinism audit of a clean
    zoo-model sweep agrees on every audited spec, and its Ĝ and bit
    assignment equal the ``health="off"`` run's **exactly**.  A seeded
@@ -35,20 +34,25 @@ as ``make chaos-smoke`` inside the default ``make`` target:
    (docs/store.md) never serves a corrupt or mismatched artifact.  On
    **every zoo model**: ``allocate-cached`` on a warm store yields bit
    assignments **bitwise identical** to a fresh sweep-and-solve with
-   **zero** forward evaluations recorded in the run manifest; each
-   injected artifact fault (``truncated_artifact``, ``checksum_flip``,
-   ``fingerprint_mismatch``) is refused with the typed
-   ``CorruptArtifactError``/``StaleArtifactError`` attribution, the bad
-   entry is quarantined, and the quarantine-then-remeasure fallback
-   reproduces the reference assignment exactly.  A publisher killed
-   (kill -9) mid-write leaves only a reapable ``*.tmp`` orphan — never a
-   visible entry; duplicate publishes are idempotent; a planted stale
-   writer lock (``stale_writer_lock``) is taken over, not deadlocked on.
+   **zero** forward evaluations recorded in the run manifest; each kind
+   of damage written into a published entry's file (truncated, a payload
+   bit flipped, a checksum-valid entry naming other weights) is refused
+   with the typed ``CorruptArtifactError``/``StaleArtifactError``
+   attribution, the bad entry is quarantined, and the
+   quarantine-then-remeasure fallback reproduces the reference
+   assignment exactly.  A publisher killed (kill -9) mid-write leaves
+   only a reapable ``*.tmp`` orphan — never a visible entry; duplicate
+   publishes are idempotent; a writer lock aged past its TTL, as a dead
+   publisher leaves it, is taken over, not deadlocked on.
+7. **A group that raises fails the sweep** — with one candidate's
+   weights made non-finite, the sweep raises ``SweepFailure`` naming
+   that candidate's group at 1 and at 3 workers, without a retry.
 
-Everything is driven by seeded :class:`repro.robustness.FaultPlan`
-schedules and node caps — no monkeypatching, no timing dependence — so
-failures here reproduce exactly under ``REPRO_FAULT_PLAN`` at the
-command line.
+Worker crashes and outlier losses, the two failures no input can cause,
+are seeded :class:`repro.robustness.FaultPlan` schedules, so they
+reproduce exactly under ``REPRO_FAULT_PLAN`` at the command line; every
+other failure here is real: damaged files on disk, a non-finite
+candidate.  Nothing is monkeypatched and nothing depends on timing.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))  # the file damage the tests write
 
 import numpy as np  # noqa: E402
 
@@ -67,7 +72,7 @@ from repro.core import SensitivityConfig, SensitivityEngine  # noqa: E402
 from repro.models import MODEL_REGISTRY, build_model, quantizable_layers  # noqa: E402
 from repro.nn import Linear, ReLU, Sequential  # noqa: E402
 from repro.quant import QuantConfig, QuantizedWeightTable  # noqa: E402
-from repro.robustness import FaultPlan, FaultSpec  # noqa: E402
+from repro.robustness import FaultPlan, FaultSpec, SweepFailure  # noqa: E402
 from repro.solvers import (  # noqa: E402
     MPQProblem,
     solve_branch_and_bound,
@@ -111,7 +116,8 @@ def _mlp(num_linear=8, dim=6, num_classes=3, seed=0):
 
 
 def sweep_chaos(tmp: Path) -> None:
-    """Checks 1 + 2: fault-injected sweeps reproduce the clean matrix."""
+    """Checks 1 + 2: a crashed worker and a damaged checkpoint leave the
+    clean matrix."""
     model, layers = _mlp()
     table = QuantizedWeightTable(layers, QuantConfig(bits=(4, 8)))
     rng = np.random.default_rng(1)
@@ -129,50 +135,45 @@ def sweep_chaos(tmp: Path) -> None:
 
     clean = run()
 
-    # One worker dies mid-group, one group yields NaN once, and *every*
-    # checkpoint save (one per group) is truncated on disk at a seeded
-    # offset.
+    # One worker dies mid-group; the checkpoint is saved after every group.
     ckpt = tmp / "sweep.ckpt.npz"
-    plan = FaultPlan(
-        seed=3,
-        faults=(
-            FaultSpec("worker_crash", at=2),
-            FaultSpec("nonfinite_loss", at=5),
-        )
-        + tuple(
-            FaultSpec("corrupt_checkpoint", at=k) for k in range(512)
-        ),
-    )
+    plan = FaultPlan(seed=3, faults=(FaultSpec("worker_crash", at=2),))
     injected = run(fault_plan=plan, checkpoint=ckpt)
     check(
-        "sweep bitwise equivalence under injected crash + NaN + corruption",
+        "sweep bitwise equivalence under an injected worker crash",
         np.array_equal(clean.matrix, injected.matrix),
     )
     extras = injected.extras
     check(
         "recovery recorded in extras",
-        extras.get("worker_crashes", 0) >= 1
-        and extras.get("group_retries", 0) >= 1
+        extras.get("worker_crashes", 0) == 1
+        and extras.get("group_retries", 0) == 1
         and bool(extras.get("injected_fault_plan")),
         f"crashes={extras.get('worker_crashes')} "
         f"retries={extras.get('group_retries')}",
     )
 
-    # The run above left a deliberately truncated checkpoint behind; a
-    # resume must treat it as absent and still converge to the same matrix.
+    # Cut the checkpoint short on disk; a resume must treat it as absent,
+    # say why, and still converge to the same matrix.
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[: len(data) // 2])
     corrupt_on_disk = False
-    if ckpt.exists():
-        try:
-            with np.load(ckpt, allow_pickle=False) as blob:
-                blob["losses"]
-        except Exception:
-            corrupt_on_disk = True
-    check("injected corruption damaged the checkpoint file", corrupt_on_disk)
-    resumed = run(checkpoint=ckpt)
+    try:
+        with open(ckpt, "rb") as fh, np.load(fh, allow_pickle=False) as blob:
+            blob["losses"]
+    except Exception:
+        corrupt_on_disk = True
+    check("truncation damaged the checkpoint file", corrupt_on_disk)
+    with telemetry.start_run("chaos-smoke", manifest_dir=tmp) as trace:
+        resumed = run(checkpoint=ckpt)
+        truncated = trace.document()["counters"].get("checkpoint.truncated", 0)
     check(
         "resume from corrupted checkpoint reproduces the matrix",
-        np.array_equal(clean.matrix, resumed.matrix),
-        f"resumed_evals={resumed.extras.get('resumed_evals', 0)}",
+        np.array_equal(clean.matrix, resumed.matrix)
+        and resumed.extras.get("resumed_evals") == 0
+        and truncated == 1,
+        f"resumed_evals={resumed.extras.get('resumed_evals', 0)} "
+        f"checkpoint.truncated={truncated}",
     )
 
 
@@ -209,24 +210,18 @@ def solver_floor_chaos() -> None:
 
 
 def fork_chaos() -> None:
-    """Check 4: fork-supervised sweeps survive crashes and NaNs, bitwise.
+    """Check 4: fork-supervised sweeps survive a crashed worker, bitwise.
 
     Each zoo model runs once in-process and once on 3 fork workers with a
-    worker killed mid-group (group 0's first attempt) and a non-finite
-    loss (group 1's first attempt) scheduled.  The matrix, the single
-    losses and the base loss must equal the in-process sweep's bitwise,
-    and the recovery must be attributed in the extras.
+    worker killed mid-group (group 0's first dispatch) scheduled.  The
+    matrix, the single losses and the base loss must equal the
+    in-process sweep's bitwise, and the recovery must be attributed in
+    the extras.
     """
     rng = np.random.default_rng(23)
     x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
     y = rng.integers(0, 10, size=8)
-    plan = FaultPlan(
-        seed=7,
-        faults=(
-            FaultSpec("worker_crash", at=0, times=1),
-            FaultSpec("nonfinite_loss", at=1, times=1),
-        ),
-    )
+    plan = FaultPlan(seed=7, faults=(FaultSpec("worker_crash", at=0, times=1),))
     for name in sorted(MODEL_REGISTRY):
         mode = "block" if name == "resnet_s20" else "diagonal"
         model = build_model(name, num_classes=10)
@@ -252,10 +247,10 @@ def fork_chaos() -> None:
             f"workers={e.get('workers')}",
         )
         check(
-            f"crash + retries attributed in extras on {name}",
+            f"crash + requeue attributed in extras on {name}",
             e.get("workers") == 3
-            and e.get("worker_crashes", 0) >= 1
-            and e.get("group_retries", 0) >= 1,
+            and e.get("worker_crashes", 0) == 1
+            and e.get("group_retries", 0) == 1,
             f"crashes={e.get('worker_crashes')} "
             f"retries={e.get('group_retries')}",
         )
@@ -422,6 +417,8 @@ def store_chaos(tmp: Path) -> None:
     import signal
     import subprocess
 
+    from helpers import ENTRY_DAMAGE, damage_entry, plant_stale_lock
+
     from repro.atomicio import STALE_TMP_TTL
     from repro.core import CLADO, SolverConfig
     from repro.quant.export import CorruptArtifactError
@@ -439,7 +436,6 @@ def store_chaos(tmp: Path) -> None:
     qconfig = QuantConfig(bits=(2, 4, 8))
     solver = SolverConfig(time_limit=5.0)
     config = SensitivityConfig(batch_size=8, num_workers=1)
-    fault_kinds = ("truncated_artifact", "checksum_flip", "fingerprint_mismatch")
 
     def same_assignments(a, b):
         return len(a) == len(b) and all(
@@ -481,16 +477,14 @@ def store_chaos(tmp: Path) -> None:
             f"forward_evals={evals}",
         )
 
-        # Each artifact fault: typed refusal, quarantine, and a remeasure
-        # that reproduces the reference assignment exactly.
-        for kind in fault_kinds:
+        # Each kind of damage written into the entry's file: typed refusal,
+        # quarantine, and a remeasure that reproduces the reference
+        # assignment exactly.
+        for kind in ENTRY_DAMAGE:
             froot = root / kind
-            saboteur = ArtifactStore(
-                froot,
-                fault_plan=FaultPlan(seed=13, faults=(FaultSpec(kind, at=0),)),
-            )
-            outcome = saboteur.publish(key, artifact)
-            victim = ArtifactStore(froot)  # clean store view on the damage
+            outcome = ArtifactStore(froot).publish(key, artifact)
+            damage_entry(ArtifactStore(froot), key, kind)
+            victim = ArtifactStore(froot)  # a fresh store view on the damage
             try:
                 victim.load(key)
                 typed = "served"
@@ -537,13 +531,9 @@ def store_chaos(tmp: Path) -> None:
 
         # Offline on a damaged entry: typed integrity refusal + quarantine.
         froot = root / "offline-integrity"
-        ArtifactStore(
-            froot,
-            fault_plan=FaultPlan(
-                seed=13, faults=(FaultSpec("checksum_flip", at=0),)
-            ),
-        ).publish(key, artifact)
         victim = ArtifactStore(froot)
+        victim.publish(key, artifact)
+        damage_entry(victim, key, "checksum_flip")
         try:
             allocate_cached(
                 make(), x, y, budgets, victim, solver, config, offline=True
@@ -562,19 +552,15 @@ def store_chaos(tmp: Path) -> None:
 
         # A stale writer lock from a dead publisher is taken over.
         lroot = root / "stale-lock"
-        locker = ArtifactStore(
-            lroot,
-            fault_plan=FaultPlan(
-                seed=17, faults=(FaultSpec("stale_writer_lock", at=0),)
-            ),
-        )
+        locker = ArtifactStore(lroot)
+        plant_stale_lock(locker, key)
         with telemetry.start_run("chaos-smoke", manifest_dir=tmp) as run:
             outcome = locker.publish(key, artifact)
             takeovers = run.document()["counters"].get("store.lock_takeovers", 0)
         served = ArtifactStore(lroot).load(key)
         check(
             "stale writer lock taken over, publish lands and verifies",
-            outcome == "published" and takeovers >= 1 and served is not None,
+            outcome == "published" and takeovers == 1 and served is not None,
             f"outcome={outcome} takeovers={takeovers}",
         )
 
@@ -630,6 +616,53 @@ def store_chaos(tmp: Path) -> None:
         )
 
 
+def group_failure_chaos(tmp: Path) -> None:
+    """Check 7: a non-finite candidate fails the sweep at once, naming its
+    group, in the parent and on fork workers alike."""
+    from repro.core.sensitivity import SweepSession
+
+    name = "resnet_s20"
+    model = build_model(name, num_classes=10)
+    model.eval()
+    layers = quantizable_layers(model, name)
+    table = QuantizedWeightTable(layers, QuantConfig(bits=(2, 4, 8)))
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
+    y = rng.integers(0, 10, size=8)
+    engine = SensitivityEngine(model, table)
+    plan = SweepSession(
+        engine, x, y, SensitivityConfig(batch_size=8), mode="diagonal"
+    ).plan
+    # The stem conv's 4-bit candidate: read by its own group only.
+    expected = next(
+        gi for gi, g in enumerate(plan.groups) if (g.i, g.m) == (0, 1)
+    )
+    table.quantized(0, 4)[...] = np.inf
+    outcomes = []
+    for workers in (1, 3):
+        config = SensitivityConfig(batch_size=8, num_workers=workers)
+        with telemetry.start_run("chaos-smoke", manifest_dir=tmp) as trace:
+            try:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    engine.measure(x, y, config, mode="diagonal")
+                group, message = None, "finished"
+            except SweepFailure as exc:
+                group, message = exc.group, str(exc)
+            retries = trace.document()["counters"].get("sweep.group_retries", 0)
+        outcomes.append((workers, group, message, retries))
+    check(
+        "a non-finite candidate fails the sweep at 1 and 3 workers, "
+        "naming its group, without a retry",
+        all(
+            group == expected and "non-finite" in message and retries == 0
+            for _, group, message, retries in outcomes
+        ),
+        "; ".join(
+            f"workers={w}: group={g} retries={r}" for w, g, _, r in outcomes
+        ),
+    )
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as tmpdir:
         tmp = Path(tmpdir)
@@ -639,6 +672,7 @@ def main() -> int:
         measurement_chaos(tmp)
         cli_health_chaos(tmp)
         store_chaos(tmp)
+        group_failure_chaos(tmp)
     failures = [(name, detail) for name, ok, detail in CHECKS if not ok]
     telemetry.emit(
         f"[chaos-smoke] {len(CHECKS) - len(failures)}/{len(CHECKS)} checks passed"

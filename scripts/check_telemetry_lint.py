@@ -107,9 +107,10 @@ Fourteen rules (see docs/observability.md and docs/robustness.md):
     ``import subprocess`` / ``from subprocess ...`` only in
     ``repro/telemetry/manifest.py`` (which runs ``git rev-parse``).  The
     supervisor is the sweep's one multi-process transport, with one
-    failure model: pipe EOF for a crashed worker, a per-group deadline
-    for a hung one, bounded retries, then serial fallback.  A second
-    module starting workers would bring its own failure model, its own
+    failure model: pipe EOF for a crashed worker and a per-group deadline
+    for a hung one requeue the group, the parent runs what is left once
+    every worker is gone, and a group that raises fails the sweep.  A
+    second module starting workers would bring its own failure model, its own
     fault kinds and its own telemetry path.  ``ctypes`` changes the
     whole process (the sweep sets two glibc ``mallopt`` thresholds that
     fork workers inherit); a second caller could silently undo them.

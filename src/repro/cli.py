@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 import numpy as np
@@ -66,13 +67,15 @@ def _set_size(text: str) -> int:
 
 
 def _allocate_sensitivity(args):
-    """``allocate``'s sweep options as one config (raises ``ValueError``)."""
+    """``allocate``'s sweep options as one config (raises ``ValueError``,
+    also for a ``REPRO_FAULT_PLAN`` naming an unknown fault kind)."""
     from .core import SensitivityConfig
+    from .robustness import resolve_fault_plan
 
     return SensitivityConfig(
         num_workers=args.workers,
         checkpoint_path=args.sweep_checkpoint,
-        max_retries=args.max_retries,
+        fault_plan=resolve_fault_plan(),
         health=args.health,
     )
 
@@ -80,8 +83,9 @@ def _allocate_sensitivity(args):
 def _allocate_cached_sensitivity(args):
     """``allocate-cached``'s sweep options as one config."""
     from .core import SensitivityConfig
+    from .robustness import resolve_fault_plan
 
-    return SensitivityConfig(health=args.health)
+    return SensitivityConfig(fault_plan=resolve_fault_plan(), health=args.health)
 
 
 _DEGRADED_WARNING = (
@@ -97,7 +101,7 @@ def _run_allocation(args, body, run_name: str, run_config: dict) -> int:
     ("Exit-code contract").  In brief: 0 success, 2 infeasible budget (or
     a usage error, raised before this runs), 3 degraded (branch-and-bound
     stopped at its node cap or time limit, or on a numerical failure, and
-    returned its best incumbent), 4 sweep failure, 5 unhealthy matrix
+    returned its best incumbent), 4 a sweep group raised, 5 unhealthy matrix
     under ``--health strict``, 7 store refusal (``allocate-cached
     --offline``), 130 interrupted.
     """
@@ -120,10 +124,12 @@ def _run_allocation(args, body, run_name: str, run_config: dict) -> int:
                  "raise --avg-bits")
         return 2
     except SweepFailure as exc:
-        emit(f"error: unrecoverable sweep failure — {exc}")
-        if exc.group >= 0:
-            emit(f"  plan group {exc.group} failed {exc.attempts} attempts "
-                 "(workers, then serial); see sweep.* counters in the manifest")
+        emit(f"error: {exc}")
+        emit("  a group's losses repeat, so a rerun fails the same way until "
+             "the model or the data is mended")
+        if getattr(args, "sweep_checkpoint", None):
+            emit("  every group finished before is in the checkpoint; rerun "
+                 "with the same --sweep-checkpoint to resume them")
         return 4
     except UnhealthyMatrixError as exc:
         emit(f"error: {exc} (--health strict)")
@@ -347,9 +353,17 @@ def _cmd_allocate_cached(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    """Store maintenance: list entries, verify integrity, reap orphans."""
+    """Store maintenance: list entries, verify integrity, reap orphans.
+
+    The root must be an existing directory: a mistyped path exits 2 and
+    creates nothing, where opening it as a store would create an empty
+    one that lists and verifies clean.
+    """
     from .store import ArtifactStore
 
+    if not os.path.isdir(args.store):
+        emit(f"error: no artifact store at {args.store} (not a directory)")
+        return 2
     store = ArtifactStore(args.store)
     if args.action == "list":
         info = store.describe()
@@ -465,7 +479,11 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = telemetry.load_manifest(args.manifest)
+    try:
+        doc = telemetry.load_manifest(args.manifest)
+    except (OSError, ValueError) as exc:
+        emit(f"error: cannot read manifest {args.manifest}: {exc}")
+        return 2
     emit(telemetry.format_manifest(doc))
     return 0
 
@@ -499,13 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=20.0,
         help="wall-clock cap (s) of each branch-and-bound solve; a solve it "
         "stops returns its best incumbent (exit code 3)",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="times a failed sweep group is re-queued before the run "
-        "aborts with exit code 4",
     )
     p.add_argument(
         "--bops-ratio",

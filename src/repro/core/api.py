@@ -7,7 +7,7 @@ interpreted its own untyped ``**kwargs`` (``HAWQ(probes=, seed=)``,
 algorithms.  This module is the single vocabulary both speak:
 
 - :class:`SensitivityConfig` — every measurement-phase knob
-  (worker fan-out, checkpoint resume, retries, Hutchinson
+  (worker fan-out, checkpoint resume, Hutchinson
   probes...); the sensitivity engine reads all of its
   execution options from it;
 - :class:`SolverConfig` — every allocation-phase knob (method, time
@@ -39,17 +39,11 @@ __all__ = [
     "SensitivityConfig",
     "SolverConfig",
     "AllocationResult",
-    "DEFAULT_MAX_RETRIES",
     "InfeasibleBudgetError",
     "ALGORITHM_KINDS",
     "algorithm_specs",
     "build_algorithm",
 ]
-
-#: Times a failed group is re-queued (to surviving workers, then serially)
-#: before the sweep gives up with :class:`repro.robustness.SweepFailure`.
-DEFAULT_MAX_RETRIES = 2
-
 
 @dataclass(frozen=True)
 class SensitivityConfig:
@@ -66,8 +60,6 @@ class SensitivityConfig:
     # CLADO sweep execution (see SensitivityEngine / SweepSession)
     num_workers: int = 1  # fork workers; 0 = all cores
     checkpoint_path: Optional[str] = None  # resume checkpoint, saved per group
-    # Fault tolerance (see docs/robustness.md)
-    max_retries: int = DEFAULT_MAX_RETRIES
     fault_plan: Optional[FaultPlan] = None  # chaos-test injection schedule
     # Measurement integrity (see docs/robustness.md)
     health: str = "off"  # "off" | "warn" | "strict": the determinism audit
@@ -80,8 +72,6 @@ class SensitivityConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.num_workers < 0:
             raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.health not in ("off", "warn", "strict"):
             raise ValueError(f"unknown health mode {self.health!r}")
 

@@ -69,11 +69,10 @@ except ImportError:  # non-POSIX: sweeps report no page faults
 from .. import telemetry
 from ..nn import CrossEntropyLoss
 from ..nn.module import Activation
-from ..quant import QuantizedWeightTable
-from ..robustness import InjectedWorkerCrash, SweepFailure
-from ..robustness import faults as _faults
+from ..quant import QuantizedWeightTable, activation_quant_state
+from ..robustness import SweepFailure
 from ..robustness import health as _health
-from ..robustness.faults import FaultPlan, resolve_fault_plan
+from ..robustness.faults import FAULT_EXIT_CODE, FaultPlan, resolve_fault_plan
 from ..robustness.health import DeterminismAudit
 from .api import SensitivityConfig
 from .sweep import (
@@ -124,13 +123,11 @@ _SEGMENT_FORWARDS = telemetry.counter("sensitivity.segment_forwards")
 _RESUMED_EVALS = telemetry.counter("sensitivity.resumed_evals")
 #: Supervised workers that died mid-group (signal, OOM kill, injected crash).
 _WORKER_CRASHES = telemetry.counter("sweep.worker_crashes")
-#: Groups whose worker reported an in-process error (worker survived).
-_WORKER_ERRORS = telemetry.counter("sweep.worker_errors")
-#: Groups re-queued after a crash, error, or deadline kill.
+#: Groups re-queued after a worker crash or deadline kill.
 _GROUP_RETRIES = telemetry.counter("sweep.group_retries")
 #: Workers terminated because a group outran the hang deadline.
 _DEADLINE_KILLS = telemetry.counter("sweep.deadline_kills")
-#: Groups the pool could not finish that degraded to serial execution.
+#: Groups left when every worker was gone, run in the parent.
 _SERIAL_FALLBACK = telemetry.counter("sweep.serial_fallback_groups")
 #: Minor page faults of a sweep: this process plus its reaped fork workers.
 _MINOR_FAULTS = telemetry.counter("sweep.minor_faults")
@@ -260,16 +257,12 @@ def assemble_from_losses(
     return matrix, single
 
 
-def _check_finite(loss: float, poison: bool = False) -> float:
+def _check_finite(loss: float) -> float:
     """``loss``, or a loud failure when it is not finite.
 
     A single non-finite measurement silently poisons the whole sensitivity
-    matrix, so the sweep fails at the source instead.  ``poison`` (an
-    armed ``nonfinite_loss`` fault) turns the loss into NaN first,
-    exercising the identical path a diverged model takes.
+    matrix, so the sweep fails at the source instead.
     """
-    if poison:
-        loss = float("nan")
     if not np.isfinite(loss):
         raise RuntimeError(
             "non-finite loss during sensitivity measurement "
@@ -333,18 +326,31 @@ def _resolve_workers(num_workers: int) -> int:
 _FORK_STATE: Optional["SweepSession"] = None
 
 
+def _run_in_parent(
+    session: "SweepSession", group_idx: int
+) -> Tuple[List[Tuple[int, float]], int]:
+    """Run one group in this process; a group that raises fails the sweep."""
+    try:
+        return session.run_group(group_idx)
+    except Exception as exc:
+        raise SweepFailure(group_idx, f"{type(exc).__name__}: {exc}") from exc
+
+
 def _supervised_worker_loop(conn) -> None:
     """Body of one supervised fork worker.
 
-    Receives ``(group_idx, attempt)`` tasks over its pipe, executes them
+    Receives ``(group_idx, dispatch)`` tasks over its pipe, executes them
     against the inherited :data:`_FORK_STATE` session, and replies
     ``("ok" | "error", group_idx, payload, pid, telemetry_delta)``.
     ``None`` is the shutdown sentinel; EOF on the pipe means the parent is
     gone.  A crash (injected or real) simply kills the process — the
     supervisor observes the dead pipe and re-queues the in-flight group.
+    An armed ``worker_crash`` fault, keyed by the group and how often it
+    was dispatched before, fires here and only here: it is a failure of
+    the worker, not of the group.
     """
-    _faults.mark_worker()
     session = _FORK_STATE
+    faults = session.fault_plan
     pid = os.getpid()
     while True:
         try:
@@ -355,15 +361,23 @@ def _supervised_worker_loop(conn) -> None:
             return
         if task is None:
             return
-        group_idx, attempt = task
+        group_idx, dispatch = task
+        if faults is not None and faults.crash_now(group_idx, dispatch):
+            # Die the way a real worker does (OOM kill, signal): no
+            # cleanup, no reply — the supervisor sees EOF.
+            os._exit(FAULT_EXIT_CODE)
         # The forked child inherited the parent's collector; capture only
         # what this task records and ship the delta home with the result.
         capture = telemetry.fork_capture()
         try:
             with capture:
-                result = session.run_group(group_idx, attempt)
+                result = session.run_group(group_idx)
             reply = ("ok", group_idx, result, pid, capture.delta)
-        except BaseException as exc:  # report, stay alive for the next task
+        except KeyboardInterrupt:
+            # Ctrl-C reaches the whole process group: the parent has its
+            # own interrupt to handle, and this group did not fail.
+            return
+        except Exception as exc:  # the supervisor fails the sweep
             reply = (
                 "error",
                 group_idx,
@@ -416,33 +430,22 @@ def _run_supervised(
     Unlike a bare ``mp.Pool`` (which deadlocks when a worker dies with a
     task in flight), each worker is a dedicated process on a dedicated
     pipe.  The supervisor multiplexes on the pipes: EOF means the worker
-    died mid-group (exit-code watch), a worker whose group outruns
-    :func:`_hang_deadline` is killed as hung, and in both cases the
-    in-flight group re-queues onto the survivors with bounded retries.
-    Groups the pool cannot finish — retries exhausted or every worker
-    dead — degrade to serial execution in the parent, which is also
-    where :class:`SweepFailure` is ultimately raised.  Every result goes
-    through ``deliver`` as it arrives, so nothing measured is ever
-    re-measured.
+    died mid-group (exit-code watch), and a worker whose group outruns
+    :func:`_hang_deadline` is killed as hung.  Either way the worker is
+    retired and its group goes back to the queue.  That needs no bound:
+    dead workers are never replaced, so a group re-runs at most once per
+    worker, and whatever is left when every worker is gone runs once in
+    the parent.  A group that raises on a worker fails the sweep at once
+    with :class:`SweepFailure`.  Every result goes through ``deliver`` as
+    it arrives, so nothing measured is ever re-measured.
     """
     global _FORK_STATE
     ctx = mp.get_context("fork")
-    max_retries = session.config.max_retries
     slowest = 0.0  # longest a group has taken on a worker so far
     _FORK_STATE = session
     pool: List[_SupervisedWorker] = []
     queue = deque(pending)
-    attempts: Dict[int, int] = {gi: 0 for gi in pending}
-    overflow: List[int] = []  # retries exhausted on the pool -> serial
-
-    def requeue(gi: int) -> None:
-        attempts[gi] += 1
-        if attempts[gi] <= max_retries:
-            _GROUP_RETRIES.add()
-            recovery["group_retries"] += 1
-            queue.append(gi)
-        else:
-            overflow.append(gi)
+    dispatches: Dict[int, int] = {gi: 0 for gi in pending}
 
     def retire(worker: _SupervisedWorker) -> None:
         """Take a dead/killed worker out of service, re-queueing its group."""
@@ -456,7 +459,9 @@ def _run_supervised(
             worker.proc.terminate()
         worker.proc.join(timeout=5.0)
         if worker.group is not None:
-            requeue(worker.group)
+            _GROUP_RETRIES.add()
+            recovery["group_retries"] += 1
+            queue.append(worker.group)
             worker.group = None
 
     try:
@@ -477,18 +482,19 @@ def _run_supervised(
                 worker = idle.pop()
                 gi = queue.popleft()
                 try:
-                    worker.conn.send((gi, attempts[gi]))
+                    worker.conn.send((gi, dispatches[gi]))
                 except (BrokenPipeError, OSError):
                     queue.appendleft(gi)
                     _WORKER_CRASHES.add()
                     recovery["worker_crashes"] += 1
                     retire(worker)
                     continue
+                dispatches[gi] += 1
                 worker.group = gi
                 worker.started = telemetry.monotonic()
                 busy.append(worker)
             if not busy:
-                break  # every worker is gone; leftovers run serially
+                break  # every worker is gone; the parent runs the rest
             ready = mp_connection.wait([w.conn for w in busy], timeout=0.25)
             by_conn = {w.conn: w for w in busy}
             for conn in ready:
@@ -505,16 +511,13 @@ def _run_supervised(
                     retire(worker)
                     continue
                 telemetry.merge_delta(delta, worker=pid)
+                if kind == "error":
+                    raise SweepFailure(gi, f"{payload} (fork worker {pid})")
                 busy.remove(worker)
                 worker.group = None
                 idle.append(worker)
-                if kind == "ok":
-                    slowest = max(slowest, telemetry.monotonic() - worker.started)
-                    deliver(*payload)
-                else:
-                    _WORKER_ERRORS.add()
-                    recovery["worker_errors"] += 1
-                    requeue(gi)
+                slowest = max(slowest, telemetry.monotonic() - worker.started)
+                deliver(*payload)
             now = telemetry.monotonic()
             deadline = _hang_deadline(slowest)
             for worker in [w for w in busy if now - w.started > deadline]:
@@ -538,19 +541,12 @@ def _run_supervised(
                 worker.proc.terminate()
             worker.proc.join(timeout=5.0)
 
-    # Serial degradation: whatever the pool could not finish runs in the
-    # parent, with its own bounded retries; if that fails too the sweep
-    # raises SweepFailure.
-    leftovers = list(queue) + overflow
-    if leftovers:
-        _SERIAL_FALLBACK.add(len(leftovers))
-        recovery["serial_fallback_groups"] += len(leftovers)
-        for gi in leftovers:
-            deliver(
-                *session.run_group_resilient(
-                    gi, recovery, start_attempt=attempts.get(gi, 0)
-                )
-            )
+    # Every worker is gone: the parent runs what is left, once each.
+    if queue:
+        _SERIAL_FALLBACK.add(len(queue))
+        recovery["serial_fallback_groups"] += len(queue)
+        for gi in queue:
+            deliver(*_run_in_parent(session, gi))
 
 
 class SensitivityEngine:
@@ -611,8 +607,8 @@ class SensitivityEngine:
         Parameters
         ----------
         config:
-            Every execution knob (batching, workers, resume, retries,
-            faults, health checks); the defaults when omitted.
+            Every execution knob (batching, workers, resume, faults,
+            health checks); the defaults when omitted.
             ``config.num_workers > 1`` fans the groups out
             across supervised fork workers; the matrix is bitwise
             identical to the single-process sweep.
@@ -660,7 +656,6 @@ class SensitivityEngine:
         segment_work = 0
         recovery = {
             "worker_crashes": 0,
-            "worker_errors": 0,
             "group_retries": 0,
             "deadline_kills": 0,
             "serial_fallback_groups": 0,
@@ -685,7 +680,7 @@ class SensitivityEngine:
                     _run_supervised(session, pending, workers, deliver, recovery)
                 else:
                     for gi in pending:
-                        deliver(*session.run_group_resilient(gi, recovery))
+                        deliver(*_run_in_parent(session, gi))
             t_evals = telemetry.monotonic() - t_eval_start
 
             # Injected measurement corruption and deterministic assembly.
@@ -712,7 +707,6 @@ class SensitivityEngine:
             "executed_evals": executed,
             "prefix_cuts_cached": session.clean.num_checkpoints,
             "clean_cache_stored_bytes": session.clean.stored_bytes,
-            "max_retries": config.max_retries,
             "injected_fault_plan": (
                 fault_plan.describe() if fault_plan is not None else []
             ),
@@ -792,10 +786,7 @@ class SweepSession:
         # Opened before the first forward, so a checkpoint directory that
         # cannot be created fails the sweep before it spends any work.
         self.checkpoint = (
-            SweepCheckpoint(
-                config.checkpoint_path, self.fingerprint(),
-                fault_plan=self.fault_plan,
-            )
+            SweepCheckpoint(config.checkpoint_path, self.fingerprint())
             if config.checkpoint_path
             else None
         )
@@ -857,16 +848,12 @@ class SweepSession:
         for original in table.original:
             h.update(np.ascontiguousarray(original).tobytes())
         h.update(str(self.config.batch_size).encode())
-        act_quant = []
-        for layer in table.layers:
-            aq = getattr(layer.module, "act_quant", None)
-            act_quant.append(
-                None if aq is None
-                else [int(aq.bits), None if aq.scale is None else float(aq.scale)]
-            )
         h.update(
             json.dumps(
-                {"scheme": str(table.config.scheme), "act_quant": act_quant},
+                {
+                    "scheme": str(table.config.scheme),
+                    "act_quant": activation_quant_state(table.layers),
+                },
                 sort_keys=True,
             ).encode()
         )
@@ -876,66 +863,7 @@ class SweepSession:
         """Plan-spec indices measured by plan group ``group_idx``."""
         return [s.index for s in self.plan.groups[group_idx].specs()]
 
-    # -- group execution ----------------------------------------------------------
-    def run_group(
-        self, group_idx: int, attempt: int = 0
-    ) -> Tuple[List[Tuple[int, float]], int]:
-        """Execute one plan group: ``(plan_index, loss)`` pairs and the
-        segment forwards spent.
-
-        This is the fault-injection point for sweep faults: it runs
-        identically in fork workers and serial execution, and it sees the
-        ``(group, attempt)`` pair the schedule is keyed by.
-        An armed ``nonfinite_loss`` fault poisons the group's diagonal loss.
-        """
-        poison = False
-        fault = self.fault_plan
-        if fault is not None:
-            if fault.crash_now(group_idx, attempt):
-                if _faults.in_worker():
-                    # Die the way a real worker does (OOM kill, signal):
-                    # no cleanup, no reply — the supervisor sees EOF.
-                    os._exit(_faults.FAULT_EXIT_CODE)
-                raise InjectedWorkerCrash(
-                    f"injected worker crash at group {group_idx} "
-                    f"(attempt {attempt})"
-                )
-            poison = fault.nonfinite_now(group_idx, attempt)
-        return self._run_group(group_idx, poison)
-
-    def run_group_resilient(
-        self,
-        group_idx: int,
-        recovery: Dict[str, int],
-        start_attempt: int = 0,
-    ) -> Tuple[List[Tuple[int, float]], int]:
-        """Execute one group in-process with bounded retries.
-
-        The retry loop is safe because a failed attempt leaves no partial
-        state: ``table.perturbed`` restores weights on unwind and the
-        group's suffix cache is rebuilt per attempt, so a retry recomputes
-        the identical losses a clean first attempt would.  ``start_attempt``
-        keeps the fault-injection attempt counter monotonic for groups that
-        already burned attempts on the worker pool.
-        """
-        max_retries = self.config.max_retries
-        last_exc: Optional[BaseException] = None
-        for k in range(max_retries + 1):
-            try:
-                return self.run_group(group_idx, start_attempt + k)
-            except Exception as exc:
-                last_exc = exc
-                if k < max_retries:
-                    _GROUP_RETRIES.add()
-                    recovery["group_retries"] += 1
-        attempts = start_attempt + max_retries + 1
-        raise SweepFailure(
-            f"sweep group {group_idx} failed after {attempts} attempts "
-            f"(last error: {last_exc})",
-            group=group_idx,
-            attempts=attempts,
-        ) from last_exc
-
+    # -- group execution and assembly ---------------------------------------------
     def assemble(self, losses: Dict[int, float]) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble ``(matrix, single)`` from complete plan-indexed losses,
         applying the session's measurement-corruption faults."""
@@ -975,9 +903,7 @@ class SweepSession:
         return (self.clean.activation(b, cut) for b in range(len(self.batches)))
 
     @hot_path
-    def _run_group(
-        self, group_idx: int, poison: bool = False
-    ) -> Tuple[List[Tuple[int, float]], int]:
+    def run_group(self, group_idx: int) -> Tuple[List[Tuple[int, float]], int]:
         """All evaluations of one anchor group ``(i, b_m)``.
 
         The diagonal replay builds the group's perturbed-suffix cache:
@@ -986,7 +912,8 @@ class SweepSession:
         its partner's segment, off that cache — or off the clean cache when
         the partner's segment comes before the anchor's, where the anchor
         weight is applied on the way.  Returns ``((plan_index, loss), ...)``
-        and the segment forwards spent.
+        and the segment forwards spent.  It runs identically on a fork
+        worker and in the parent.
         """
         g = self.plan.groups[group_idx]
         bits = self.plan.bits
@@ -1009,7 +936,7 @@ class SweepSession:
                 loss = self._replay(
                     g.segment, self._clean_acts(g.segment), keep=group_cache
                 )
-                out.append((g.diag.index, _check_finite(loss, poison)))
+                out.append((g.diag.index, _check_finite(loss)))
             _FORWARD_EVALS.add()
 
             for p in g.pairs:

@@ -31,14 +31,13 @@ import zipfile
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from ..atomicio import atomic_write_npz
 from ..nn.module import Activation, ResidualState
-from ..robustness.faults import FaultPlan
 
 __all__ = [
     "EvalSpec",
@@ -327,23 +326,11 @@ class SweepCheckpoint:
     resume restores.  Writes are atomic (tmp + rename), so a sweep killed
     mid-save still resumes.
     The parent directory is created when the checkpoint opens.
-
-    ``fault_plan`` is the chaos hook: a scheduled ``corrupt_checkpoint``
-    fault truncates the just-written file at a seeded offset (keyed by
-    the save ordinal), exercising the corrupt-file recovery path with a
-    real damaged file on disk.
     """
 
-    def __init__(
-        self,
-        path,
-        fingerprint: str,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
+    def __init__(self, path, fingerprint: str) -> None:
         self.path = str(path)
         self.fingerprint = fingerprint
-        self.fault_plan = fault_plan
-        self._saves = 0
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -354,8 +341,7 @@ class SweepCheckpoint:
         Every rejection is attributed to a cause before the empty dict
         comes back — a fingerprint mismatch (plan/data/weights drifted; the
         file is fine but belongs to a different sweep), a truncated zip
-        (killed mid-write or an injected ``corrupt_checkpoint`` fault), or
-        in-archive corruption (parseable container, damaged payload) — so
+        (cut short on disk), or in-archive corruption (parseable container, damaged payload) — so
         operators can tell expected drift from disk problems from the
         ``checkpoint.*`` counters alone.
         """
@@ -401,10 +387,3 @@ class SweepCheckpoint:
                 "fingerprint": np.asarray(self.fingerprint),
             },
         )
-        self._saves += 1
-        if self.fault_plan is not None:
-            keep = self.fault_plan.checkpoint_truncation(self._saves - 1)
-            if keep is not None:
-                size = os.path.getsize(self.path)
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(max(1, int(size * keep)))

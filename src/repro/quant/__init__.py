@@ -11,6 +11,7 @@ from .export import (
 )
 from .bops import assignment_bops, bops_table, measure_macs
 from .calibration import (
+    activation_quant_state,
     affine_minmax_params,
     calibrate_activations,
     mse_optimal_scale,
@@ -44,6 +45,7 @@ __all__ = [
     "mse_optimal_scale",
     "affine_minmax_params",
     "calibrate_activations",
+    "activation_quant_state",
     "QuantizedWeightTable",
     "quantize_weight",
     "assignment_bits",

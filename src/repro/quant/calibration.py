@@ -7,14 +7,19 @@ between the float32 values and their quantized values."
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from .quantizers import quantize_symmetric
 
-__all__ = ["mse_optimal_scale", "affine_minmax_params", "calibrate_activations"]
+__all__ = [
+    "mse_optimal_scale",
+    "affine_minmax_params",
+    "calibrate_activations",
+    "activation_quant_state",
+]
 
 #: MSE grid searches / min-max calibrations performed (cost accounting for
 #: per-(layer, bit) table construction and QAT re-calibration).
@@ -126,3 +131,21 @@ def calibrate_activations(model, layers, images, bits: int = 8) -> None:
         for quant in quantizers:
             quant.finalize()
         _CALIBRATION_CALLS.add(len(quantizers))
+
+
+def activation_quant_state(layers: Sequence) -> List[Optional[list]]:
+    """Each layer's activation quantizer as ``[bits, scale]``.
+
+    ``None`` stands for a layer without one, and for the scale of one
+    not yet calibrated.  A sweep's losses depend on this state (bits and
+    calibrated scale) besides the weights and the data, so both the
+    resume fingerprint and the store key hash it.
+    """
+    state: List[Optional[list]] = []
+    for layer in layers:
+        aq = getattr(layer.module, "act_quant", None)
+        state.append(
+            None if aq is None
+            else [int(aq.bits), None if aq.scale is None else float(aq.scale)]
+        )
+    return state

@@ -5,9 +5,8 @@ solve its least-predictable one; this package holds what lets both
 survive partial failure instead of discarding hours of measurement:
 
 - typed failure vocabulary (:class:`SweepFailure`,
-  :class:`InjectedWorkerCrash`, :class:`UnhealthyMatrixError`) shared by
-  the sweep supervisor and the CLI exit-code contract (see
-  ``docs/robustness.md``);
+  :class:`UnhealthyMatrixError`) shared by the sweep supervisor and the
+  CLI exit-code contract (see ``docs/robustness.md``);
 - the deterministic fault-injection harness (:mod:`repro.robustness.faults`)
   driving chaos tests and ``make chaos-smoke``;
 - measurement integrity for Ĝ (:mod:`repro.robustness.health`): the
@@ -49,31 +48,19 @@ __all__ = [
     "canonical_entry",
     "cancellation_flags",
     "SweepFailure",
-    "InjectedWorkerCrash",
 ]
 
 
 class SweepFailure(RuntimeError):
-    """A sweep group kept failing after bounded retries *and* the serial
-    fallback — the unrecoverable end state of the recovery ladder.
+    """Sweep group ``group`` raised ``error``, and the sweep stopped.
 
-    Carries the failing group index and the last underlying error message
-    so operators can tell a data problem (non-finite losses every attempt)
-    from an environment problem (workers dying).  The CLI maps this to
-    exit code 4.
+    A group's losses are a fixed function of the weights and the data, so
+    a group that raised (a non-finite loss, a bad input) raises again on
+    every rerun: the sweep fails at once, in the parent or on a fork
+    worker, and the resume checkpoint keeps every group finished before.
+    The CLI maps this to exit code 4.
     """
 
-    def __init__(self, message: str, group: int = -1, attempts: int = 0) -> None:
-        super().__init__(message)
+    def __init__(self, group: int, error: str) -> None:
+        super().__init__(f"sweep group {group} raised {error}")
         self.group = group
-        self.attempts = attempts
-
-
-class InjectedWorkerCrash(RuntimeError):
-    """A :class:`FaultPlan` crash fault fired outside a fork worker.
-
-    In a supervised worker process the fault kills the process outright
-    (``os._exit``); in serial execution that would take the whole run
-    down, so the fault surfaces as this recoverable error and flows
-    through the same retry path a worker death does.
-    """

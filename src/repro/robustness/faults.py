@@ -1,18 +1,19 @@
-"""Deterministic fault injection for the sweep-and-solve pipeline.
+"""Deterministic fault injection for the sensitivity sweep.
 
-A :class:`FaultPlan` is a *seeded, declarative* schedule of failures —
-worker crashes at a given sweep group, non-finite losses, corrupted
-checkpoint files and store entries, an outlier loss — that the production
-code consults at well-defined injection points.  Because every fault is
-keyed by structural position (plan-group index, plan spec index, flush or
-publish ordinal) and by the retry attempt rather than by wall-clock or
-PID, the same plan replays **bitwise identically** in unit tests, in
-``make chaos-smoke``, and across worker counts.
+A :class:`FaultPlan` is a *seeded, declarative* schedule of the two
+failures no input can cause — a fork worker that dies mid-group, and a
+loss in the table that its replay does not repeat — which the production
+code consults at two injection points.  Every other failure is reached
+for real: a candidate with non-finite weights raises where its loss is
+measured, and a test damages a checkpoint or a store entry by writing
+the file itself.  Because every fault is keyed by structural position
+(plan-group index and dispatch count, plan spec index) rather than by
+wall-clock or PID, the same plan replays **bitwise identically** in unit
+tests, in ``make chaos-smoke``, and across worker counts.
 
 Activation
 ----------
-- programmatically: ``SensitivityConfig(fault_plan=FaultPlan(...))`` or
-  ``ArtifactStore(..., fault_plan=...)``;
+- programmatically: ``SensitivityConfig(fault_plan=FaultPlan(...))``;
 - from the environment: ``REPRO_FAULT_PLAN`` holding either the JSON
   document itself or ``@/path/to/plan.json``.
 
@@ -20,30 +21,19 @@ JSON schema::
 
     {"seed": 0,
      "faults": [
-       {"kind": "worker_crash",      "at": 2, "times": 1},
-       {"kind": "nonfinite_loss",    "at": 5, "times": 1},
-       {"kind": "corrupt_checkpoint","at": 0, "times": 1},
-       {"kind": "outlier_loss",      "at": 7, "times": 1},
-       {"kind": "truncated_artifact",    "at": 0, "times": 1},
-       {"kind": "checksum_flip",         "at": 1, "times": 1},
-       {"kind": "stale_writer_lock",     "at": 0, "times": 1},
-       {"kind": "fingerprint_mismatch",  "at": 2, "times": 1}
+       {"kind": "worker_crash", "at": 2, "times": 1},
+       {"kind": "outlier_loss", "at": 7, "times": 1}
      ]}
 
-``at`` is the plan-group index for process faults (``worker_crash``,
-``nonfinite_loss``), the plan *spec* index for the measurement fault
-``outlier_loss``, the flush ordinal for checkpoint faults, and the store
-publish ordinal for artifact-store faults (``truncated_artifact``,
-``checksum_flip``, ``stale_writer_lock``, ``fingerprint_mismatch``);
-``times`` is how many *attempts* fail before the fault stops firing (so
-bounded retries deterministically recover).  ``outlier_loss`` strikes the
-sweep's one loss table, so its ``times`` must be 1.
+``at`` is the plan-group index for ``worker_crash`` and the plan *spec*
+index for ``outlier_loss``.  ``times`` is how many dispatches of the
+group to a fork worker crash it; ``outlier_loss`` strikes the sweep's
+one loss table, so its ``times`` must be 1.
 
 Faults fire through the same code paths real failures take: an injected
 crash is an ``os._exit`` inside a fork worker (the supervisor sees a dead
-process, exactly like an OOM kill), an injected non-finite loss flows
-through the engine's finite check, and an injected checkpoint corruption
-truncates the real file on disk.
+process, exactly like an OOM kill), and an injected outlier is a value in
+the loss table that the determinism audit replays.
 """
 
 from __future__ import annotations
@@ -51,7 +41,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
 
@@ -61,21 +51,10 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "resolve_fault_plan",
-    "in_worker",
-    "mark_worker",
 ]
 
 #: Every fault kind a plan may schedule.
-FAULT_KINDS = (
-    "worker_crash",
-    "nonfinite_loss",
-    "corrupt_checkpoint",
-    "outlier_loss",
-    "truncated_artifact",
-    "checksum_flip",
-    "stale_writer_lock",
-    "fingerprint_mismatch",
-)
+FAULT_KINDS = ("worker_crash", "outlier_loss")
 
 #: Exit code an injected crash dies with — distinguishable from a real
 #: signal death in the supervisor's logs, indistinguishable in handling.
@@ -87,29 +66,14 @@ ENV_VAR = "REPRO_FAULT_PLAN"
 _INJECTED = telemetry.counter("faults.injected")
 _BY_KIND = {kind: telemetry.counter(f"faults.{kind}") for kind in FAULT_KINDS}
 
-# Set (post-fork) in supervised sweep workers so crash faults know whether
-# to kill the process or to raise a recoverable error in-process.
-_IN_WORKER = False
-
-
-def mark_worker() -> None:
-    """Record that this process is a supervised fork worker."""
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
-def in_worker() -> bool:
-    return _IN_WORKER
-
 
 @dataclass(frozen=True)
 class FaultSpec:
     """One scheduled fault.
 
-    ``at`` positions the fault structurally (plan-group index for sweep
-    faults, plan spec index for ``outlier_loss``, flush ordinal for
-    checkpoint faults, publish ordinal for store faults); ``times`` bounds
-    how many attempts it poisons.
+    ``at`` positions the fault structurally (plan-group index for
+    ``worker_crash``, plan spec index for ``outlier_loss``); ``times``
+    bounds how many dispatches it crashes.
     """
 
     kind: str
@@ -139,13 +103,10 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic, replayable schedule of injected failures.
 
-    ``seed`` drives the (seeded, content-independent) choices a fault
-    needs beyond its position — the truncation point of a corrupted
-    checkpoint or store entry, the byte a checksum flip hits, the delta
-    of an outlier loss — so a plan's effect is replayable too.  Every
-    kind models a real failure: a dead or hung worker, a diverged loss,
-    a damaged file, and (``outlier_loss``) a loss that its replay does
-    not repeat.
+    ``seed`` drives the delta of an outlier loss (seeded,
+    content-independent), so a plan's effect is replayable too.  Each
+    kind models a real failure that no input reaches: a dead worker, and
+    (``outlier_loss``) a loss that its replay does not repeat.
     """
 
     seed: int = 0
@@ -155,39 +116,21 @@ class FaultPlan:
         object.__setattr__(self, "faults", tuple(self.faults))
 
     # -- sweep faults ----------------------------------------------------------
-    def crash_now(self, group: int, attempt: int) -> bool:
-        """Should executing ``group`` on retry ``attempt`` crash the worker?"""
-        return self._fires("worker_crash", group, attempt)
-
-    def nonfinite_now(self, group: int, attempt: int) -> bool:
-        """Should ``group``'s first loss on retry ``attempt`` come out NaN?"""
-        return self._fires("nonfinite_loss", group, attempt)
-
-    # -- checkpoint faults -----------------------------------------------------
-    def checkpoint_truncation(self, flush_ordinal: int) -> Optional[float]:
-        """Fraction of the file to keep after flush ``flush_ordinal``.
-
-        ``None`` when no corruption is scheduled for this flush; otherwise
-        a seeded value in ``(0.1, 0.9)`` — enough bytes survive that the
-        file looks plausible but fails to parse or verify.
-        """
-        if not self._fires("corrupt_checkpoint", flush_ordinal, 0):
-            return None
-        # Seeded linear-congruential step: deterministic, import-cheap, and
-        # independent of global RNG state.
-        state = (1103515245 * (self.seed + flush_ordinal + 1) + 12345) % (2**31)
-        return 0.1 + 0.8 * (state / float(2**31))
+    def crash_now(self, group: int, dispatch: int) -> bool:
+        """Should the fork worker handed ``group`` for the ``dispatch``-th
+        time (counted from 0) die?"""
+        return self._fires("worker_crash", group, dispatch)
 
     # -- measurement faults ----------------------------------------------------
     def outlier_delta(self, index: int) -> Optional[float]:
         """Relative corruption for the measured loss at plan spec ``index``.
 
         ``None`` when no outlier is scheduled for ``index``; otherwise a
-        seeded multiplier in ``±[4, 32)`` (same LCG family as
-        :meth:`checkpoint_truncation`: deterministic, import-cheap,
-        independent of global RNG state), applied as ``loss += delta *
-        (1 + |loss|)`` when the sweep assembles Ĝ — finite, and a loss no
-        replay repeats, which is what the determinism audit detects.
+        seeded multiplier in ``±[4, 32)`` (a linear-congruential step:
+        deterministic, import-cheap, independent of global RNG state),
+        applied as ``loss += delta * (1 + |loss|)`` when the sweep
+        assembles Ĝ — finite, and a loss no replay repeats, which is what
+        the determinism audit detects.
         """
         if not self._fires("outlier_loss", index, 0):
             return None
@@ -198,63 +141,10 @@ class FaultPlan:
         sign = 1.0 if state & 1 else -1.0
         return sign * magnitude
 
-    # -- artifact-store faults -------------------------------------------------
-    def artifact_truncation(self, publish_ordinal: int) -> Optional[float]:
-        """Fraction of a just-published store entry to keep, or ``None``.
-
-        ``at`` is the store's publish ordinal (0 for the first publish of
-        a process, 1 for the next...).  The seeded keep-fraction mirrors
-        :meth:`checkpoint_truncation`: enough bytes survive that the
-        entry looks plausible but fails parse/checksum on the next read
-        and must be quarantined, never served.
-        """
-        if not self._fires("truncated_artifact", publish_ordinal, 0):
-            return None
-        state = (
-            1103515245 * (self.seed + 29 * publish_ordinal + 1) + 12345
-        ) % (2**31)
-        return 0.1 + 0.8 * (state / float(2**31))
-
-    def checksum_flip_offset(self, publish_ordinal: int) -> Optional[int]:
-        """Seeded byte offset to XOR in a just-published entry, or ``None``.
-
-        A single flipped bit/byte is the silent-media-corruption case: the
-        file still parses as far as the container format cares, so only
-        the embedded payload checksum can catch it.  The offset is a
-        seeded raw value; the store clamps it into the entry's payload
-        region so the flip always lands on verifiable bytes.
-        """
-        if not self._fires("checksum_flip", publish_ordinal, 0):
-            return None
-        state = (
-            1103515245 * (self.seed + 31 * publish_ordinal + 7) + 12345
-        ) % (2**31)
-        return int(state)
-
-    def stale_writer_lock_now(self, publish_ordinal: int) -> bool:
-        """Should an aged orphan writer lock block this publish?
-
-        The store plants a lock file whose mtime predates the lock TTL
-        before acquiring its own — exactly what a publisher killed while
-        holding the lock leaves behind — so the single-writer path must
-        exercise stale-lock takeover to make progress.
-        """
-        return self._fires("stale_writer_lock", publish_ordinal, 0)
-
-    def fingerprint_mismatch_now(self, publish_ordinal: int) -> bool:
-        """Should the published entry carry alien fingerprints?
-
-        The store re-publishes the entry with its manifest fingerprints
-        corrupted but its payload checksum *valid* — an artifact that is
-        internally consistent yet belongs to a different (weights, data,
-        config) world, the staleness case checksums alone cannot catch.
-        """
-        return self._fires("fingerprint_mismatch", publish_ordinal, 0)
-
     # -- shared ----------------------------------------------------------------
-    def _fires(self, kind: str, at: int, attempt: int) -> bool:
+    def _fires(self, kind: str, at: int, count: int) -> bool:
         for fault in self.faults:
-            if fault.kind == kind and fault.at == at and attempt < fault.times:
+            if fault.kind == kind and fault.at == at and count < fault.times:
                 self._record(fault)
                 return True
         return False

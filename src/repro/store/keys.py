@@ -15,12 +15,13 @@ What goes into each fingerprint:
   searched set cannot change Ĝ given fixed data.
 - **data** — dtype, shape, and raw bytes of the sensitivity set
   ``(x, y)``.
-- **quant** — the quantizer config (candidate bits, scheme, activation
-  bits) plus every measurement knob that changes Ĝ's *numerics*:
-  measurement mode and ``batch_size``.  The one execution knob left, the
-  worker count, is proven bitwise-invariant and deliberately *excluded*,
-  so a sweep on 8 fork workers and a single-process sweep share one
-  entry.
+- **quant** — the quantizer config (candidate bits, scheme), each
+  searched layer's activation quantizer (bits and calibrated scale, the
+  state the resume fingerprint hashes too), plus every measurement knob
+  that changes Ĝ's *numerics*: measurement mode and ``batch_size``.  The
+  one execution knob left, the worker count, is proven bitwise-invariant
+  and deliberately *excluded*, so a sweep on 8 fork workers and a
+  single-process sweep share one entry.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..quant import activation_quant_state
 
 __all__ = [
     "StoreKey",
@@ -70,13 +73,18 @@ def quantizer_fingerprint(
     config,
     mode: str,
     *,
+    act_quant: Sequence[Optional[list]],
     batch_size: int = 256,
 ) -> str:
-    """SHA-256 over the quantizer config + numerics-affecting sweep knobs."""
+    """SHA-256 over the quantizer config + numerics-affecting sweep knobs.
+
+    ``act_quant`` is the searched layers'
+    :func:`~repro.quant.activation_quant_state`.
+    """
     doc = {
         "bits": [int(b) for b in config.bits],
         "scheme": str(config.scheme),
-        "act_bits": int(config.act_bits),
+        "act_quant": list(act_quant),
         "mode": str(mode),
         "batch_size": int(batch_size),
     }
@@ -135,6 +143,9 @@ def request_key(algo, x: np.ndarray, y: np.ndarray, config) -> StoreKey:
         weights=weights_fingerprint(algo.layers, algo.table.original),
         data=data_fingerprint(x, y),
         quant=quantizer_fingerprint(
-            algo.config, algo.mode, batch_size=config.batch_size
+            algo.config,
+            algo.mode,
+            batch_size=config.batch_size,
+            act_quant=activation_quant_state(algo.layers),
         ),
     )

@@ -29,11 +29,8 @@ Invariants:
   reason file so operators can attribute the corruption; the serve layer
   then routes the request back through a fresh health-checked sweep.
 
-Fault injection: the four artifact-store :class:`FaultPlan` kinds
-(``truncated_artifact``, ``checksum_flip``, ``stale_writer_lock``,
-``fingerprint_mismatch``) fire at publish time, keyed by the store's
-publish ordinal, and damage the entry through the same filesystem state
-real corruption would — the read path cannot tell the difference.
+The store has no fault hooks: every failure it guards against is a state
+of the files under its root, which a test reaches by writing them.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from ..atomicio import (
     wall_now,
 )
 from ..quant.export import CorruptArtifactError
-from ..robustness.faults import FaultPlan, resolve_fault_plan
 from .artifact import GhatArtifact, StaleArtifactError, deserialize
 from .keys import StoreKey
 
@@ -76,19 +72,12 @@ _LOCK_TAKEOVERS = telemetry.counter("store.lock_takeovers")
 class ArtifactStore:
     """Filesystem-backed content-addressed store for Ĝ artifacts."""
 
-    def __init__(
-        self,
-        root,
-        lock_ttl: float = DEFAULT_LOCK_TTL,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
+    def __init__(self, root, lock_ttl: float = DEFAULT_LOCK_TTL) -> None:
         self.root = Path(root)
         self.objects = self.root / "objects"
         self.locks = self.root / "locks"
         self.quarantine_dir = self.root / "quarantine"
         self.lock_ttl = float(lock_ttl)
-        self.fault_plan = resolve_fault_plan(fault_plan)
-        self._publish_ordinal = 0
         for d in (self.objects, self.locks, self.quarantine_dir):
             d.mkdir(parents=True, exist_ok=True)
 
@@ -141,12 +130,6 @@ class ArtifactStore:
           same content.
         """
         with telemetry.span("store.publish"):
-            ordinal = self._publish_ordinal
-            self._publish_ordinal += 1
-            if self.fault_plan is not None and self.fault_plan.stale_writer_lock_now(
-                ordinal
-            ):
-                self._plant_stale_lock(key)
             if not self._acquire_lock(key):
                 _PUBLISH_CONFLICTS.add()
                 return "busy"
@@ -162,7 +145,6 @@ class ArtifactStore:
                         return "exists"
                 atomic_write_bytes(path, artifact.serialize())
                 _PUBLISHES.add()
-                self._inject_post_publish_faults(key, artifact, ordinal)
             finally:
                 self._release_lock(key)
         return "published"
@@ -200,73 +182,6 @@ class ArtifactStore:
             os.unlink(self.lock_path(key))
         except FileNotFoundError:
             pass  # a takeover thief revoked us; entry writes stay atomic
-
-    def _plant_stale_lock(self, key: StoreKey) -> None:
-        """Injected fault: an aged orphan lock from a dead publisher."""
-        lock = self.lock_path(key)
-        atomic_write_bytes(lock, b'{"pid": 0, "acquired_at": 0}\n')
-        aged = wall_now() - 2.0 * self.lock_ttl - 1.0
-        os.utime(lock, (aged, aged))
-
-    def _inject_post_publish_faults(
-        self, key: StoreKey, artifact: GhatArtifact, ordinal: int
-    ) -> None:
-        """Damage the just-published entry the way real corruption would."""
-        if self.fault_plan is None:
-            return
-        path = self.entry_path(key)
-        keep = self.fault_plan.artifact_truncation(ordinal)
-        if keep is not None:
-            size = os.path.getsize(path)
-            with open(path, "r+b") as fh:
-                fh.truncate(max(1, int(size * keep)))
-        offset = self.fault_plan.checksum_flip_offset(ordinal)
-        if offset is not None:
-            data = path.read_bytes()
-            # Land mid-file so the flip hits payload bytes; zip archives
-            # carry dead padding a single flip can vanish into, so walk
-            # forward from the seeded offset until the damage provably
-            # makes the read path refuse the entry.
-            span = max(1, len(data) - 128)
-            for step in range(min(span, 256)):
-                pos = 64 + (offset + step) % span
-                flipped = bytearray(data)
-                flipped[pos] ^= 0x01
-                with open(path, "r+b") as fh:
-                    fh.seek(0)
-                    fh.write(bytes(flipped))
-                try:
-                    deserialize(path, expect=None)
-                except (CorruptArtifactError, StaleArtifactError):
-                    break
-        if self.fault_plan.fingerprint_mismatch_now(ordinal):
-            # Re-publish with alien fingerprints but a *valid* checksum:
-            # an internally-consistent artifact from another world.  The
-            # hex-digit flip guarantees the digest differs (a reversal
-            # would fix palindromic digests in place).
-            alien_weights = "".join(
-                format(int(c, 16) ^ 0x1, "x")
-                for c in artifact.fingerprints.weights
-            )
-            alien = GhatArtifact(
-                matrix=artifact.matrix,
-                base_loss=artifact.base_loss,
-                single_losses=artifact.single_losses,
-                num_evals=artifact.num_evals,
-                wall_time=artifact.wall_time,
-                mode=artifact.mode,
-                bits=artifact.bits,
-                fingerprints=StoreKey(
-                    weights=alien_weights,
-                    data=artifact.fingerprints.data,
-                    quant=artifact.fingerprints.quant,
-                ),
-                model_name=artifact.model_name,
-                health=artifact.health,
-                created_at=artifact.created_at,
-                meta=dict(artifact.meta, injected="fingerprint_mismatch"),
-            )
-            atomic_write_bytes(path, alien.serialize())
 
     # -- quarantine ------------------------------------------------------------
     def quarantine(self, key: StoreKey, reason: str) -> Optional[Path]:

@@ -19,8 +19,15 @@ _EMPTY = "  —"
 
 
 def load_manifest(path) -> dict:
-    """Read one manifest JSON document."""
-    return json.loads(Path(path).read_text())
+    """Read one manifest JSON document.
+
+    Raises ``OSError`` for a file that cannot be read and ``ValueError``
+    for one that is not a JSON object.
+    """
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("a manifest is a JSON object")
+    return doc
 
 
 def _as_float(value, default: float = 0.0) -> float:

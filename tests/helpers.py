@@ -1,12 +1,22 @@
-"""Shared test utilities: numeric gradient checking, tiny fixtures, and
-the literal Algorithm 1 the sensitivity sweep is checked against."""
+"""Shared test utilities: numeric gradient checking, tiny fixtures, the
+literal Algorithm 1 the sensitivity sweep is checked against, and the
+damage a disk or a dead publisher leaves in an artifact store (also used
+by ``scripts/chaos_smoke.py``)."""
 
 from __future__ import annotations
+
+import dataclasses
+import os
 
 import numpy as np
 
 from repro.core.sensitivity import SensitivityResult, build_pair_list
 from repro.nn import CrossEntropyLoss, Module
+from repro.store import StoreKey
+from repro.store.artifact import deserialize
+
+#: What :func:`damage_entry` can do to a published store entry.
+ENTRY_DAMAGE = ("truncated_artifact", "checksum_flip", "fingerprint_mismatch")
 
 
 class Unsegmented(Module):
@@ -157,3 +167,40 @@ def numeric_input_grad(
         flat[i] = old
         grads[out_idx] = (plus - minus) / (2 * eps)
     return indices, grads
+
+
+def damage_entry(store, key: StoreKey, kind: str) -> None:
+    """Damage ``key``'s published entry by rewriting its file.
+
+    ``truncated_artifact`` keeps the first 40% of the bytes (a torn copy);
+    ``checksum_flip`` flips one bit in the middle of the stored matrix
+    (bit rot the checksum covers); ``fingerprint_mismatch`` writes a
+    checksum-valid entry whose weights fingerprint names other weights.
+    """
+    path = store.entry_path(key)
+    data = bytearray(path.read_bytes())
+    artifact = deserialize(path, expect=key)
+    if kind == "truncated_artifact":
+        del data[len(data) * 2 // 5 :]
+    elif kind == "checksum_flip":
+        matrix = artifact.matrix.tobytes()
+        data[data.index(matrix) + len(matrix) // 2] ^= 0x01
+    elif kind == "fingerprint_mismatch":
+        # Flipping each hex digit guarantees another digest.
+        weights = "".join(format(int(c, 16) ^ 1, "x") for c in key.weights)
+        foreign = dataclasses.replace(
+            artifact, fingerprints=dataclasses.replace(key, weights=weights)
+        )
+        data = bytearray(foreign.serialize())
+    else:
+        raise ValueError(f"unknown entry damage {kind!r}")
+    path.write_bytes(bytes(data))
+
+
+def plant_stale_lock(store, key: StoreKey) -> None:
+    """Leave the writer lock a publisher killed mid-publish leaves,
+    aged past the store's lock TTL."""
+    lock = store.lock_path(key)
+    lock.write_text('{"pid": 0, "acquired_at": 0}')
+    aged = lock.stat().st_mtime - 2.0 * store.lock_ttl - 1.0
+    os.utime(lock, (aged, aged))

@@ -45,9 +45,9 @@ class TestSensitivityConfig:
             cfg.num_workers = 2
 
     def test_with_overrides(self):
-        cfg = SensitivityConfig().with_overrides(num_workers=4, max_retries=0)
+        cfg = SensitivityConfig().with_overrides(num_workers=4, health="warn")
         assert cfg.num_workers == 4
-        assert cfg.max_retries == 0
+        assert cfg.health == "warn"
         assert cfg.batch_size == SensitivityConfig().batch_size
 
     def test_with_overrides_rejects_unknown(self):
@@ -71,7 +71,6 @@ class TestSensitivityConfig:
             "batch_size",
             "num_workers",
             "checkpoint_path",
-            "max_retries",
             "fault_plan",
             "health",
             "probes",
@@ -88,14 +87,16 @@ class TestSensitivityConfig:
             "health_rounds",
             "health_repair",
             "eval_batch_k",
+            "max_retries",
         ],
     )
     def test_removed_fields_rejected(self, name):
         """The prefix cache keeps every cut its plan replays from, the
         hang deadline derives from the groups already timed, the
         checkpoint saves once per group, the determinism audit has no
-        rounds to budget and nothing to repair, and every sweep replay is
-        plain: none of these is an option."""
+        rounds to budget and nothing to repair, every sweep replay is
+        plain, and a group that raises fails the sweep without a retry:
+        none of these is an option."""
         with pytest.raises(TypeError):
             SensitivityConfig(**{name: 1})
         with pytest.raises(TypeError):
@@ -148,7 +149,7 @@ class TestBuildAlgorithm:
 
     def test_sensitivity_config_threaded_through(self, small_setup):
         model, _, _ = small_setup
-        sens = SensitivityConfig(num_workers=2, max_retries=0)
+        sens = SensitivityConfig(num_workers=2, health="warn")
         algo = build_algorithm("clado", model, "resnet_s20", CFG, sensitivity=sens)
         assert algo.sensitivity_config is sens
 

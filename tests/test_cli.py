@@ -1,5 +1,7 @@
 """CLI smoke tests (argument parsing + the cheap commands)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -32,7 +34,6 @@ class TestUsageErrors:
         "argv",
         [
             ["allocate", "--workers", "-3"],
-            ["allocate", "--max-retries", "-1"],
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )
@@ -60,6 +61,7 @@ class TestUsageErrors:
             ["allocate", "--deadline", "5"],
             ["allocate-cached", "--store", "s", "--deadline", "5"],
             ["allocate-cached", "--store", "s", "--no-warm-chain"],
+            ["allocate", "--max-retries", "2"],
         ],
         ids=[
             "allocate --health-rounds",
@@ -69,16 +71,48 @@ class TestUsageErrors:
             "allocate --deadline",
             "allocate-cached --deadline",
             "allocate-cached --no-warm-chain",
+            "allocate --max-retries",
         ],
     )
-    def test_removed_flags_are_usage_errors(self, argv, capsys):
+    def test_removed_flags_are_usage_errors(self, argv, monkeypatch, capsys):
         """The determinism audit has no rounds and no repair to switch,
-        every sweep replay is plain, so there is no stack width to set, and
-        branch-and-bound's ``--time-limit`` is the one solver deadline."""
+        every sweep replay is plain, so there is no stack width to set,
+        branch-and-bound's ``--time-limit`` is the one solver deadline, and
+        a sweep group that raises fails the run without a retry."""
+        import repro.models
+
+        def loaded(*args, **kwargs):
+            raise AssertionError("model loaded before the options were checked")
+
+        monkeypatch.setattr(repro.models, "get_pretrained", loaded)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["allocate", "allocate-cached"])
+    def test_removed_fault_kind_exits_2_before_loading(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        """A ``REPRO_FAULT_PLAN`` naming a kind that is gone (damaged
+        files are reached for real) is a usage error, not a traceback
+        after the model loaded."""
+        import repro.models
+
+        def loaded(*args, **kwargs):
+            raise AssertionError("model loaded before the options were checked")
+
+        monkeypatch.setattr(repro.models, "get_pretrained", loaded)
+        monkeypatch.setenv(
+            "REPRO_FAULT_PLAN", '{"faults": [{"kind": "checksum_flip"}]}'
+        )
+        argv = [command]
+        if command == "allocate-cached":
+            argv += ["--store", str(tmp_path / "store")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unknown fault kind 'checksum_flip'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["allocate", "allocate-cached"])
     @pytest.mark.parametrize("size", ["0", "-4"])
@@ -123,3 +157,48 @@ class TestCommands:
         )
         assert main(["pretrain", "--models", "resnet_s20"]) == 0
         assert "val top-1" in capsys.readouterr().out
+
+    def test_sweep_failure_exits_4_naming_the_group(self, capsys):
+        from repro.cli import _run_allocation
+        from repro.robustness import SweepFailure
+
+        def body(args, run):
+            raise SweepFailure(7, "RuntimeError: non-finite loss")
+
+        args = build_parser().parse_args(
+            ["allocate", "--sweep-checkpoint", "sweep.ckpt.npz"]
+        )
+        assert _run_allocation(args, body, "allocate.test", {}) == 4
+        out = capsys.readouterr().out
+        assert "error: sweep group 7 raised RuntimeError: non-finite loss" in out
+        assert "--sweep-checkpoint" in out
+
+    @pytest.mark.parametrize("action", ["list", "verify", "reap"])
+    def test_store_refuses_a_missing_root(self, action, tmp_path, capsys):
+        """A mistyped store path exits 2 and creates nothing, where it
+        used to create an empty store that verified clean."""
+        root = tmp_path / "no-such-store"
+        assert main(["store", action, "--store", str(root)]) == 2
+        assert not root.exists()
+        assert "no artifact store" in capsys.readouterr().out
+        afile = tmp_path / "a-file"
+        afile.write_text("")
+        assert main(["store", action, "--store", str(afile)]) == 2
+        root.mkdir()
+        assert main(["store", action, "--store", str(root)]) == 0
+
+    @pytest.mark.parametrize(
+        "content", [None, "not json {", "[1, 2]"],
+        ids=["missing", "not-json", "not-an-object"],
+    )
+    def test_report_unreadable_manifest_exits_2(self, content, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["report", str(path)]) == 2
+        assert "error: cannot read manifest" in capsys.readouterr().out
+
+    def test_report_renders_a_manifest(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"counters": {}, "spans": []}))
+        assert main(["report", str(path)]) == 0

@@ -1,20 +1,24 @@
 """Failure-injection tests: corrupt inputs must fail loudly, not silently,
-injected faults (worker crashes, damaged checkpoints) must be recovered
-without changing results, and a solve stopped early must still return a
-feasible assignment.
+a sweep group that raises must fail the sweep at once, dead or hung
+workers and damaged checkpoints must be recovered without changing
+results, and a solve stopped early must still return a feasible
+assignment.
 
-The fault tests are driven end-to-end by seeded
-:class:`repro.robustness.FaultPlan` schedules through the production
-injection points — no monkeypatching — so every failure reproduces
-bitwise under ``REPRO_FAULT_PLAN`` (see docs/robustness.md).
+Worker deaths are driven by seeded :class:`repro.robustness.FaultPlan`
+schedules through the production injection point, so every crash
+reproduces bitwise under ``REPRO_FAULT_PLAN`` (see docs/robustness.md).
+Every other failure is real: a candidate whose weights are non-finite, a
+checkpoint file cut short on disk.
 """
 
 import multiprocessing as mp
+import os
 import time
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import CLADO, SensitivityConfig, SensitivityEngine
 from repro.core import sensitivity
 from repro.core.qat import QATConfig, qat_finetune
@@ -22,7 +26,7 @@ from repro.models import build_model, quantizable_layers
 from repro.nn import Linear, Module, ReLU, Sequential
 from repro.quant import QuantConfig, QuantizedWeightTable
 from repro.robustness import FAULT_KINDS, FaultPlan, FaultSpec, SweepFailure
-from repro.robustness.faults import in_worker
+from repro.robustness.faults import resolve_fault_plan
 from repro.solvers import MPQProblem, solve_branch_and_bound, solve_greedy
 from repro.solvers.qp_relax import Relaxation
 
@@ -126,50 +130,115 @@ class TestWorkerCrashRecovery:
         injected = _measure(fault_mlp, workers=2, fault_plan=plan)
         np.testing.assert_array_equal(clean.matrix, injected.matrix)
         assert injected.extras["worker_crashes"] == 1
-        assert injected.extras["group_retries"] >= 1
+        assert injected.extras["group_retries"] == 1
         assert injected.extras["injected_fault_plan"] == plan.describe()
 
     def test_serial_crash_recovers_bitwise(self, fault_mlp):
-        """In-process (serial) execution retries through the same plan."""
+        """A crash fault fires only on fork workers.  With ``times`` at
+        least the worker count, every worker dies on the group, and the
+        parent finishes it and the rest, bitwise; in-process the same plan
+        never fires."""
         clean = _measure(fault_mlp, workers=1)
-        plan = FaultPlan(seed=0, faults=(FaultSpec("worker_crash", at=2),))
-        injected = _measure(fault_mlp, workers=1, fault_plan=plan)
-        np.testing.assert_array_equal(clean.matrix, injected.matrix)
-        assert injected.extras["group_retries"] == 1
-
-    def test_nonfinite_loss_retried(self, fault_mlp):
-        clean = _measure(fault_mlp, workers=2)
-        plan = FaultPlan(seed=0, faults=(FaultSpec("nonfinite_loss", at=3),))
+        plan = FaultPlan(
+            seed=0, faults=(FaultSpec("worker_crash", at=2, times=5),)
+        )
         injected = _measure(fault_mlp, workers=2, fault_plan=plan)
         np.testing.assert_array_equal(clean.matrix, injected.matrix)
-        assert injected.extras["worker_errors"] == 1
-
-    def test_retries_exhausted_is_sweep_failure(self, fault_mlp):
-        """A group that fails on every retry must fail loudly and typed."""
-        plan = FaultPlan(
-            seed=0, faults=(FaultSpec("worker_crash", at=0, times=10),)
-        )
-        with pytest.raises(SweepFailure) as exc_info:
-            _measure(fault_mlp, workers=1, fault_plan=plan, max_retries=2)
-        assert exc_info.value.group == 0
-        assert exc_info.value.attempts == 3
+        e = injected.extras
+        assert e["worker_crashes"] == 2
+        assert e["group_retries"] == 2
+        assert e["serial_fallback_groups"] >= 1
+        serial = _measure(fault_mlp, workers=1, fault_plan=plan)
+        np.testing.assert_array_equal(clean.matrix, serial.matrix)
+        assert serial.extras["worker_crashes"] == 0
+        assert serial.extras["group_retries"] == 0
 
     def test_crash_fault_consumed_across_requeues(self, fault_mlp):
-        """``times=2`` kills two attempts; the third succeeds bitwise."""
-        clean = _measure(fault_mlp, workers=2)
+        """``times=2`` kills the group's first two dispatches; the third
+        worker finishes it, bitwise."""
+        clean = _measure(fault_mlp, workers=1)
         plan = FaultPlan(
             seed=0, faults=(FaultSpec("worker_crash", at=1, times=2),)
         )
-        injected = _measure(fault_mlp, workers=2, fault_plan=plan)
+        injected = _measure(fault_mlp, workers=3, fault_plan=plan)
         np.testing.assert_array_equal(clean.matrix, injected.matrix)
         assert injected.extras["worker_crashes"] == 2
+        assert injected.extras["serial_fallback_groups"] == 0
+
+
+class TestGroupFailure:
+    """A group that raises fails the sweep at once: its losses are a fixed
+    function of weights and data, so a rerun would raise again."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nonfinite_candidate_fails_once(self, workers, tmp_path, monkeypatch):
+        model, _layers, table, x, y = _mlp_setup()  # private copy: mutated
+        engine = SensitivityEngine(model, table)
+        path = tmp_path / "sweep.ckpt.npz"
+        config = SensitivityConfig(
+            batch_size=8, num_workers=workers, checkpoint_path=str(path)
+        )
+        clean = engine.measure(x, y, SensitivityConfig(batch_size=8), mode="full")
+        groups = sensitivity.SweepSession(
+            engine, x, y, SensitivityConfig(batch_size=8), mode="full"
+        ).plan.groups
+        # Layer 0 is never a pair partner, so only its own group reads
+        # the candidate, and that group runs next to last.
+        failing = next(
+            gi for gi, g in enumerate(groups) if (g.i, g.m) == (0, 0)
+        )
+        runs = mp.Array("i", len(groups))  # shared with the fork workers
+        run_group = sensitivity.SweepSession.run_group
+
+        def counted(session, group_idx):
+            with runs.get_lock():
+                runs[group_idx] += 1
+            return run_group(session, group_idx)
+
+        monkeypatch.setattr(sensitivity.SweepSession, "run_group", counted)
+        candidate = table.quantized(0, 4)
+        saved = candidate.copy()
+        candidate[...] = np.inf
+        with telemetry.start_run("test", manifest_dir=tmp_path) as run:
+            with pytest.raises(SweepFailure, match="non-finite") as exc:
+                engine.measure(x, y, config, mode="full")
+            counters = run.document()["counters"]
+        assert exc.value.group == failing
+        assert runs[failing] == 1
+        assert counters.get("sweep.group_retries", 0) == 0
+        assert counters.get("sweep.worker_crashes", 0) == 0
+
+        # The checkpoint holds whole groups finished before the failure;
+        # in-process, exactly the groups before it in plan order.
+        with open(path, "rb") as fh, np.load(fh) as blob:
+            saved_indices = {int(i) for i in blob["indices"]}
+        finished = [
+            {spec.index for spec in g.specs()}
+            for g in groups
+            if {spec.index for spec in g.specs()} & saved_indices
+        ]
+        assert set().union(*finished) == saved_indices
+        assert not {spec.index for spec in groups[failing].specs()} & saved_indices
+        if workers == 1:
+            assert len(finished) == failing
+
+        candidate[...] = saved
+        resumed = engine.measure(x, y, config, mode="full")
+        assert resumed.extras["resumed_evals"] == len(saved_indices)
+        np.testing.assert_array_equal(resumed.matrix, clean.matrix)
+        np.testing.assert_array_equal(resumed.single_losses, clean.single_losses)
 
 
 class _HangInWorker(Module):
-    """Identity segment that hangs only inside supervised fork workers."""
+    """Identity segment that hangs only outside the process that built it,
+    that is inside a supervised fork worker."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.parent_pid = os.getpid()
 
     def forward(self, x):
-        if in_worker():
+        if os.getpid() != self.parent_pid:
             time.sleep(30.0)
         return x
 
@@ -206,12 +275,13 @@ class TestGroupDeadline:
         monkeypatch.setattr(sensitivity, "_HANG_FLOOR_S", 0.5)
         t0 = time.perf_counter()
         pooled = engine.measure(
-            x, y, SensitivityConfig(batch_size=8, num_workers=2, max_retries=1)
+            x, y, SensitivityConfig(batch_size=8, num_workers=2)
         )
         assert time.perf_counter() - t0 < 10.0  # killed, not slept out
         e = pooled.extras
         assert e["plan_groups"] == 2
         assert e["deadline_kills"] == 2
+        assert e["group_retries"] == 2
         assert e["serial_fallback_groups"] == 2
         np.testing.assert_array_equal(pooled.matrix, serial.matrix)
 
@@ -222,24 +292,20 @@ class TestCheckpointCorruption:
     def test_corrupted_checkpoint_resume(self, fault_mlp, tmp_path):
         ckpt = tmp_path / "sweep.ckpt.npz"
         clean = _measure(fault_mlp, workers=1)
-        # Corrupt every save: whichever save is the last leaves a
-        # truncated file on disk, through the production write path.
-        plan = FaultPlan(
-            seed=5,
-            faults=tuple(
-                FaultSpec("corrupt_checkpoint", at=k) for k in range(256)
-            ),
-        )
-        first = _measure(fault_mlp, workers=1, fault_plan=plan, checkpoint=ckpt)
-        # Corruption affects only the file; the in-memory result is exact.
+        first = _measure(fault_mlp, workers=1, checkpoint=ckpt)
         np.testing.assert_array_equal(clean.matrix, first.matrix)
-        assert ckpt.exists()
+        # Cut the written file short, as a disk that lost its tail would.
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data[: len(data) * 2 // 5])
         with pytest.raises(Exception):
             with open(ckpt, "rb") as fh, np.load(fh, allow_pickle=False) as blob:
                 blob["losses"]
         # Resume sees the damaged file, restarts, and still agrees.
-        resumed = _measure(fault_mlp, workers=1, checkpoint=ckpt)
+        with telemetry.start_run("test", manifest_dir=tmp_path) as run:
+            resumed = _measure(fault_mlp, workers=1, checkpoint=ckpt)
+            counters = run.document()["counters"]
         assert resumed.extras["resumed_evals"] == 0
+        assert counters.get("checkpoint.truncated", 0) == 1
         np.testing.assert_array_equal(clean.matrix, resumed.matrix)
 
     def test_intact_checkpoint_still_resumes(self, fault_mlp, tmp_path):
@@ -343,7 +409,7 @@ class TestMeasurementFaults:
             seed=4,
             faults=(
                 FaultSpec("outlier_loss", at=3),
-                FaultSpec("nonfinite_loss", at=7, times=2),
+                FaultSpec("worker_crash", at=7, times=2),
             ),
         )
         assert FaultPlan.parse(plan.to_json()) == plan
@@ -373,7 +439,7 @@ class TestMeasurementFaults:
     def test_solver_deadline_is_not_a_kind(self):
         """Branch-and-bound's own caps stop a solve, which then returns its
         best incumbent, so there is no solver deadline to inject."""
-        assert len(FAULT_KINDS) == 8
+        assert FAULT_KINDS == ("worker_crash", "outlier_loss")
         assert "solver_deadline" not in FAULT_KINDS
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPlan.parse('{"faults": [{"kind": "solver_deadline"}]}')
@@ -400,7 +466,7 @@ class TestFaultPlanActivation:
             seed=9,
             faults=(
                 FaultSpec("worker_crash", at=2, times=3),
-                FaultSpec("checksum_flip", at=1),
+                FaultSpec("outlier_loss", at=1),
             ),
         )
         assert FaultPlan.parse(plan.to_json()) == plan
@@ -410,13 +476,38 @@ class TestFaultPlanActivation:
         clean = _measure(fault_mlp, workers=1)
         plan = FaultPlan(seed=0, faults=(FaultSpec("worker_crash", at=1),))
         monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
-        injected = _measure(fault_mlp, workers=1)
+        injected = _measure(fault_mlp, workers=2)
         np.testing.assert_array_equal(clean.matrix, injected.matrix)
+        assert injected.extras["worker_crashes"] == 1
         assert injected.extras["group_retries"] == 1
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultSpec("disk_full")
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "nonfinite_loss",
+            "corrupt_checkpoint",
+            "truncated_artifact",
+            "checksum_flip",
+            "stale_writer_lock",
+            "fingerprint_mismatch",
+        ],
+    )
+    def test_removed_kinds_are_unknown(self, kind, fault_mlp, monkeypatch):
+        """A non-finite candidate and a damaged file are reached for real
+        (a test writes them), so no fault kind simulates them."""
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSpec(kind)
+        monkeypatch.setenv(
+            "REPRO_FAULT_PLAN", '{"faults": [{"kind": "%s", "at": 0}]}' % kind
+        )
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            resolve_fault_plan()
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            _measure(fault_mlp, workers=1)
 
 
 class TestInfeasibleBudgets:

@@ -19,7 +19,6 @@ from repro.nn import (
 )
 from repro.quant import QuantConfig, QuantizedWeightTable, calibrate_activations
 from repro.robustness import SweepFailure
-from repro.robustness.faults import FaultPlan, FaultSpec
 
 
 def _modules(*roots):
@@ -202,14 +201,11 @@ class TestSweepLeavesNoState:
 
     def test_failed_measure_restores_grad_mode(self):
         model, layers, table, x, y = _engine_setup("resnet_s20")
-        plan = FaultPlan(seed=0, faults=(FaultSpec("nonfinite_loss", at=0),))
+        table.quantized(0, 4)[...] = np.inf  # a candidate that diverges
         engine = SensitivityEngine(model, table)
         seen = _recording_segments(engine)
-        with pytest.raises(SweepFailure):
-            engine.measure(
-                x, y, SensitivityConfig(max_retries=0, fault_plan=plan),
-                mode="diagonal",
-            )
+        with pytest.raises(SweepFailure, match="non-finite"):
+            engine.measure(x, y, SensitivityConfig(), mode="diagonal")
         (segments,) = seen
         assert all(m.grad_enabled for m in _modules(model, *segments))
         loss, _ = loss_and_grads(model, CrossEntropyLoss(), layers, x, y)

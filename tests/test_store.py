@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core import CLADO, SensitivityConfig, SensitivityEngine, SolverConfig
+from repro.core import (
+    CLADO,
+    SensitivityConfig,
+    SensitivityEngine,
+    SolverConfig,
+    setup_activation_quant,
+)
 from repro.core.sensitivity import SweepSession
 from repro.nn import Linear, ReLU, Sequential
 from repro.quant import QuantConfig
@@ -38,6 +44,8 @@ from repro.store import (
     weights_fingerprint,
 )
 from repro.store.artifact import deserialize
+
+from helpers import damage_entry, plant_stale_lock
 
 CFG = QuantConfig(bits=(2, 4, 8))
 KEY = StoreKey(weights="a" * 64, data="b" * 64, quant="c" * 64)
@@ -120,9 +128,9 @@ class TestStoreKey:
             layers, originals
         )
         assert data_fingerprint(x, y) == data_fingerprint(x, y)
-        assert quantizer_fingerprint(CFG, "full") == quantizer_fingerprint(
-            CFG, "full"
-        )
+        assert quantizer_fingerprint(
+            CFG, "full", act_quant=[[8, 0.5], None]
+        ) == quantizer_fingerprint(CFG, "full", act_quant=[[8, 0.5], None])
 
     def test_weights_fingerprint_sees_bytes(self):
         model, layers = _mlp()
@@ -140,14 +148,23 @@ class TestStoreKey:
         assert data_fingerprint(x2, y) != base
 
     def test_quantizer_fingerprint_sees_numerics_knobs(self):
-        base = quantizer_fingerprint(CFG, "full")
-        assert quantizer_fingerprint(QuantConfig(bits=(4, 8)), "full") != base
-        assert quantizer_fingerprint(CFG, "diagonal") != base
-        assert quantizer_fingerprint(CFG, "full", batch_size=8) != base
+        act_quant = [[8, 0.5], None]
+        base = quantizer_fingerprint(CFG, "full", act_quant=act_quant)
+        assert quantizer_fingerprint(
+            QuantConfig(bits=(4, 8)), "full", act_quant=act_quant
+        ) != base
+        assert quantizer_fingerprint(CFG, "diagonal", act_quant=act_quant) != base
+        assert quantizer_fingerprint(
+            CFG, "full", act_quant=act_quant, batch_size=8
+        ) != base
+        for other in ([[8, 0.25], None], [[4, 0.5], None], [None, None]):
+            assert quantizer_fingerprint(CFG, "full", act_quant=other) != base
         # Execution knobs are not key parameters: the removed stack width
         # never was one.
         with pytest.raises(TypeError):
-            quantizer_fingerprint(CFG, "full", eval_batch_k=1)
+            quantizer_fingerprint(
+                CFG, "full", act_quant=act_quant, eval_batch_k=1
+            )
 
     def test_key_roundtrip_and_mismatch_attribution(self):
         assert StoreKey.from_dict(KEY.to_dict()) == KEY
@@ -172,6 +189,26 @@ class TestStoreKey:
             CLADO(model2, "mlp", CFG, layers=layers2), x, y, config
         )
         assert k3.mismatches(k1) == ("weights",)
+
+    def test_request_key_sees_activation_quantizers(self):
+        """The sweep's losses depend on each searched layer's activation
+        quantizer, bits and calibrated scale: calibrated on another set,
+        at other bits, or removed, a request addresses another entry."""
+        x, y = _data()
+        config = SensitivityConfig(batch_size=8)
+        model, layers = _mlp()
+        algo = CLADO(model, "mlp", CFG, layers=layers)
+
+        def key_after(images, bits):
+            setup_activation_quant(model, layers, images, bits=bits)
+            return request_key(algo, x, y, config)
+
+        calibrated = key_after(x, 8)
+        assert key_after(x, 8) == calibrated  # calibration is deterministic
+        keys = [calibrated, key_after(1.5 * x, 8), key_after(x, 4),
+                key_after(x, None)]
+        assert len({k.key for k in keys}) == 4
+        assert all(k.mismatches(calibrated) == ("quant",) for k in keys[1:])
 
 
 class TestArtifactRoundTrip:
@@ -351,24 +388,30 @@ class TestArtifactStore:
         ],
     )
     def test_injected_faults_are_refused(self, tmp_path, kind, error):
-        plan = FaultPlan(seed=13, faults=(FaultSpec(kind, at=0),))
-        saboteur = ArtifactStore(tmp_path / "store", fault_plan=plan)
-        assert saboteur.publish(KEY, _artifact()) == "published"
-        victim = ArtifactStore(tmp_path / "store")
-        with pytest.raises(error):
-            victim.load(KEY)
+        """Damage written into a published entry's file is refused with
+        its typed attribution, whatever the damage."""
+        store = ArtifactStore(tmp_path / "store")
+        assert store.publish(KEY, _artifact()) == "published"
+        damage_entry(store, KEY, kind)
+        with telemetry.start_run("test", manifest_dir=tmp_path) as run:
+            with pytest.raises(error):
+                ArtifactStore(tmp_path / "store").load(KEY)
+            counters = run.document()["counters"]
+        expected = "store.stale" if error is StaleArtifactError else "store.corrupt"
+        assert counters.get(expected, 0) == 1
 
     def test_stale_writer_lock_fault_is_survived(self, tmp_path):
-        plan = FaultPlan(
-            seed=17, faults=(FaultSpec("stale_writer_lock", at=0),)
-        )
-        store = ArtifactStore(tmp_path / "store", fault_plan=plan)
+        """A lock a publisher killed mid-publish left behind, aged past the
+        TTL, is taken over, and the publish lands."""
+        store = ArtifactStore(tmp_path / "store")
+        plant_stale_lock(store, KEY)
         with telemetry.start_run("test", manifest_dir=tmp_path) as run:
             assert store.publish(KEY, _artifact()) == "published"
             takeovers = run.document()["counters"].get(
                 "store.lock_takeovers", 0
             )
-        assert takeovers >= 1
+        assert takeovers == 1
+        assert not store.lock_path(KEY).exists()
         assert ArtifactStore(tmp_path / "store").load(KEY) is not None
 
 
@@ -420,6 +463,25 @@ class TestServe:
         assert doc["results"]["store_budgets"] == [int(b) for b in budgets]
         assert doc["counters"].get("sensitivity.forward_evals", 0) == 0
         assert doc["counters"].get("store.hits", 0) == 1
+
+    def test_recalibrated_activations_miss(self, tmp_path, setup):
+        """An entry measured under other activation scales is not served:
+        the request sweeps afresh and gets the fresh sweep's Ĝ."""
+        make, x, y, budgets, config, solver = setup
+        store = ArtifactStore(tmp_path / "store")
+        algo = make()
+        setup_activation_quant(algo.model, algo.layers, x, bits=8)
+        allocate_cached(algo, x, y, budgets, store, solver, config)
+        setup_activation_quant(algo.model, algo.layers, 1.5 * x, bits=8)
+        served = make()
+        with telemetry.start_run("test", manifest_dir=tmp_path) as run:
+            allocate_cached(served, x, y, budgets, store, solver, config)
+            doc = run.document()
+        assert doc["results"]["store_source"] == "sweep"
+        assert len(store.entries()) == 2
+        fresh = make()
+        fresh.prepare(x, y, config)
+        np.testing.assert_array_equal(served.raw.matrix, fresh.raw.matrix)
 
     def test_offline_miss_raises_typed(self, tmp_path, setup):
         make, x, y, budgets, config, solver = setup
