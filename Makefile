@@ -33,11 +33,13 @@ bench:
 smoke:
 	REPRO_SCALE=smoke PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
-# Tiny perf gate: runtime profile + segmented-sweep speedup, appending a
-# JSON row to reports/BENCH_sensitivity_cache.json per run.
+# Tiny perf gate: runtime profile, segmented-sweep speedup and the conv
+# gather-vs-GEMM profile, appending a JSON row per run to
+# reports/BENCH_sensitivity_cache.json and reports/BENCH_conv_gather.json.
 bench-smoke:
 	REPRO_SCALE=smoke PYTHONPATH=src pytest benchmarks/bench_runtime.py \
-		benchmarks/bench_sensitivity_cache.py --benchmark-only -q
+		benchmarks/bench_sensitivity_cache.py \
+		benchmarks/bench_conv_gather.py --benchmark-only -q
 
 pretrain:
 	python -m repro pretrain

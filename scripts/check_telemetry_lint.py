@@ -66,9 +66,12 @@ Fourteen rules (see docs/observability.md and docs/robustness.md):
    be called only from ``conv2d_backward``.  A 3x3 patch matrix is 9x
    its input; built for a whole batch it is written to DRAM and
    read back by the GEMMs, which made it most of a CNN sweep's conv time
-   and its peak memory.  Every forward path goes through the blocked
-   gather in ``repro.nn.functional._conv_into`` instead; backward, which
-   needs the whole matrix for ``dW``, rebuilds it from the cached input.
+   and its peak memory.  Every forward path goes through
+   ``repro.nn.functional._conv_into``, which gathers one cache-sized
+   block of samples at a time; backward, which needs the whole matrix
+   for ``dW``, rebuilds it from the cached input.  Both fill their patch
+   buffers through the one builder, ``_patch_gather`` (whole shifted
+   planes for a stride-1 "same" conv, sliding windows otherwise).
 10. No scipy — ``import scipy`` and ``from scipy ...`` are rejected
     everywhere in ``src/repro``.  Branch-and-bound prunes on node bounds
     that must be certified, and a general NLP solver's objective value is
@@ -451,7 +454,7 @@ def _im2col_violations(tree: ast.AST):
                     node.lineno,
                     f"im2col() outside {ALLOWED_IM2COL}() builds a full-batch "
                     "patch matrix (9x the input for a 3x3 conv); forward "
-                    "passes gather patches per block through "
+                    "passes gather patches per block of samples through "
                     "nn.functional._conv_into",
                 )
         for child in ast.iter_child_nodes(node):

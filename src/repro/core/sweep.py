@@ -351,19 +351,25 @@ class SweepCheckpoint:
             # np.load opens a path itself and leaves that file open when
             # the archive fails to parse; a handle of our own always closes.
             with open(self.path, "rb") as fh:
-                with np.load(fh, allow_pickle=False) as blob:
+                try:
+                    blob = np.load(fh, allow_pickle=False)
+                except zipfile.BadZipFile:
+                    # Killed mid-write / truncated on disk: the zip
+                    # directory at the end of the file is gone.
+                    _CKPT_TRUNCATED.add()
+                    return {}
+                with blob:
                     if str(blob["fingerprint"][()]) != self.fingerprint:
                         _CKPT_FINGERPRINT.add()
                         return {}
                     indices = blob["indices"]
                     losses = blob["losses"]
-        except zipfile.BadZipFile:
-            # Killed mid-write / truncated on disk: the zip directory at
-            # the end of the file is gone.
-            _CKPT_TRUNCATED.add()
-            return {}
-        except (KeyError, ValueError, OSError, EOFError, zlib.error):
-            # The container parses but a member is missing or damaged.
+        except (
+            zipfile.BadZipFile, KeyError, ValueError, OSError, EOFError,
+            zlib.error,
+        ):
+            # The container parses but a member is missing or damaged; a
+            # member that fails its CRC-32 raises BadZipFile as it is read.
             _CKPT_CORRUPT.add()
             return {}
         except Exception:

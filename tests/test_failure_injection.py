@@ -13,7 +13,9 @@ checkpoint file cut short on disk.
 
 import multiprocessing as mp
 import os
+import struct
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -306,6 +308,33 @@ class TestCheckpointCorruption:
             counters = run.document()["counters"]
         assert resumed.extras["resumed_evals"] == 0
         assert counters.get("checkpoint.truncated", 0) == 1
+        np.testing.assert_array_equal(clean.matrix, resumed.matrix)
+
+    def test_flipped_payload_bit_counts_as_corrupt(self, fault_mlp, tmp_path):
+        """A complete file whose ``losses`` payload has one flipped bit
+        fails its CRC-32 as the member is read: corrupt, not truncated."""
+        ckpt = tmp_path / "sweep.ckpt.npz"
+        clean = _measure(fault_mlp, workers=1)
+        _measure(fault_mlp, workers=1, checkpoint=ckpt)
+        with zipfile.ZipFile(ckpt) as archive:
+            info = archive.getinfo("losses.npy")
+        assert info.compress_type == zipfile.ZIP_STORED
+        data = bytearray(ckpt.read_bytes())
+        # A local file header is 30 bytes, then the member's name and
+        # extra field, then its stored bytes; the last 8 are the last loss
+        # (little-endian float64), whose lowest mantissa bit flips.
+        name_len, extra_len = struct.unpack_from(
+            "<HH", data, info.header_offset + 26
+        )
+        end = info.header_offset + 30 + name_len + extra_len + info.file_size
+        data[end - 8] ^= 0x01
+        ckpt.write_bytes(bytes(data))
+        with telemetry.start_run("test", manifest_dir=tmp_path) as run:
+            resumed = _measure(fault_mlp, workers=1, checkpoint=ckpt)
+            counters = run.document()["counters"]
+        assert counters.get("checkpoint.corrupt", 0) == 1
+        assert counters.get("checkpoint.truncated", 0) == 0
+        assert resumed.extras["resumed_evals"] == 0
         np.testing.assert_array_equal(clean.matrix, resumed.matrix)
 
     def test_intact_checkpoint_still_resumes(self, fault_mlp, tmp_path):

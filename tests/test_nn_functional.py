@@ -2,10 +2,11 @@
 and, bit for bit, against the full-batch patch-matrix kernels)."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
@@ -121,14 +122,31 @@ class TestConvBackward:
         np.testing.assert_allclose(db, grad_out.sum(axis=(0, 2, 3)))
 
 
+def window_patches(x, kh, kw, stride, pad):
+    """Reference patches, built here on their own (``np.pad`` plus a
+    sliding-window view), never by the kernels under test."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    s_n, s_c, s_h, s_w = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, c, kh, kw, oh, ow),
+        strides=(s_n, s_c, s_h, s_w, s_h * stride, s_w * stride),
+        writeable=False,
+    )
+    return np.ascontiguousarray(windows), (oh, ow)
+
+
 def full_batch_conv2d(x, w, b, stride, pad, groups):
-    """The full-batch kernel: one matmul over the whole im2col patch matrix.
+    """The full-batch kernel: one matmul over the whole patch matrix.
 
     Returns the output and the patches, which the reference backward uses.
     """
     n = x.shape[0]
     c_out, c_in_g, kh, kw = w.shape
-    cols, (oh, ow) = F.im2col(x, kh, kw, stride, pad)
+    cols, (oh, ow) = window_patches(x, kh, kw, stride, pad)
     cols_g = cols.reshape(n, groups, c_in_g * kh * kw, oh * ow)
     w_g = w.reshape(groups, c_out // groups, c_in_g * kh * kw)
     out = np.matmul(w_g, cols_g).reshape(n, c_out, oh, ow)
@@ -164,6 +182,9 @@ BLOCKED_CASES = {
     "1x1_stride2_pad0": (9, 8, 16, 32, 1, 2, 0, 1),
     "groups2": (5, 4, 6, 9, 3, 1, 1, 2),
     "depthwise": (5, 8, 8, 16, 3, 1, 1, 8),
+    "5x5_pad2": (6, 4, 6, 12, 5, 1, 2, 1),
+    # A 7x7 kernel on a 2x2 plane: every tap but the centre falls outside.
+    "7x7_on_2x2": (3, 4, 5, 2, 7, 1, 3, 1),
 }
 
 
@@ -214,6 +235,113 @@ class TestBlockedConvBitwise:
         finally:
             tracemalloc.stop()
         assert peak - start < out.nbytes + x.nbytes + 4 * 2**20
+
+
+def _bits(a):
+    """``a`` as unsigned integers, so -0.0, NaN payloads and infinities
+    compare by their bits."""
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+class TestPlaneGather:
+    """A stride-1 "same" conv gathers whole shifted planes; its patches,
+    forward outputs and patch matrix for backward are bitwise equal to the
+    window gather's."""
+
+    @given(
+        k=st.sampled_from([1, 3, 5, 7]),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        c=st.integers(1, 3),
+        layout=st.sampled_from(["dense", "groups2", "depthwise"]),
+        n=st.integers(1, 7),
+        block=st.integers(1, 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        specials=st.booleans(),
+        frozen=st.booleans(),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(
+        k=7, h=2, w=2, c=2, layout="dense", n=5, block=2, dtype=np.float32,
+        specials=True, frozen=True, strided=True, seed=0,
+    )
+    @example(
+        k=5, h=3, w=8, c=2, layout="groups2", n=7, block=3, dtype=np.float64,
+        specials=True, frozen=False, strided=True, seed=1,
+    )
+    @example(
+        k=3, h=6, w=4, c=3, layout="depthwise", n=4, block=3,
+        dtype=np.float32, specials=True, frozen=True, strided=False, seed=2,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_window_gather(
+        self, k, h, w, c, layout, n, block, dtype, specials, frozen, strided,
+        seed,
+    ):
+        pad = (k - 1) // 2
+        groups, c_in, c_out = {
+            "dense": (1, c, c + 1),
+            "groups2": (2, 2 * c, 4),
+            "depthwise": (c, c, c),
+        }[layout]
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c_in, h, 2 * w)).astype(dtype)
+        if specials:
+            flat = x.reshape(-1)
+            picks = rng.choice(flat.size, size=min(flat.size, 8), replace=False)
+            flat[picks] = np.resize(
+                np.array([-0.0, np.nan, np.inf, -np.inf], dtype=dtype),
+                len(picks),
+            )
+        x = x[..., ::2] if strided else np.ascontiguousarray(x[..., :w])
+        x.flags.writeable = not frozen
+        weight = rng.normal(size=(c_out, c_in // groups, k, k)).astype(dtype)
+        expected_cols, _ = window_patches(x, k, k, 1, pad)
+
+        # The two gathers, block by block, into reused buffers.
+        cols_p = np.empty((block, c_in, k, k, h, w), dtype=dtype)
+        cols_w = np.empty_like(cols_p)
+        plane = F._plane_gather(cols_p)
+        window = F._window_gather(cols_w, x.shape[1:], 1, pad)
+        for s in range(0, n, block):
+            b = min(block, n - s)
+            plane(x[s : s + b])
+            window(x[s : s + b])
+            assert np.array_equal(_bits(cols_p[:b]), _bits(cols_w[:b]))
+            assert np.array_equal(
+                _bits(cols_p[:b]), _bits(expected_cols[s : s + b])
+            )
+
+        # Backward's whole patch matrix comes from the same builder.
+        cols, hw = F.im2col(x, k, k, 1, pad)
+        assert hw == (h, w)
+        assert np.array_equal(_bits(cols), _bits(expected_cols))
+
+        # The forward, with blocks of ``block`` samples.
+        sample_bytes = c_in * k * k * h * w * x.itemsize
+        with np.errstate(invalid="ignore"):
+            with mock.patch.object(F, "_BLOCK_BYTES", block * sample_bytes):
+                out, _ = F.conv2d_forward(x, weight, None, 1, pad, groups)
+            expected, _ = full_batch_conv2d(x, weight, None, 1, pad, groups)
+        assert out.dtype == expected.dtype == dtype
+        assert np.array_equal(_bits(out), _bits(expected))
+
+    def test_strided_convs_keep_the_window_gather(self):
+        """Only a padded stride-1 conv whose output is as large as its
+        input takes the plane gather."""
+        for args, kind in [
+            (((4, 8, 8), 3, 3, 1, 1), "_plane_gather"),
+            (((4, 8, 8), 7, 7, 1, 3), "_plane_gather"),
+            (((4, 8, 8), 1, 1, 1, 0), "_window_gather"),
+            (((4, 8, 8), 3, 3, 2, 1), "_window_gather"),
+            (((4, 8, 8), 1, 1, 2, 0), "_window_gather"),
+            (((4, 8, 8), 3, 3, 1, 0), "_window_gather"),
+            (((3, 32, 32), 8, 8, 8, 0), "_window_gather"),
+        ]:
+            with mock.patch.object(F, kind, wraps=getattr(F, kind)) as spy:
+                F._patch_gather(*args, 2, np.float32)
+            assert spy.call_count == 1, (args, kind)
 
 
 class TestIm2colAdjoint:
