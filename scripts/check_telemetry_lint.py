@@ -80,7 +80,10 @@ Fourteen rules (see docs/observability.md and docs/robustness.md):
     bound.  ``scipy.optimize`` alone also adds about 44 MiB to every
     allocation process.
 11. No forward writes into its input — inside ``forward`` methods in
-    ``repro/nn/`` and ``repro/models/``, an augmented assignment to a
+    ``repro/nn/`` and ``repro/models/``, and in the two methods forwards
+    delegate to (``MultiHeadSelfAttention.context``, which a transformer
+    block's segment runs on a checkpoint, and ``Linear.project``, which
+    runs on the attention input), an augmented assignment to a
     parameter of the forward (``x -= mean``, ``x[i] *= 2``), an
     assignment into one (``x[i] = 0``) and an ``out=`` argument that may
     name one (``np.multiply(x, mask, out=x)``, also as an arm of
@@ -189,6 +192,9 @@ ALLOWED_IM2COL = "conv2d_backward"
 
 #: Rule 11: the packages whose forwards may not write into their input.
 INPUT_WRITE_DIRS = (TARGET / "nn", TARGET / "models")
+
+#: Rule 11: the methods it inspects, forwards and what they delegate to.
+INPUT_WRITE_METHODS = {"forward", "context", "project"}
 
 #: Rule 12: classes whose instance attributes are set only in ``__init__``.
 INIT_ONLY_STATE_CLASSES = {"SensitivityEngine", "SweepSession"}
@@ -569,28 +575,29 @@ def _input_write_violations(path: Path, tree: ast.AST):
     for func in ast.walk(tree):
         if not (
             isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and func.name == "forward"
+            and func.name in INPUT_WRITE_METHODS
         ):
             continue
         params = _input_names(func)
+        where = f"{func.name}()"
         for node in ast.walk(func):
             if isinstance(node, ast.AugAssign) and _root_name(node.target) in params:
                 yield node.lineno, (
                     f"augmented assignment to input '{_root_name(node.target)}' "
-                    f"in forward(); {hint}"
+                    f"in {where}; {hint}"
                 )
             elif isinstance(node, ast.Assign) and any(
                 isinstance(t, (ast.Subscript, ast.Attribute))
                 and _root_name(t) in params
                 for t in node.targets
             ):
-                yield node.lineno, f"assignment into an input of forward(); {hint}"
+                yield node.lineno, f"assignment into an input of {where}; {hint}"
             elif isinstance(node, ast.Call):
                 for kw in node.keywords:
                     if kw.arg == "out" and any(
                         _root_name(t) in params for t in _out_targets(kw.value)
                     ):
-                        yield node.lineno, f"out= names an input of forward(); {hint}"
+                        yield node.lineno, f"out= names an input of {where}; {hint}"
 
 
 def _self_targets(target: ast.AST):

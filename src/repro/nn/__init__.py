@@ -14,7 +14,6 @@ from .blocks import (
     InvertedResidual,
     Mlp,
     PatchEmbed,
-    PreNormResidual,
     ResidualJoin,
     ResidualStage,
     SqueezeExcite,
@@ -80,7 +79,6 @@ __all__ = [
     "ResidualStage",
     "ResidualJoin",
     "Mlp",
-    "PreNormResidual",
     "TransformerEncoderBlock",
     "PatchEmbed",
     "MultiHeadSelfAttention",

@@ -18,7 +18,9 @@ class MultiHeadSelfAttention(Module):
     The four projections are separate :class:`Linear` modules named
     ``query``, ``key``, ``value``, and ``out`` so that the quantization layer
     index map matches the ViT table in Appendix A of the paper
-    (``attention.attention.query`` etc.).
+    (``attention.attention.query`` etc.).  :meth:`forward` is
+    ``out.forward(context(x))``; a transformer block's segments cut
+    between the two, so a replay from ``out`` reuses the context.
     """
 
     def __init__(
@@ -48,10 +50,24 @@ class MultiHeadSelfAttention(Module):
         n, h, t, d = x.shape
         return x.transpose(0, 2, 1, 3).reshape(n, t, h * d)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        q = self._split_heads(self.query.forward(x))
-        k = self._split_heads(self.key.forward(x))
-        v = self._split_heads(self.value.forward(x))
+    def context(self, x: np.ndarray) -> np.ndarray:
+        """Everything before ``out``: the projections, the scaled-dot-product
+        softmax and the merged heads, shape ``(N, T, D)``.
+
+        When the three projections' activation quantizers have one
+        calibrated grid (``ActivationQuantizer.grid``), the input is
+        quantized once and each projection runs :meth:`Linear.project` on
+        it, which is bitwise what its own forward computes.  Float models,
+        a calibration pass and a shape probe run each projection's forward.
+        """
+        projections = (self.query, self.key, self.value)
+        grids = {getattr(p.act_quant, "grid", None) for p in projections}
+        if len(grids) == 1 and None not in grids:
+            xq = self.query.act_quant(x)
+            heads = [p.project(xq) for p in projections]
+        else:
+            heads = [p.forward(x) for p in projections]
+        q, k, v = (self._split_heads(h) for h in heads)
         scale = float(1.0 / np.sqrt(self.head_dim))
         # softmax(scores * scale)'s ops, in place on the scores buffer.
         probs = np.matmul(q, k.swapaxes(-1, -2))
@@ -60,8 +76,10 @@ class MultiHeadSelfAttention(Module):
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
         self._stash((q, k, v, probs, scale))
-        context = np.matmul(probs, v)
-        return self.out.forward(self._merge_heads(context))
+        return self._merge_heads(np.matmul(probs, v))
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.out.forward(self.context(x))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:

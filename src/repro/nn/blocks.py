@@ -7,9 +7,10 @@ additions are handled explicitly inside each block's forward/backward.
 
 Every residual block's forward runs the block's own :meth:`segments`, the
 wrappers the segmented sweep replays from, so training, evaluation and the
-sweep run one composition of the same ops in the same order.  A CNN block
+sweep run one composition of the same ops in the same order.  A block
 cuts before each branch stage (:class:`ResidualStage`), and the skip rides
-along in a :class:`~repro.nn.module.ResidualState`.  The join adds into a
+along in a :class:`~repro.nn.module.ResidualState`; each pre-norm half of
+a transformer block is a residual block of its own.  The join adds into a
 buffer the block allocated, never into a cut's activation, which the
 sweep holds as a frozen checkpoint: the last stage's own output when the
 shortcut is the identity, the shortcut's output otherwise
@@ -48,7 +49,6 @@ __all__ = [
     "InvertedResidual",
     "XBlock",
     "Mlp",
-    "PreNormResidual",
     "TransformerEncoderBlock",
     "PatchEmbed",
 ]
@@ -107,8 +107,8 @@ class ResidualStage(Module):
     array, as both.  A stage that ``ends`` the block (one with an identity
     shortcut) adds the skip into the branch it computed and applies
     ``post``, returning an array; the body's last module allocates its
-    output, as a conv, a norm or an activation over a norm does, so the
-    sum never lands in a checkpoint.
+    output, as a conv, a linear, a norm or an activation over a norm
+    does, so the sum never lands in a checkpoint.
     """
 
     def __init__(
@@ -164,10 +164,12 @@ def _residual_segments(
     """Segments of a residual block: a cut before each branch stage.
 
     ``stages`` are the units the branch runs in order (a conv with its
-    norm and activation, or an SE gate), so each branch conv starts a
-    segment.  The join ``post(branch + shortcut(skip))`` runs inside the
-    last stage's segment, or in a segment of its own when the block has a
-    projection ``shortcut``, so the shortcut's conv starts a segment too.
+    norm and activation, an SE gate, or a transformer half's norm,
+    attention context and projections), so each branch conv or searched
+    projection starts a segment.  The join ``post(branch +
+    shortcut(skip))`` runs inside the last stage's segment, or in a
+    segment of its own when the block has a projection ``shortcut``, so
+    the shortcut's conv starts a segment too.
     The wrappers are built afresh on each call and never stored, so module
     names and state dicts do not see them.
     """
@@ -443,33 +445,31 @@ class Mlp(Module):
         )
 
 
-class PreNormResidual(Module):
-    """One pre-norm residual half of a transformer block: ``norm → body → +x``.
+class _AttentionContext(Module):
+    """``attention.context`` as a branch stage: the query/key/value
+    projections and the attention core, up to ``out``.
 
-    :meth:`TransformerEncoderBlock.segments` builds one per half on each
-    call.  It holds references to the block's modules and is never
-    stored in the model, so module names and state dicts do not see it.
+    It registers only ``query``, ``key`` and ``value``.  ``out`` starts
+    the next segment, and a wrapper that reached it too would put it in
+    two segments, which makes the sweep run the model as one segment.
     """
 
-    def __init__(self, norm: Module, body: Module) -> None:
+    def __init__(self, attention: MultiHeadSelfAttention) -> None:
         super().__init__()
-        self.norm = norm
-        self.body = body
+        self.query = attention.query
+        self.key = attention.key
+        self.value = attention.value
+        self._context = attention.context
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = self.body.forward(self.norm.forward(x))
-        h += x
-        return h
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out + self.norm.backward(self.body.backward(grad_out))
+        return self._context(x)
 
 
 class TransformerEncoderBlock(_SegmentedForward):
     """Pre-norm transformer block: LN → MHSA → +x, LN → MLP → +x.
 
-    Forward and backward run the block's two :class:`PreNormResidual`
-    halves, which :meth:`segments` also hands to the segmented sweep.
+    Each pre-norm half is a residual block of three stages, cut before
+    each searched projection (:meth:`segments`).
     """
 
     def __init__(
@@ -486,16 +486,23 @@ class TransformerEncoderBlock(_SegmentedForward):
         self.mlp = Mlp(dim, int(dim * mlp_ratio), rng=rng)
 
     def segments(self) -> List[Module]:
-        """The attention half, then the MLP half, as fresh wrappers."""
-        return [
-            PreNormResidual(self.norm1, self.attention),
-            PreNormResidual(self.norm2, self.mlp),
-        ]
+        """``norm1`` · query, key, value and the attention core · ``out``
+        + skip, then ``norm2`` · ``intermediate`` and GELU · ``output`` +
+        skip: a replay from any searched projection starts at its own
+        stage, except ``key`` and ``value``, which read the input of
+        ``query`` and share its stage."""
+        attention, mlp = self.attention, self.mlp
+        return _residual_segments(
+            [[self.norm1], [_AttentionContext(attention)], [attention.out]],
+            None,
+            None,
+        ) + _residual_segments(
+            [[self.norm2], [mlp.intermediate, mlp.act], [mlp.output]], None, None
+        )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for half in reversed(self.segments()):
-            grad_out = half.backward(grad_out)
-        return grad_out
+        grad_out = grad_out + self.norm2.backward(self.mlp.backward(grad_out))
+        return grad_out + self.norm1.backward(self.attention.backward(grad_out))
 
 
 class PatchEmbed(Module):

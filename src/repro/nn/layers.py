@@ -129,6 +129,14 @@ class Linear(Module, _CacheMixin):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.act_quant is not None:
             x = self.act_quant(x)
+        return self.project(x)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """The GEMM and bias on an input already through ``act_quant``.
+
+        :class:`~repro.nn.attention.MultiHeadSelfAttention` calls it for
+        the projections that share one quantized input.
+        """
         self._stash(x)
         out = x @ self.weight.data.T
         if self.bias is not None:

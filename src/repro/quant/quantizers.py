@@ -116,6 +116,18 @@ class ActivationQuantizer:
         self.recording = False
         self._max_abs = 0.0
 
+    @property
+    def grid(self) -> Optional[tuple]:
+        """``(bits, scale)`` once calibrated and not recording, else None.
+
+        Two quantizers with equal grids give bitwise-equal outputs on one
+        input, so layers that read the same tensor may quantize it once
+        (see ``MultiHeadSelfAttention.context``).
+        """
+        if self.recording or self.scale is None:
+            return None
+        return (self.bits, self.scale)
+
     def observe(self, x: np.ndarray) -> None:
         max_abs = float(np.abs(x).max(initial=0.0))
         # Python's max() would drop a NaN range silently, and an inf range

@@ -139,6 +139,22 @@ class TestInputWriteRule:
         source = f"class L:\n    def forward(self, x):\n        {body}\n        return x\n"
         assert _input_write_lines(source) == [3]
 
+    @pytest.mark.parametrize("method", ["context", "project"])
+    @pytest.mark.parametrize(
+        "body", ["x *= scale", "x[0] = 0.0", "np.exp(x, out=x)"]
+    )
+    def test_rejects_writes_in_the_methods_forwards_delegate_to(self, method, body):
+        source = f"class L:\n    def {method}(self, x):\n        {body}\n        return x\n"
+        assert _input_write_lines(source) == [3]
+
+    @pytest.mark.parametrize("method", ["context", "project"])
+    def test_allows_own_buffers_in_delegated_methods(self, method):
+        source = (
+            f"class L:\n    def {method}(self, x):\n        out = x @ w\n"
+            "        out += b\n        return out\n"
+        )
+        assert _input_write_lines(source) == []
+
     def test_rejects_in_models_too(self):
         source = "def forward(self, tokens):\n    tokens += 1.0\n    return tokens\n"
         assert _input_write_lines(source, package="models") == [2]
@@ -197,8 +213,9 @@ class TestInputWriteRule:
     def test_only_forwards_in_layer_packages(self):
         source = "def backward(self, x):\n    x -= 1.0\n"
         assert _input_write_lines(source) == []
-        source = "def forward(self, x):\n    x -= 1.0\n"
-        assert _input_write_lines(source, package="core") == []
+        for method in ("forward", "context", "project"):
+            source = f"def {method}(self, x):\n    x -= 1.0\n"
+            assert _input_write_lines(source, package="core") == []
 
     def test_tree_passes(self):
         for path in sorted(lint.TARGET.rglob("*.py")):

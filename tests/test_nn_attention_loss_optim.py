@@ -12,7 +12,9 @@ from repro.nn import (
     accuracy,
     cosine_lr,
 )
+from repro.models import build_model, quantizable_layers
 from repro.nn import init as nn_init
+from repro.quant import ActivationQuantizer, calibrate_activations
 
 from helpers import numeric_input_grad
 
@@ -54,6 +56,101 @@ class TestAttention:
     def test_backward_without_forward_raises(self):
         with pytest.raises(RuntimeError):
             MultiHeadSelfAttention(8, 2).backward(np.zeros((1, 3, 8)))
+
+
+class _NoGrid:
+    """Wraps a quantizer without its ``grid``, so attention runs each
+    projection's own forward through it."""
+
+    def __init__(self, quant):
+        self.quant = quant
+
+    def __call__(self, x):
+        return self.quant(x)
+
+
+@pytest.fixture
+def quant_calls(monkeypatch):
+    """The activation quantizers called, in call order."""
+    calls = []
+    call = ActivationQuantizer.__call__
+
+    def counted(self, x):
+        calls.append(self)
+        return call(self, x)
+
+    monkeypatch.setattr(ActivationQuantizer, "__call__", counted)
+    return calls
+
+
+def _calibrated_attention(bits=(8, 8, 8)):
+    rng = np.random.default_rng(3)
+    attn = MultiHeadSelfAttention(8, 2, rng=rng)
+    attn.eval()
+    projections = (attn.query, attn.key, attn.value)
+    for proj, b in zip(projections, bits):
+        proj.act_quant = ActivationQuantizer(b)
+        proj.act_quant.recording = True
+    with attn.no_grad():
+        attn.forward(rng.normal(size=(4, 5, 8)).astype(np.float32))
+    for proj in projections:
+        proj.act_quant.finalize()
+    return attn
+
+
+class TestSharedQuantizedInput:
+    """Query, key and value quantize their one input once when their
+    activation quantizers share a grid."""
+
+    def test_bitwise_equal_to_per_projection_quantization(self, quant_calls):
+        attn = _calibrated_attention()
+        x = np.random.default_rng(4).normal(size=(3, 5, 8)).astype(np.float32)
+        x[0, 1, 2] = np.nan
+        x[1, 0, 0], x[1, 3, 5] = np.inf, -np.inf
+        x[2, 2, :4] = -0.0
+        projections = (attn.query, attn.key, attn.value)
+        quants = [p.act_quant for p in projections]
+        assert len({q.grid for q in quants}) == 1
+        quant_calls.clear()
+        with attn.no_grad():
+            shared = attn.forward(x)
+            assert quant_calls == [attn.query.act_quant]
+            quant_calls.clear()
+            for proj, quant in zip(projections, quants):
+                proj.act_quant = _NoGrid(quant)
+            separate = attn.forward(x)
+        assert quant_calls == quants
+        assert np.isnan(shared[0]).all() and np.isfinite(shared[1:]).all()
+        np.testing.assert_array_equal(shared.view(np.uint32), separate.view(np.uint32))
+
+    def test_other_bits_fall_back_to_each_forward(self, quant_calls):
+        attn = _calibrated_attention(bits=(8, 6, 8))
+        quants = [p.act_quant for p in (attn.query, attn.key, attn.value)]
+        assert quants[1].grid != quants[0].grid
+        quant_calls.clear()
+        attn.forward(np.ones((2, 5, 8), dtype=np.float32))
+        assert quant_calls == quants
+
+    def test_calibration_records_each_projection(self, monkeypatch):
+        """A recording quantizer has no grid, so q, k and v each observe
+        the input and calibrate to one scale."""
+        model = build_model("vit_s", num_classes=4)
+        layers = quantizable_layers(model, "vit_s")
+        observed = []
+        observe = ActivationQuantizer.observe
+
+        def recorded(self, x):
+            observed.append(self)
+            return observe(self, x)
+
+        monkeypatch.setattr(ActivationQuantizer, "observe", recorded)
+        x = np.random.default_rng(6).normal(size=(4, 3, 32, 32)).astype(np.float32)
+        calibrate_activations(model, layers, x)
+        assert sorted(map(id, observed)) == sorted(id(q.module.act_quant) for q in layers)
+        for block in model.layer:
+            attn = block.attention
+            scales = {p.act_quant.scale for p in (attn.query, attn.key, attn.value)}
+            assert len(scales) == 1 and scales != {1.0}
 
 
 class TestCrossEntropy:

@@ -171,6 +171,17 @@ class TestActivationQuantizer:
         with pytest.raises(RuntimeError):
             ActivationQuantizer(8)(np.ones(3))
 
+    def test_grid_only_when_calibrated_and_not_recording(self):
+        aq = ActivationQuantizer(8)
+        assert aq.grid is None
+        aq.recording = True
+        aq(np.linspace(-2, 2, 5))
+        assert aq.grid is None
+        aq.finalize()
+        assert aq.grid == (8, aq.scale) == (8, 2 / 127)
+        aq.recording = True
+        assert aq.grid is None
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_range_raises(self, bad):
         aq = ActivationQuantizer(8)
